@@ -6,7 +6,7 @@ from .vectors import RationalVector, lp_mean, partial_sums_desc, to_fraction
 from .series import (Catalyst, SeriesTemplate, TruncatedSeries, catalyst_product,
                      padded_taylor_template, product_over_vector, series_mul,
                      substitute_scale, taylor_template, tensor)
-from .families import (FamilyValue, IndexSet, elementary_all, f_kr, f_kr_all,
+from .families import (IndexSet, elementary_all, f_kr, f_kr_all,
                        f_kr_oracle, f_special_identities, g_kr, gbar_kr,
                        delta_gbar_kr, grad_f_kr, h_s, is_schur_concave_index_set,
                        m_kr, m_kr_from_gbar, max_part_index_set,

@@ -20,7 +20,8 @@ from .families import f_kr_all
 from .majorize import majorizes, psi_compare, theorem2_scan
 from .mellin import identity_check, identity_lhs, integral_I, integral_J
 from .series import Catalyst, catalyst_product, taylor_template, tensor
-from .spectral import as_int_matrix, f_from_matrix, gram, spectral_summary
+from .spectral import (as_int_matrix, det_I_plus_tA, f_from_matrix, gram,
+                       spectral_summary)
 from .theorem1 import (ConclusionReport, HypothesisReport, check_hypotheses,
                        check_hypotheses_coeffs, verify_conclusions)
 from .vectors import RationalVector, lp_mean, partial_sums_desc
@@ -184,8 +185,16 @@ def _float_eigen_vector(matrix) -> RationalVector:
     # quantities never go through here
     import numpy as np
 
-    eig = np.linalg.eigvalsh(np.array(matrix, dtype=float))
-    return RationalVector([max(0.0, float(v)) for v in eig])
+    eig = np.linalg.eigvalsh(np.array(matrix, dtype=float))  # ascending
+    values = [max(0.0, float(v)) for v in eig]
+    n = len(values)
+    # a zero eigenvalue comes back as +-1e-16 noise, and positive noise would
+    # reach the p -> 0 means; when one sits at noise level, the exact rank
+    # (the last nonzero e_m of det(I + tA)) says how many are exactly zero
+    if np.min(np.abs(eig)) <= n * np.finfo(float).eps * np.max(np.abs(eig)):
+        rank = max(m for m, e in enumerate(det_I_plus_tA(matrix)) if e)
+        values[:n - rank] = [0.0] * (n - rank)
+    return RationalVector(values)
 
 
 def cmd_theorem1(args: argparse.Namespace) -> tuple[int, dict[str, Any]]:

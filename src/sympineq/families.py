@@ -9,23 +9,32 @@ All families act on nonnegative rational vectors:
 - ``M_{k,r}``   k-th powers of all r-element subset sums,
 - ``H_S``       the generic family indexed by a permutation-invariant set of
                 exponent tuples.
+
+E, F, G, Gbar, DeltaGbar and M are all coefficients of one per-entry product
+``prod_i (A(x_i t) + u B(x_i t))`` (``series.product_table``), so each costs
+time polynomial in n:
+
+- E: ``A = 1 + s``;  F: ``A = taylor_template(r)``  (no u),
+- DeltaGbar_{k,m} = ``[u^m t^k]`` with ``A = 1``, ``B = e^s - 1``: each entry
+  contributes either nothing or a nonempty power of itself, so u counts the
+  distinct variables; Gbar and G sum the slices below and from r,
+- M_{k,r} = ``k! [u^r t^k]`` with ``A = 1``, ``B = e^s``: u picks the
+  r-subset, and ``e^{s t}`` over it gives ``s^k / k!``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import comb, factorial
 from typing import Callable, Optional
 
 from . import oracles
-from .oracles import OracleSizeError
-from .series import TruncatedSeries, product_over_vector, series_mul, substitute_scale, taylor_template
+from .series import (ProductTable, SeriesTemplate, TruncatedSeries, product_over_vector,
+                     product_table, series_mul, substitute_scale, taylor_template)
 from .vectors import RationalVector
 
 __all__ = [
-    "FamilyValue",
     "IndexSet",
     "SpecialIdentityReport",
     "elementary_all",
@@ -36,7 +45,11 @@ __all__ = [
     "g_kr",
     "gbar_kr",
     "delta_gbar_kr",
+    "distinct_var_table",
+    "g_cell",
     "m_kr",
+    "subset_power_table",
+    "m_cell",
     "m_kr_from_gbar",
     "binom_ext",
     "h_s",
@@ -46,37 +59,10 @@ __all__ = [
     "grad_f_kr",
 ]
 
-FAMILIES = ("E", "F", "G", "Gbar", "DeltaGbar", "M", "H_S")
-
-# Inclusion-exclusion over variable supports walks 2^|support| subsets; past
-# this width the exact path is refused rather than left to run unbounded.
-MAX_SUPPORT_DIMENSION = 20
-
-
-@dataclass(frozen=True)
-class FamilyValue:
-    """A tagged exact family value."""
-
-    family: str
-    k: int
-    value: Fraction
-    r: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}")
-        if self.value < 0:
-            raise ValueError("family values on nonnegative vectors are nonnegative")
-
 
 def elementary_all(x: RationalVector) -> list[Fraction]:
-    """E_0..E_n by incremental multiplication of the linear factors."""
-    es = [Fraction(1)]
-    for xi in x.entries:
-        es.append(Fraction(0))
-        for k in range(len(es) - 1, 0, -1):
-            es[k] += xi * es[k - 1]
-    return es
+    """E_0..E_n: the coefficients of ``prod_i (1 + x_i t)``."""
+    return list(product_over_vector(x, SeriesTemplate((1, 1))).coeffs)
 
 
 def f_kr_all(x: RationalVector, r: int) -> list[Fraction]:
@@ -135,76 +121,62 @@ def f_special_identities(x: RationalVector, r: int) -> SpecialIdentityReport:
     return SpecialIdentityReport(low, rp1, top)
 
 
-def _exactly_supported_sum(x: RationalVector, k: int,
-                           support: tuple[int, ...]) -> Fraction:
-    # monomial mass of (sum x)^k / k! whose variable set is exactly `support`
-    m = len(support)
-    total = Fraction(0)
-    for size in range(m + 1):
-        sign = -1 if (m - size) % 2 else 1
-        for sub in combinations(support, size):
-            s = sum((x[i] for i in sub), Fraction(0))
-            total += sign * s ** k
-    return total / factorial(k)
+def _exp(k_max: int) -> tuple[Fraction, ...]:
+    # the kernel truncates at k_max, so order 1 serves k_max = 0 as well
+    return taylor_template(max(k_max, 1)).base_coeffs
 
 
-def _check_support_width(n: int) -> None:
-    if n > MAX_SUPPORT_DIMENSION:
-        raise OracleSizeError(
-            f"support enumeration refused for n = {n} > {MAX_SUPPORT_DIMENSION}")
+def distinct_var_table(x: RationalVector, k_max: int) -> ProductTable:
+    """``[u^m t^k] prod_i (1 + u (e^{x_i t} - 1))`` for k <= k_max: entry
+    (m, k) is DeltaGbar_{k,m}.  Rows stop at min(n, k_max), above which every
+    entry with k <= k_max vanishes."""
+    exp = _exp(k_max)
+    return product_table(x, (1,), (0,) + exp[1:], k_max, min(len(x), k_max))
+
+
+def g_cell(table: ProductTable, k: int, r: int) -> Fraction:
+    """G_{k,r} read from a distinct_var_table with k_max >= k."""
+    return table.coefficient_sum(k, r, k + 1)
 
 
 def gbar_kr(x: RationalVector, k: int, r: int) -> Fraction:
-    """Terms of ``(sum x)^k / k!`` using fewer than r distinct variables,
-    by inclusion-exclusion over variable supports."""
+    """Terms of ``(sum x)^k / k!`` using fewer than r distinct variables."""
     if k < 0 or r < 1:
         raise ValueError("need k >= 0 and r >= 1")
-    n = len(x)
-    _check_support_width(n)
-    total = Fraction(0)
-    for size in range(min(r - 1, n) + 1):
-        for support in combinations(range(n), size):
-            total += _exactly_supported_sum(x, k, support)
-    return total
+    return distinct_var_table(x, k).coefficient_sum(k, 0, r)
 
 
 def delta_gbar_kr(x: RationalVector, k: int, r: int) -> Fraction:
     """Terms using exactly r distinct variables: Gbar_{k,r+1} - Gbar_{k,r}."""
     if k < 0 or r < 1:
         raise ValueError("need k >= 0 and r >= 1")
-    n = len(x)
-    _check_support_width(n)
-    if r > n:
-        return Fraction(0)
-    total = Fraction(0)
-    for support in combinations(range(n), r):
-        total += _exactly_supported_sum(x, k, support)
-    return total
+    return distinct_var_table(x, k).coefficient(r, k)
 
 
 def g_kr(x: RationalVector, k: int, r: int) -> Fraction:
     """Terms of ``(sum x)^k / k!`` using at least r distinct variables."""
     if k < 0 or r < 1:
         raise ValueError("need k >= 0 and r >= 1")
-    if k < r:
-        return Fraction(0)  # a degree-k monomial has at most k distinct variables
-    return x.total() ** k / factorial(k) - gbar_kr(x, k, r)
+    return g_cell(distinct_var_table(x, k), k, r)
+
+
+def subset_power_table(x: RationalVector, k_max: int, r_max: int) -> ProductTable:
+    """``[u^r t^k] prod_i (1 + u e^{x_i t})`` for k <= k_max and
+    r <= min(n, r_max): entry (r, k) is M_{k,r} / k!."""
+    return product_table(x, (1,), _exp(k_max), k_max, min(len(x), r_max))
+
+
+def m_cell(table: ProductTable, k: int, r: int) -> Fraction:
+    """M_{k,r} read from a subset_power_table with k_max >= k, r_max >= r;
+    zero for r > n, the empty sum."""
+    return factorial(k) * table.coefficient(r, k)
 
 
 def m_kr(x: RationalVector, k: int, r: int) -> Fraction:
     """Sum of k-th powers of all r-element subset sums."""
     if k < 1 or r < 1:
         raise ValueError("need k, r >= 1")
-    n = len(x)
-    if r > n:
-        return Fraction(0)  # empty sum
-    if comb(n, r) > oracles.MAX_SUBSETS:
-        raise OracleSizeError(f"more than {oracles.MAX_SUBSETS} subsets")
-    total = Fraction(0)
-    for idx in combinations(range(n), r):
-        s = sum((x[i] for i in idx), Fraction(0))
-        total += s ** k
-    return total
+    return m_cell(subset_power_table(x, k, r), k, r)
 
 
 def binom_ext(a: int, b: int) -> int:
@@ -220,7 +192,9 @@ def binom_ext(a: int, b: int) -> int:
 
 def m_kr_from_gbar(x: RationalVector, k: int, r: int) -> Fraction:
     """M_{k,r} reassembled from the Gbar family:
-    ``M/k! = sum_m C(n-r-1+m, m) * Gbar_{k, r+1-m}`` for m = 0..r-1."""
+    ``M/k! = sum_m C(n-r-1+m, m) * Gbar_{k, r+1-m}`` for m = 0..r-1.
+
+    Kept as an identity under test; no evaluator runs through it."""
     n = len(x)
     if not 1 <= r <= n:
         raise ValueError("need 1 <= r <= n")

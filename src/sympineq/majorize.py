@@ -180,8 +180,9 @@ def theorem2_scan(x: RationalVector, y: RationalVector, k_max: int) -> Theorem2R
     """Scan majorization against the G and M family inequalities.
 
     Requires exactly equal totals; with unequal totals the characterization
-    does not apply and a not-applicable report is returned.  Cells are walked
-    in (r, k) order and the first violation per family is recorded.
+    does not apply and a not-applicable report is returned.  Every cell is
+    read from two product tables per vector, built once; cells are walked in
+    (r, k) order and the first violation per family is recorded.
     """
     if len(x) != len(y):
         raise ValueError("vectors must have equal length")
@@ -193,6 +194,9 @@ def theorem2_scan(x: RationalVector, y: RationalVector, k_max: int) -> Theorem2R
                               subset_power_violation=None, cells_checked=0)
     verdict = majorizes(x, y)
     n = len(x)
+    # one pair of tables per vector covers every cell: r <= k <= k_max
+    gx_tab, gy_tab = (families.distinct_var_table(v, k_max) for v in (x, y))
+    mx_tab, my_tab = (families.subset_power_table(v, k_max, k_max) for v in (x, y))
     g_violation = None
     m_violation = None
     cells = 0
@@ -200,11 +204,11 @@ def theorem2_scan(x: RationalVector, y: RationalVector, k_max: int) -> Theorem2R
         for k in range(r, k_max + 1):
             cells += 1
             if g_violation is None:
-                gx, gy = families.g_kr(x, k, r), families.g_kr(y, k, r)
+                gx, gy = families.g_cell(gx_tab, k, r), families.g_cell(gy_tab, k, r)
                 if gx > gy:
                     g_violation = CellViolation(r, k, gx, gy)
             if m_violation is None:
-                mx, my = families.m_kr(x, k, r), families.m_kr(y, k, r)
+                mx, my = families.m_cell(mx_tab, k, r), families.m_cell(my_tab, k, r)
                 if mx < my:
                     m_violation = CellViolation(r, k, mx, my)
     return Theorem2Report(sums_equal=True, k_max=k_max, majorization=verdict,
@@ -218,9 +222,10 @@ def s_r_limit_estimate(x: RationalVector, r: int, k_max: int) -> list[float]:
     entries from above as k grows."""
     if not 1 <= r <= len(x):
         raise ValueError("need 1 <= r <= n")
+    table = families.subset_power_table(x, k_max, r)
     out = []
     for k in range(1, k_max + 1):
-        m = families.m_kr(x, k, r)
+        m = families.m_cell(table, k, r)
         out.append(math.exp(log_of_fraction(m) / k) if m > 0 else 0.0)
     return out
 

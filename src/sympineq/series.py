@@ -1,18 +1,22 @@
 """Exact truncated power series in one formal variable and per-entry products.
 
-The generating objects here all share one shape: a base template
-``s -> sum_j a_j s^j`` with ``a_0 = 1`` is substituted at ``s = x_i * t`` for
-every entry of a vector and the factors are multiplied out modulo ``t^(D+1)``.
-The coefficient lists are dense because these products are dense by
-construction.
+The generating objects here all share one shape: per-entry factors
+``A(x_i t) + u B(x_i t)`` are multiplied out modulo ``t^(D+1)`` and
+``u^(U+1)``.  With ``B = 0`` this is the one-variable product of a base
+template ``s -> sum_j a_j s^j``; the second variable ``u`` counts how many
+entries contribute their B part.  One integer kernel, ``product_table``,
+computes every such product; ``Fraction`` appears only when a coefficient is
+read back.  The coefficient lists are dense because these products are dense
+by construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
-from typing import Iterable, Mapping, Optional
+from math import factorial, lcm
+from operator import mul
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .vectors import RationalLike, RationalVector, to_fraction
 
@@ -24,6 +28,8 @@ __all__ = [
     "taylor_template",
     "padded_taylor_template",
     "substitute_scale",
+    "ProductTable",
+    "product_table",
     "product_over_vector",
     "catalyst_product",
     "tensor",
@@ -177,6 +183,78 @@ def substitute_scale(tpl: SeriesTemplate, a: RationalLike,
     return TruncatedSeries(out)
 
 
+@dataclass(frozen=True)
+class ProductTable:
+    """Integer form of ``[u^m t^k] prod_i (A(x_i t) + u B(x_i t))``.
+
+    Entry (m, k) is ``numerators[m][k] / (scale * denominator^k)``, where
+    ``denominator`` is the common denominator of the entries and ``scale``
+    the n-th power of the templates' common coefficient denominator.
+    """
+
+    numerators: tuple[tuple[int, ...], ...]
+    scale: int
+    denominator: int
+
+    def coefficient(self, m: int, k: int) -> Fraction:
+        """``[u^m t^k]``; zero for an m beyond the table."""
+        return self.coefficient_sum(k, m, m + 1)
+
+    def coefficient_sum(self, k: int, m_from: int, m_to: int) -> Fraction:
+        """Sum of ``[u^m t^k]`` over ``m_from <= m < m_to`` within the table."""
+        num = sum(row[k] for row in self.numerators[m_from:m_to])
+        return Fraction(num, self.scale * self.denominator ** k)
+
+    def row(self, m: int) -> list[Fraction]:
+        return [self.coefficient(m, k) for k in range(len(self.numerators[m]))]
+
+
+def product_table(x: RationalVector, a: Sequence[RationalLike],
+                  b: Sequence[RationalLike], t_degree: int,
+                  u_degree: int = 0) -> ProductTable:
+    """``[u^m t^k] prod_i (A(x_i t) + u B(x_i t))`` for k <= t_degree and
+    m <= u_degree, where ``A(s) = sum_j a_j s^j`` and likewise B.
+
+    With ``x_i = v_i / L`` for integers v_i and the templates scaled by the
+    lcm S of their coefficient denominators, every factor has the integer
+    coefficients ``S a_j v_i^j`` and ``S b_j v_i^j`` at ``(t/L)^j``, so the
+    product runs in Python ints.
+    """
+    if t_degree < 0 or u_degree < 0:
+        raise ValueError("degree bounds must be nonnegative")
+    af = [to_fraction(c) for c in a[:t_degree + 1]]
+    bf = [to_fraction(c) for c in b[:t_degree + 1]] if u_degree else []
+    s = lcm(*(c.denominator for c in af + bf))
+    ai = [c.numerator * (s // c.denominator) for c in af]
+    bi = [c.numerator * (s // c.denominator) for c in bf]
+    den = lcm(*(e.denominator for e in x.entries))
+    nums = [e.numerator * (den // e.denominator) for e in x.entries]
+    width = max(len(ai), len(bi))
+    rows = [[0] * (t_degree + 1) for _ in range(u_degree + 1)]
+    rows[0][0] = 1
+    top_m = top_k = 0  # highest nonzero row and column so far
+    for v in nums:
+        powers = [1]
+        for _ in range(width - 1):
+            powers.append(powers[-1] * v)
+        fa = list(map(mul, ai, powers))
+        fb = list(map(mul, bi, powers))
+        top_m = min(top_m + 1, u_degree) if fb else top_m
+        top_k = min(top_k + width - 1, t_degree)
+        # in place, m and k descending: each new entry reads only old ones
+        for m in range(top_m, -1, -1):
+            row = rows[m]
+            below = rows[m - 1] if m else None
+            for k in range(top_k, -1, -1):
+                # entries k, k-1, ..., k-width+1 (clipped at 0)
+                window = slice(k, k - width if k >= width else None, -1)
+                acc = sum(map(mul, fa, row[window]))
+                if below is not None:
+                    acc += sum(map(mul, fb, below[window]))
+                row[k] = acc
+    return ProductTable(tuple(map(tuple, rows)), s ** len(nums), den)
+
+
 def product_over_vector(x: RationalVector, tpl: SeriesTemplate,
                         degree_bound: Optional[int] = None) -> TruncatedSeries:
     """Exact coefficients of ``prod_i tpl(x_i t)`` modulo ``t^(D+1)``.
@@ -185,10 +263,7 @@ def product_over_vector(x: RationalVector, tpl: SeriesTemplate,
     template is itself a polynomial; callers may truncate lower.
     """
     d = len(x) * tpl.degree if degree_bound is None else degree_bound
-    acc = TruncatedSeries.one(d)
-    for e in x.entries:
-        acc = series_mul(acc, substitute_scale(tpl, e, d))
-    return acc
+    return TruncatedSeries(product_table(x, tpl.base_coeffs, (), d).row(0))
 
 
 def tensor(x: RationalVector, c: Catalyst) -> RationalVector:

@@ -1,8 +1,10 @@
 import json
+import random
 
 import pytest
 
 from sympineq.cli import main
+from sympineq.majorize import t_transform_pair
 
 from conftest import SAMPLE_Q, SAMPLE_R
 
@@ -22,6 +24,12 @@ def files(tmp_path):
     write("b.json", "[2, 2]")
     write("q.json", json.dumps([list(r) for r in SAMPLE_Q]))
     write("r.json", json.dumps([list(r) for r in SAMPLE_R]))
+    # first and last rows equal, so the Gram product is singular; r3 flips
+    # the sign of entry (3, 2), counted from 1, and stays singular
+    singular = [[1, -1, 1, 1], [-2, 2, -1, 2], [2, -2, -2, -2], [1, -1, 1, 1]]
+    write("q3.json", json.dumps(singular))
+    singular[2][1] = -singular[2][1]
+    write("r3.json", json.dumps(singular))
     write("q.csv", "\n".join(",".join(str(v) for v in row) for row in SAMPLE_Q))
     write("c.json", '[1, "1/2"]')
     write("bad.json", "[1, 2,")
@@ -99,6 +107,17 @@ class TestTheorem1:
         assert code == 1  # the r = 3 hypothesis check fails
         assert report["certified_r"] == 2
 
+    def test_singular_gram_pair_certifies_order_three(self, capsys, files):
+        code, report, _ = run_json(
+            capsys, "theorem1", "--qx", files["q3.json"], "--qy",
+            files["r3.json"], "--r-max", "3")
+        assert code == 0
+        assert report["certified_r"] == 3
+        assert report["conclusions"]["low_all_pass"]
+        assert report["conclusions"]["high_all_pass"]
+        p0 = report["conclusions"]["low_grid"][0]
+        assert (p0["p"], p0["nx"], p0["ny"]) == (0.0, 0.0, 0.0)
+
     def test_vector_mode(self, capsys, files):
         code, report, _ = run_json(
             capsys, "theorem1", "--x", files["x.json"], "--y",
@@ -150,6 +169,23 @@ class TestTheorem2:
         assert code == 1
         assert not report["majorization_holds"]
         assert report["subset_power_family_violation"]["k"] == 11
+
+    def test_large_robin_hood_pair_passes(self, capsys, tmp_path):
+        # n = 24 is past every enumeration budget; a valid pair is never a
+        # usage error
+        x, y = t_transform_pair(random.Random(24), 24)
+        assert x != y
+        paths = []
+        for name, v in (("x24.json", x), ("y24.json", y)):
+            path = tmp_path / name
+            path.write_text(json.dumps([str(e) for e in v.entries]))
+            paths.append(str(path))
+        code, report, _ = run_json(capsys, "theorem2", "--x", paths[0],
+                                   "--y", paths[1], "--k-max", "8")
+        assert code == 0 and report["pass"]
+        assert report["distinct_var_family_violation"] is None
+        assert report["subset_power_family_violation"] is None
+        assert report["cells_checked"] == 36  # r <= k <= 8
 
 
 class TestSpectral:

@@ -4,13 +4,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sympineq.families import (FamilyValue, binom_ext, delta_gbar_kr,
+from sympineq.families import (binom_ext, delta_gbar_kr,
                                elementary_all, f_kr, f_kr_all, f_kr_oracle,
                                f_special_identities, g_kr, gbar_kr, grad_f_kr,
                                h_s, is_schur_concave_index_set, m_kr,
                                m_kr_from_gbar, max_part_index_set,
                                min_support_index_set, IndexSet)
-from sympineq.oracles import OracleSizeError, oracle_value
+from sympineq.majorize import t_transform_pair
+from sympineq.oracles import oracle_value
 from sympineq.vectors import RationalVector
 
 from conftest import random_rational_vector
@@ -246,20 +247,6 @@ class TestGradients:
             grad_f_kr(vec(1, 1), 2, 5)
 
 
-class TestFamilyValue:
-    def test_tags(self):
-        fv = FamilyValue("F", 2, Fraction(3, 2), r=2)
-        assert fv.family == "F" and fv.k == 2
-
-    def test_rejects_negative_values(self):
-        with pytest.raises(ValueError):
-            FamilyValue("E", 1, Fraction(-1))
-
-    def test_rejects_unknown_family(self):
-        with pytest.raises(ValueError):
-            FamilyValue("Q", 1, Fraction(1))
-
-
 @settings(max_examples=40)
 @given(small_vectors, st.randoms(use_true_random=False))
 def test_families_are_permutation_invariant(x, rnd):
@@ -274,7 +261,26 @@ def test_families_are_permutation_invariant(x, rnd):
         assert m_kr(x, 3, r) == m_kr(y, 3, r)
 
 
-def test_support_width_guard():
-    wide = RationalVector([1] * 21)
-    with pytest.raises(OracleSizeError):
-        gbar_kr(wide, 2, 2)
+class TestLargeN:
+    """Exact identities past any enumeration budget; no oracle involved."""
+
+    @pytest.mark.parametrize("n", [21, 30])
+    def test_closed_forms(self, rng, n):
+        x = random_rational_vector(rng, n, max_numerator=12)
+        e1 = x.total()
+        for k in range(1, 7):
+            for r in range(1, k + 2):
+                assert g_kr(x, k, r) + gbar_kr(x, k, r) == \
+                    e1 ** k / math.factorial(k)
+            for m in range(k + 1, k + 3):
+                assert delta_gbar_kr(x, k, m) == 0
+            assert m_kr(x, k, n) == e1 ** k
+            assert m_kr(x, k, 1) == sum(e ** k for e in x.entries)
+
+    @pytest.mark.parametrize("n", [21, 30])
+    def test_schur_directions(self, rng, n):
+        for _ in range(3):
+            x, y = t_transform_pair(rng, n, max_numerator=12)
+            for k, r in [(2, 1), (3, 2), (5, 3), (6, 6), (4, n - 1)]:
+                assert g_kr(x, k, r) <= g_kr(y, k, r)
+                assert m_kr(x, k, r) >= m_kr(y, k, r)

@@ -168,6 +168,13 @@ class TestSubsetPowerLimit:
         for e in s_r_limit_estimate(x, 4, 10):
             assert e == pytest.approx(9.0, rel=1e-12)
 
+    def test_half_size_subsets_of_twenty_four(self):
+        # C(24, 12) = 2704156 subsets, past any enumeration budget
+        estimates = s_r_limit_estimate(RationalVector(range(1, 25)), 12, 8)
+        assert len(estimates) == 8
+        assert all(b <= a for a, b in zip(estimates, estimates[1:]))
+        assert all(e >= 222 for e in estimates)  # 13 + 14 + ... + 24
+
     def test_largest_entry_limit(self):
         got = s_r_limit_estimate(vec(4, 2, 1, 2), 1, 40)[-1]
         assert got == pytest.approx(4.0, abs=1e-2)
