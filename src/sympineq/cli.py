@@ -20,8 +20,7 @@ from .families import f_kr_all
 from .majorize import majorizes, psi_compare, theorem2_scan
 from .mellin import identity_check, identity_lhs, integral_I, integral_J
 from .series import Catalyst, catalyst_product, taylor_template, tensor
-from .spectral import (as_int_matrix, det_I_plus_tA, f_from_matrix, gram,
-                       spectral_summary)
+from .spectral import as_int_matrix, f_from_matrix, gram, spectral_summary
 from .theorem1 import (ConclusionReport, HypothesisReport, check_hypotheses,
                        check_hypotheses_coeffs, verify_conclusions)
 from .vectors import RationalVector, lp_mean, partial_sums_desc
@@ -180,20 +179,19 @@ def cmd_fkr(args: argparse.Namespace) -> tuple[int, dict[str, Any]]:
     return 0, report
 
 
-def _float_eigen_vector(matrix) -> RationalVector:
+def _float_eigen_vector(matrix, f_coeffs: list[Fraction], r: int) -> RationalVector:
     # float spectrum for the (tolerance-based) norm grids only; exact
-    # quantities never go through here
+    # quantities never go through here.  f_coeffs = f_from_matrix(matrix, r)
     import numpy as np
 
     eig = np.linalg.eigvalsh(np.array(matrix, dtype=float))  # ascending
     values = [max(0.0, float(v)) for v in eig]
     n = len(values)
     # a zero eigenvalue comes back as +-1e-16 noise, and positive noise would
-    # reach the p -> 0 means; when one sits at noise level, the exact rank
-    # (the last nonzero e_m of det(I + tA)) says how many are exactly zero
-    if np.min(np.abs(eig)) <= n * np.finfo(float).eps * np.max(np.abs(eig)):
-        rank = max(m for m, e in enumerate(det_I_plus_tA(matrix)) if e)
-        values[:n - rank] = [0.0] * (n - rank)
+    # reach the p -> 0 means; det(sum_{j<=r} A^j t^j / j!) of a PSD matrix has
+    # degree r * rank, so its top nonzero coefficient says how many are zero
+    rank = max(k for k, c in enumerate(f_coeffs) if c) // r
+    values[:n - rank] = [0.0] * (n - rank)
     return RationalVector(values)
 
 
@@ -217,11 +215,12 @@ def cmd_theorem1(args: argparse.Namespace) -> tuple[int, dict[str, Any]]:
         if len(mx) != len(my):
             raise CliInputError("factor matrices must have equal row counts")
         n = len(mx)
-        hypothesis_reports = [
-            check_hypotheses_coeffs(f_from_matrix(mx, r), f_from_matrix(my, r), r, n)
-            for r in r_values
-        ]
-        grid_x, grid_y = _float_eigen_vector(mx), _float_eigen_vector(my)
+        fx = [f_from_matrix(mx, r) for r in r_values]
+        fy = [f_from_matrix(my, r) for r in r_values]
+        hypothesis_reports = [check_hypotheses_coeffs(cx, cy, r, n)
+                              for cx, cy, r in zip(fx, fy, r_values)]
+        grid_x = _float_eigen_vector(mx, fx[0], r_values[0])
+        grid_y = _float_eigen_vector(my, fy[0], r_values[0])
 
     certified = None
     for rep in hypothesis_reports:

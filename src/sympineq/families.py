@@ -128,22 +128,22 @@ def _exp(k_max: int) -> tuple[Fraction, ...]:
 
 def distinct_var_table(x: RationalVector, k_max: int) -> ProductTable:
     """``[u^m t^k] prod_i (1 + u (e^{x_i t} - 1))`` for k <= k_max: entry
-    (m, k) is DeltaGbar_{k,m}.  Rows stop at min(n, k_max), above which every
-    entry with k <= k_max vanishes."""
+    (m, k) is DeltaGbar_{k,m}.  Row m starts at t^m, so the kernel stores
+    rows only up to min(n, k_max)."""
     exp = _exp(k_max)
-    return product_table(x, (1,), (0,) + exp[1:], k_max, min(len(x), k_max))
+    return product_table(x, (1,), (0,) + exp[1:], k_max, len(x))
 
 
 def g_cell(table: ProductTable, k: int, r: int) -> Fraction:
     """G_{k,r} read from a distinct_var_table with k_max >= k."""
-    return table.coefficient_sum(k, r, k + 1)
+    return table.coefficient_sum(r, k + 1, k)
 
 
 def gbar_kr(x: RationalVector, k: int, r: int) -> Fraction:
     """Terms of ``(sum x)^k / k!`` using fewer than r distinct variables."""
     if k < 0 or r < 1:
         raise ValueError("need k >= 0 and r >= 1")
-    return distinct_var_table(x, k).coefficient_sum(k, 0, r)
+    return distinct_var_table(x, k).coefficient_sum(0, r, k)
 
 
 def delta_gbar_kr(x: RationalVector, k: int, r: int) -> Fraction:
@@ -163,7 +163,7 @@ def g_kr(x: RationalVector, k: int, r: int) -> Fraction:
 def subset_power_table(x: RationalVector, k_max: int, r_max: int) -> ProductTable:
     """``[u^r t^k] prod_i (1 + u e^{x_i t})`` for k <= k_max and
     r <= min(n, r_max): entry (r, k) is M_{k,r} / k!."""
-    return product_table(x, (1,), _exp(k_max), k_max, min(len(x), r_max))
+    return product_table(x, (1,), _exp(k_max), k_max, r_max)
 
 
 def m_cell(table: ProductTable, k: int, r: int) -> Fraction:

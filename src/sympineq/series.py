@@ -189,24 +189,36 @@ class ProductTable:
 
     Entry (m, k) is ``numerators[m][k] / (scale * denominator^k)``, where
     ``denominator`` is the common denominator of the entries and ``scale``
-    the n-th power of the templates' common coefficient denominator.
+    the n-th power of the templates' common coefficient denominator.  Rows
+    past the last stored one are zero when ``complete``; otherwise the
+    product was cut there and reading them raises ``IndexError``.
     """
 
     numerators: tuple[tuple[int, ...], ...]
     scale: int
     denominator: int
+    complete: bool
+
+    @property
+    def t_degree(self) -> int:
+        return len(self.numerators[0]) - 1
 
     def coefficient(self, m: int, k: int) -> Fraction:
-        """``[u^m t^k]``; zero for an m beyond the table."""
-        return self.coefficient_sum(k, m, m + 1)
+        """``[u^m t^k]``."""
+        return self.coefficient_sum(m, m + 1, k)
 
-    def coefficient_sum(self, k: int, m_from: int, m_to: int) -> Fraction:
-        """Sum of ``[u^m t^k]`` over ``m_from <= m < m_to`` within the table."""
+    def coefficient_sum(self, m_from: int, m_to: int, k: int) -> Fraction:
+        """Sum of ``[u^m t^k]`` over ``m_from <= m < m_to``."""
+        if not 0 <= k <= self.t_degree:
+            raise IndexError(f"t-degree {k} outside 0..{self.t_degree}")
+        stored = len(self.numerators)
+        if m_from < 0 or (m_to > max(m_from, stored) and not self.complete):
+            raise IndexError(f"u-degrees {m_from}..{m_to - 1} outside 0..{stored - 1}")
         num = sum(row[k] for row in self.numerators[m_from:m_to])
         return Fraction(num, self.scale * self.denominator ** k)
 
     def row(self, m: int) -> list[Fraction]:
-        return [self.coefficient(m, k) for k in range(len(self.numerators[m]))]
+        return [self.coefficient(m, k) for k in range(self.t_degree + 1)]
 
 
 def product_table(x: RationalVector, a: Sequence[RationalLike],
@@ -218,12 +230,21 @@ def product_table(x: RationalVector, a: Sequence[RationalLike],
     With ``x_i = v_i / L`` for integers v_i and the templates scaled by the
     lcm S of their coefficient denominators, every factor has the integer
     coefficients ``S a_j v_i^j`` and ``S b_j v_i^j`` at ``(t/L)^j``, so the
-    product runs in Python ints.
+    product runs in Python ints.  Rows that vanish for every k <= t_degree
+    are not stored: those above n, and with B divisible by s^j, those above
+    t_degree // j.
     """
     if t_degree < 0 or u_degree < 0:
         raise ValueError("degree bounds must be nonnegative")
     af = [to_fraction(c) for c in a[:t_degree + 1]]
-    bf = [to_fraction(c) for c in b[:t_degree + 1]] if u_degree else []
+    bf = [to_fraction(c) for c in b[:t_degree + 1]]
+    low = next((j for j, c in enumerate(bf) if c), None)  # B divisible by s^low
+    nonzero_rows = (0 if low is None else
+                    len(x) if low == 0 else min(len(x), t_degree // low))
+    complete = u_degree >= nonzero_rows
+    u_degree = min(u_degree, nonzero_rows)
+    if not u_degree:
+        bf = []
     s = lcm(*(c.denominator for c in af + bf))
     ai = [c.numerator * (s // c.denominator) for c in af]
     bi = [c.numerator * (s // c.denominator) for c in bf]
@@ -252,7 +273,7 @@ def product_table(x: RationalVector, a: Sequence[RationalLike],
                 if below is not None:
                     acc += sum(map(mul, fb, below[window]))
                 row[k] = acc
-    return ProductTable(tuple(map(tuple, rows)), s ** len(nums), den)
+    return ProductTable(tuple(map(tuple, rows)), s ** len(nums), den, complete)
 
 
 def product_over_vector(x: RationalVector, tpl: SeriesTemplate,
@@ -275,9 +296,9 @@ def catalyst_product(x: RationalVector, c: Catalyst, tpl: SeriesTemplate,
                      degree_bound: Optional[int] = None) -> TruncatedSeries:
     """Exact coefficients of ``prod_i prod_j tpl(c_j x_i t)``.
 
-    Evaluated one catalyst entry at a time (a scaled copy of x per entry),
-    which keeps the route independent of the flat product over the tensor
-    vector that the identity tests compare against.
+    Evaluated one catalyst entry at a time: the kernel product over the
+    scaled copy ``c_j x`` for each entry, multiplied together with
+    ``series_mul``.  The product over ``tensor(x, c)`` gives the same series.
     """
     d = len(x) * len(c) * tpl.degree if degree_bound is None else degree_bound
     acc = TruncatedSeries.one(d)

@@ -6,8 +6,8 @@ from hypothesis import given, strategies as st
 from sympineq.families import elementary_all
 from sympineq.series import (Catalyst, TruncatedSeries, catalyst_product,
                              padded_taylor_template, product_over_vector,
-                             series_mul, substitute_scale, taylor_template,
-                             tensor)
+                             product_table, series_mul, substitute_scale,
+                             taylor_template, tensor)
 from sympineq.vectors import RationalVector
 
 
@@ -126,8 +126,13 @@ class TestCatalyst:
         c = Catalyst(tuple([Fraction(1)] + tail))
         tpl = taylor_template(2)
         d = len(x) * len(c) * 2
-        assert (catalyst_product(x, c, tpl, d)
-                == product_over_vector(tensor(x, c), tpl, d))
+        got = catalyst_product(x, c, tpl, d)
+        assert got == product_over_vector(tensor(x, c), tpl, d)
+        # the same product in Fraction arithmetic, without the integer kernel
+        flat = TruncatedSeries.one(d)
+        for e in tensor(x, c).entries:
+            flat = series_mul(flat, substitute_scale(tpl, e, d))
+        assert got == flat
 
     @given(small_vectors,
            st.lists(st.fractions(min_value=0, max_value=3, max_denominator=4),
@@ -145,6 +150,46 @@ class TestCatalyst:
                       for m in range(d + 1)]
             acc = series_mul(acc, TruncatedSeries(coeffs))
         assert acc == catalyst_product(x, c, taylor_template(1), d)
+
+
+class TestProductTable:
+    # prod over x = (1, 2) of (1 + u (1 + s)) = 1 + u (2 + 3t) + u^2 (1 + 3t + 2t^2)
+    def table(self, u_degree):
+        return product_table(RationalVector([1, 2]), (1,), (1, 1), 2, u_degree)
+
+    def test_entries(self):
+        tab = self.table(2)
+        assert tab.row(1) == [2, 3, 0]
+        assert tab.row(2) == [1, 3, 2]
+        assert tab.coefficient_sum(1, 3, 1) == 6
+
+    def test_rows_above_n_are_zero(self):
+        tab = self.table(5)
+        assert tab.complete
+        assert tab.coefficient(4, 1) == 0
+        assert tab.coefficient_sum(0, 5, 0) == 4
+
+    def test_cut_rows_are_not_read_as_zero(self):
+        tab = self.table(1)
+        assert not tab.complete
+        assert tab.coefficient(1, 1) == 3
+        with pytest.raises(IndexError):
+            tab.coefficient(2, 1)
+        with pytest.raises(IndexError):
+            tab.coefficient_sum(0, 3, 0)
+
+    def test_t_degree_past_the_table_raises(self):
+        tab = self.table(5)
+        with pytest.raises(IndexError):
+            tab.coefficient(0, 3)
+        with pytest.raises(IndexError):
+            tab.coefficient(4, 3)  # a zero row, but past t_degree
+
+    def test_rows_of_b_divisible_by_s_stop_early(self):
+        # B = s: row m starts at t^m, so rows above t_degree are not stored
+        tab = product_table(RationalVector([1, 2, 3]), (1,), (0, 1), 1, 3)
+        assert len(tab.numerators) == 2 and tab.complete
+        assert tab.coefficient(2, 1) == 0
 
 
 class TestPaddedTemplate:
