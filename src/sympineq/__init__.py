@@ -6,11 +6,9 @@ from .vectors import RationalVector, lp_mean, partial_sums_desc, to_fraction
 from .series import (Catalyst, SeriesTemplate, TruncatedSeries, catalyst_product,
                      padded_taylor_template, product_over_vector, series_mul,
                      substitute_scale, taylor_template, tensor)
-from .families import (IndexSet, elementary_all, f_kr, f_kr_all,
-                       f_kr_oracle, f_special_identities, g_kr, gbar_kr,
-                       delta_gbar_kr, grad_f_kr, h_s, is_schur_concave_index_set,
-                       m_kr, m_kr_from_gbar, max_part_index_set,
-                       min_support_index_set)
+from .families import (elementary_all, f_kr, f_kr_all, f_special_identities,
+                       g_kr, gbar_kr, delta_gbar_kr, grad_f_kr, m_kr,
+                       m_kr_from_gbar)
 from .majorize import (MajorizationVerdict, Theorem2Report, majorizes,
                        psi_compare, psi_sum, s_r_limit_estimate,
                        schur_ostrowski_sample, t_transform_pair, theorem2_scan)
@@ -21,7 +19,9 @@ from .spectral import (SpectralSummary, det_I_plus_tA, f_from_matrix, gram,
                        sign_flip_variants, spectral_summary)
 from .mellin import (QuadratureResult, delta_r, identity_check, identity_lhs,
                      integral_I, integral_J)
-from .oracles import (CompositionStream, OracleSizeError,
-                      enumerate_compositions, majorizes_int, oracle_value)
+from .oracles import (CompositionStream, IndexSet, OracleSizeError,
+                      enumerate_compositions, f_from_matrix_oracle, f_kr_oracle,
+                      h_s, is_schur_concave_index_set, majorizes_int,
+                      max_part_index_set, min_support_index_set, oracle_value)
 
 __version__ = "0.1.0"

@@ -21,13 +21,12 @@ from .majorize import majorizes, psi_compare, theorem2_scan
 from .mellin import identity_check, identity_lhs, integral_I, integral_J
 from .series import Catalyst, catalyst_product, taylor_template, tensor
 from .spectral import as_int_matrix, f_from_matrix, gram, spectral_summary
-from .theorem1 import (ConclusionReport, HypothesisReport, check_hypotheses,
+from .theorem1 import (DEFAULT_GRID_POINTS, DEFAULT_TOL, ConclusionReport,
+                       HypothesisReport, check_hypotheses,
                        check_hypotheses_coeffs, verify_conclusions)
 from .vectors import RationalVector, lp_mean, partial_sums_desc
 
 DEFAULT_SEED = 12345
-DEFAULT_GRID_POINTS = 101
-DEFAULT_TOL = 1e-9
 
 
 class CliInputError(Exception):

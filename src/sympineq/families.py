@@ -6,9 +6,10 @@ All families act on nonnegative rational vectors:
 - ``F_{k,r}``   terms of ``(sum x)^k / k!`` with every exponent at most r,
 - ``G_{k,r}``   terms with at least r distinct variables (``Gbar`` is the
                 complement, ``DeltaGbar`` the exactly-r slice),
-- ``M_{k,r}``   k-th powers of all r-element subset sums,
-- ``H_S``       the generic family indexed by a permutation-invariant set of
-                exponent tuples.
+- ``M_{k,r}``   k-th powers of all r-element subset sums.
+
+The generic family ``H_S`` over an index set of exponent tuples is a
+brute-force enumeration and lives with the oracles.
 
 E, F, G, Gbar, DeltaGbar and M are all coefficients of one per-entry product
 ``prod_i (A(x_i t) + u B(x_i t))`` (``series.product_table``), so each costs
@@ -27,20 +28,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
-from typing import Callable, Optional
 
-from . import oracles
-from .series import (ProductTable, SeriesTemplate, TruncatedSeries, product_over_vector,
-                     product_table, series_mul, substitute_scale, taylor_template)
+from .series import (ProductTable, SeriesTemplate, product_over_vector,
+                     product_table, taylor_template)
 from .vectors import RationalVector
 
 __all__ = [
-    "IndexSet",
     "SpecialIdentityReport",
     "elementary_all",
     "f_kr_all",
     "f_kr",
-    "f_kr_oracle",
     "f_special_identities",
     "g_kr",
     "gbar_kr",
@@ -52,10 +49,6 @@ __all__ = [
     "m_cell",
     "m_kr_from_gbar",
     "binom_ext",
-    "h_s",
-    "max_part_index_set",
-    "min_support_index_set",
-    "is_schur_concave_index_set",
     "grad_f_kr",
 ]
 
@@ -83,14 +76,6 @@ def f_kr(x: RationalVector, k: int, r: int) -> Fraction:
         return Fraction(0)
     # truncating the product at degree k is enough for one coefficient
     return product_over_vector(x, taylor_template(r), degree_bound=k).coefficient(k)
-
-
-def f_kr_oracle(x: RationalVector, r: int, k: int) -> Fraction:
-    """Brute-force F_{k,r} by its defining constrained-composition sum.
-
-    Test equipment; shares no arithmetic with the series path.
-    """
-    return oracles.oracle_value("F", x, k, r)
 
 
 @dataclass(frozen=True)
@@ -204,75 +189,13 @@ def m_kr_from_gbar(x: RationalVector, k: int, r: int) -> Fraction:
     return factorial(k) * total
 
 
-@dataclass(frozen=True)
-class IndexSet:
-    """A set of exponent tuples p (p_i >= 0, sum p_i = k) given by a
-    membership predicate, which must be permutation-invariant for the
-    associated polynomial to be symmetric."""
-
-    n: int
-    k: int
-    membership: Callable[[tuple[int, ...]], bool]
-
-
-def max_part_index_set(n: int, k: int, r: int) -> IndexSet:
-    """Exponent tuples with every part at most r (the F-family index set)."""
-    return IndexSet(n, k, lambda p: max(p) <= r)
-
-
-def min_support_index_set(n: int, k: int, r: int) -> IndexSet:
-    """Exponent tuples with at least r nonzero parts (the G-family index set)."""
-    return IndexSet(n, k, lambda p: sum(1 for v in p if v) >= r)
-
-
-def h_s(x: RationalVector, idx: IndexSet) -> Fraction:
-    """Generic family value: direct sum of ``prod_i x_i^{p_i} / p_i!`` over
-    the members of the index set."""
-    if len(x) != idx.n:
-        raise ValueError("vector length does not match the index set")
-    total = Fraction(0)
-    stream = oracles.CompositionStream(idx.n, idx.k)
-    for p in oracles.enumerate_compositions(stream):
-        if idx.membership(p):
-            term = Fraction(1)
-            for xi, e in zip(x.entries, p):
-                if e:
-                    term *= xi ** e / factorial(e)
-            total += term
-    return total
-
-
-def is_schur_concave_index_set(
-        idx: IndexSet) -> tuple[bool, Optional[tuple[tuple[int, ...], tuple[int, ...]]]]:
-    """Check downward closure under integer majorization.
-
-    Returns (True, None), or (False, (p, q)) for the first member p that
-    majorizes a non-member q.  Raises if the membership predicate is not
-    permutation-invariant.
-    """
-    stream = oracles.CompositionStream(idx.n, idx.k)
-    comps = list(oracles.enumerate_compositions(stream))
-    member: dict[tuple[int, ...], bool] = {}
-    by_signature: dict[tuple[int, ...], bool] = {}
-    for p in comps:
-        m = bool(idx.membership(p))
-        member[p] = m
-        sig = tuple(sorted(p, reverse=True))
-        if by_signature.setdefault(sig, m) != m:
-            raise ValueError("membership is not permutation-invariant")
-    non_members = [q for q in comps if not member[q]]
-    for p in comps:
-        if not member[p]:
-            continue
-        for q in non_members:
-            if oracles.majorizes_int(p, q):
-                return False, (p, q)
-    return True, None
-
-
 def grad_f_kr(x: RationalVector, r: int, k: int) -> tuple[Fraction, ...]:
     """Exact gradient of F_{k,r}: component i is the t^k coefficient of
-    ``tpl'(x_i t) * t * prod_{j != i} tpl(x_j t)``."""
+    ``t tpl'(x_i t) prod_{j != i} tpl(x_j t)``.
+
+    The product over every entry comes from the kernel once; dividing it by
+    the factor ``tpl(x_i t)``, whose constant term is 1, leaves the product
+    over the others in O(k r) steps per entry."""
     n = len(x)
     if r < 1:
         raise ValueError("need r >= 1")
@@ -281,21 +204,19 @@ def grad_f_kr(x: RationalVector, r: int, k: int) -> tuple[Fraction, ...]:
     if k == 0:
         return tuple(Fraction(0) for _ in range(n))
     tpl = taylor_template(r)
-    d = k
-    factors = [substitute_scale(tpl, xi, d) for xi in x.entries]
-    prefix = [TruncatedSeries.one(d)]
-    for f in factors:
-        prefix.append(series_mul(prefix[-1], f))
-    suffix = [TruncatedSeries.one(d)] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        suffix[i] = series_mul(factors[i], suffix[i + 1])
+    a = tpl.base_coeffs
+    top = min(r, k)
+    full = product_over_vector(x, tpl, degree_bound=k - 1).coeffs
     grads = []
-    for i, xi in enumerate(x.entries):
-        deriv = [Fraction(0)] * (d + 1)
-        power = Fraction(1)  # x_i^{j-1}
-        for j in range(1, min(tpl.degree, d) + 1):
-            deriv[j] = j * tpl.base_coeffs[j] * power
-            power *= xi
-        rest = series_mul(prefix[i], suffix[i + 1])
-        grads.append(series_mul(rest, TruncatedSeries(deriv)).coefficient(k))
+    for xi in x.entries:
+        powers = [xi ** j for j in range(top + 1)]
+        factor = [a[j] * powers[j] for j in range(top + 1)]
+        rest: list[Fraction] = []  # prod_{j != i} tpl(x_j t) up to t^(k-1)
+        for m in range(k):
+            acc = full[m]
+            for j in range(1, min(m, top) + 1):
+                acc -= factor[j] * rest[m - j]
+            rest.append(acc)
+        grads.append(sum((j * a[j] * powers[j - 1] * rest[k - j]
+                          for j in range(1, top + 1)), Fraction(0)))
     return tuple(grads)

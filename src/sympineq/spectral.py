@@ -1,16 +1,18 @@
-"""Exact matrix pipeline: Gram products, determinant generating coefficients,
-and truncated-exponential determinant expansions.
+"""Exact matrix pipeline: Gram products, the characteristic coefficients
+det(I + tA), and the truncated-exponential determinants
+det(sum_j A^j t^j / j!) read from them through the power sums of the
+spectrum.
 
 Eigenvalues are never extracted numerically here; every spectral quantity is
-reached through exact determinant coefficients, so integer inputs give exact
-rational outputs.
+reached through the integer coefficients of det(I + tA), so integer inputs
+give exact rational outputs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 from typing import Iterable, Iterator, Sequence
 
 __all__ = [
@@ -56,86 +58,79 @@ def gram(q: Iterable[Sequence[int]]) -> IntMatrix:
                  for r1 in qm)
 
 
-def _mat_mul(a: list[list[Fraction]], b: list[list[Fraction]]) -> list[list[Fraction]]:
-    n = len(a)
+def _mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:
     cols = list(zip(*b))
     return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
 
 
+def _elementary(am: IntMatrix) -> list[int]:
+    # Faddeev-LeVerrier: w carries A M_k, where M_1 = I and
+    # M_{k+1} = A M_k + c_k I; c_k = -tr(A M_k) / k is the integer coefficient
+    # of the characteristic polynomial, so the division is exact
+    n = len(am)
+    coeffs = [1]
+    w = [list(row) for row in am]
+    for k in range(1, n + 1):
+        ck = -sum(w[i][i] for i in range(n)) // k
+        coeffs.append(ck if k % 2 == 0 else -ck)  # e_k = (-1)^k c_k
+        if k < n:
+            for i in range(n):
+                w[i][i] += ck
+            w = _mat_mul(am, w)
+    return coeffs
+
+
 def det_I_plus_tA(a: Iterable[Sequence[int]]) -> list[Fraction]:
     """Coefficients of det(I + tA), computed by the Faddeev-LeVerrier
-    recurrence in exact rationals.
+    recurrence in exact integer arithmetic.
 
     Coefficient k is the k-th elementary symmetric function of the spectrum
     of A.
     """
     am = as_int_matrix(a)
-    n = _require_square(am)
-    af = [[Fraction(v) for v in row] for row in am]
-    coeffs = [Fraction(1)]
-    # w carries A * M_k where M_1 = I and M_{k+1} = A M_k + c_k I
-    w = [row[:] for row in af]
-    for k in range(1, n + 1):
-        ck = -sum(w[i][i] for i in range(n)) / k
-        coeffs.append(ck if k % 2 == 0 else -ck)  # e_k = (-1)^k c_k
-        if k < n:
-            for i in range(n):
-                w[i][i] += ck
-            w = _mat_mul(af, w)
-    return coeffs
+    _require_square(am)
+    return [Fraction(c) for c in _elementary(am)]
 
 
-def _det_fraction(m: list[list[Fraction]]) -> Fraction:
-    # Gaussian elimination with a nonzero pivot search; exact in rationals
-    n = len(m)
-    m = [row[:] for row in m]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((i for i in range(col, n) if m[i][col]), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        pv = m[col][col]
-        det *= pv
-        for i in range(col + 1, n):
-            if m[i][col]:
-                f = m[i][col] / pv
-                row, prow = m[i], m[col]
-                for l in range(col, n):
-                    row[l] -= f * prow[l]
-    return det
+def _power_sums(e: Sequence[int], top: int) -> list[int]:
+    # Newton's identities:
+    # p_m = sum_{i=1}^{m-1} (-1)^{i-1} e_i p_{m-i} + (-1)^{m-1} m e_m,
+    # with e_i = 0 past n
+    n = len(e) - 1
+    signed = [(-1) ** (i - 1) * e[i] for i in range(1, n + 1)]
+    p = [n]
+    for m in range(1, top + 1):
+        acc = m * signed[m - 1] if m <= n else 0
+        for i in range(1, min(m - 1, n) + 1):
+            acc += signed[i - 1] * p[m - i]
+        p.append(acc)
+    return p
 
 
-def _interpolate(nodes: Sequence[int], values: Sequence[Fraction]) -> list[Fraction]:
-    # exact Lagrange interpolation, coefficients accumulated per basis poly
-    out = [Fraction(0)] * len(nodes)
-    for i, (ti, yi) in enumerate(zip(nodes, values)):
-        if yi == 0:
-            continue
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for j, tj in enumerate(nodes):
-            if j == i:
-                continue
-            new = [Fraction(0)] * (len(basis) + 1)
-            for deg, b in enumerate(basis):
-                new[deg] -= tj * b
-                new[deg + 1] += b
-            basis = new
-            denom *= ti - tj
-        scale = yi / denom
-        for deg, b in enumerate(basis):
-            out[deg] += scale * b
-    return out
+def _template_cumulants(r: int, top: int) -> list[int]:
+    # g(s) = sum_{j<=r} s^j / j! is the exponential generating function of
+    # the moments mu_j = 1 for j <= r and 0 beyond, so log g(s) =
+    # sum_m kappa_m s^m / m! with the integer cumulants
+    # kappa_m = mu_m - sum_{j<m} C(m-1, j-1) kappa_j mu_{m-j}
+    kappa = [0]
+    for m in range(1, top + 1):
+        acc = 1 if m <= r else 0
+        for j in range(max(1, m - r), m):
+            acc -= comb(m - 1, j - 1) * kappa[j]
+        kappa.append(acc)
+    return kappa
 
 
 def f_from_matrix(a: Iterable[Sequence[int]], r: int) -> list[Fraction]:
     """Coefficients of ``det(sum_{j<=r} A^j t^j / j!)`` up to degree n*r.
 
-    The determinant is evaluated exactly at the integer nodes t = 0..n*r and
-    the coefficients recovered by exact interpolation; with the spectrum
+    Triangularizing A over C shows that this determinant is
+    ``F(t) = prod_i g(lambda_i t)`` over the eigenvalues, with
+    ``g(s) = sum_{j<=r} s^j / j!``, for every square A.  So
+    ``log F(t) = sum_m kappa_m p_m t^m / m!``, where p_m are the power sums
+    of the spectrum (Newton's identities from det(I + tA)) and kappa_m the
+    cumulants of g; the integers ``G_k = k! F_k`` follow from
+    ``G_k = sum_j C(k-1, j-1) kappa_j p_j G_{k-j}``.  With the spectrum
     nonnegative, coefficient k is the order-r family value F_{k,r} of the
     eigenvalues.
     """
@@ -144,19 +139,13 @@ def f_from_matrix(a: Iterable[Sequence[int]], r: int) -> list[Fraction]:
     if r < 1:
         raise ValueError("need r >= 1")
     deg = n * r
-    powers: list[list[list[int]]] = [[[1 if i == j else 0 for j in range(n)]
-                                      for i in range(n)]]
-    for _ in range(r):
-        prev = powers[-1]
-        powers.append([[sum(prev[i][l] * am[l][j] for l in range(n))
-                        for j in range(n)] for i in range(n)])
-    values = []
-    for t in range(deg + 1):
-        mat = [[sum(Fraction(powers[j][i][l] * t ** j, factorial(j))
-                    for j in range(r + 1))
-                for l in range(n)] for i in range(n)]
-        values.append(_det_fraction(mat))
-    return _interpolate(range(deg + 1), values)
+    p = _power_sums(_elementary(am), deg)
+    c = [kj * pj for kj, pj in zip(_template_cumulants(r, deg), p)]
+    g = [1]
+    for k in range(1, deg + 1):
+        g.append(sum(comb(k - 1, j - 1) * c[j] * g[k - j]
+                     for j in range(1, k + 1)))
+    return [Fraction(gk, factorial(k)) for k, gk in enumerate(g)]
 
 
 def sign_flip_variants(q: Iterable[Sequence[int]], budget: int) -> Iterator[IntMatrix]:

@@ -14,7 +14,7 @@ from fractions import Fraction
 from sympineq.families import (f_kr_all, g_kr, gbar_kr, m_kr, m_kr_from_gbar)
 from sympineq.majorize import majorizes, t_transform_pair
 from sympineq.mellin import identity_check, integral_I
-from sympineq.oracles import oracle_value
+from sympineq.oracles import f_from_matrix_oracle, oracle_value
 from sympineq.spectral import det_I_plus_tA, f_from_matrix, gram
 from sympineq.theorem1 import check_hypotheses, verify_conclusions
 from sympineq.vectors import RationalVector
@@ -54,12 +54,19 @@ def test_criterion_02_f_table_reproduction():
         fy = f_from_matrix(gram(SAMPLE_R), 2)
         assert tuple(math.factorial(k) * fx[k] for k in range(2, 9)) == X_TABLE
         assert tuple(math.factorial(k) * fy[k] for k in range(2, 9)) == Y_TABLE
-        # route agreement where both routes run: rational-spectrum matrices
+        # route agreement with the independent node-evaluation and
+        # interpolation route, and with the vector route where the spectrum
+        # is rational
+        assert fx == f_from_matrix_oracle(gram(SAMPLE_Q), 2)
+        assert fy == f_from_matrix_oracle(gram(SAMPLE_R), 2)
         diag = ((4, 0, 0, 0), (0, 2, 0, 0), (0, 0, 1, 0), (0, 0, 0, 2))
         vector = RationalVector([4, 2, 1, 2])
-        assert f_from_matrix(diag, 2) == f_kr_all(vector, 2)
+        assert f_from_matrix(diag, 2) == f_from_matrix_oracle(diag, 2) == \
+            f_kr_all(vector, 2)
         two_by_two = ((2, 1), (1, 2))  # spectrum {1, 3}
-        assert f_from_matrix(two_by_two, 2) == f_kr_all(RationalVector([1, 3]), 2)
+        assert f_from_matrix(two_by_two, 2) == \
+            f_from_matrix_oracle(two_by_two, 2) == \
+            f_kr_all(RationalVector([1, 3]), 2)
 
 
 def test_criterion_03_order_three_failure_witness():

@@ -4,14 +4,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sympineq.families import (binom_ext, delta_gbar_kr,
-                               elementary_all, f_kr, f_kr_all, f_kr_oracle,
-                               f_special_identities, g_kr, gbar_kr, grad_f_kr,
-                               h_s, is_schur_concave_index_set, m_kr,
-                               m_kr_from_gbar, max_part_index_set,
-                               min_support_index_set, IndexSet)
+from sympineq.families import (binom_ext, delta_gbar_kr, elementary_all,
+                               f_kr, f_kr_all, f_special_identities, g_kr,
+                               gbar_kr, grad_f_kr, m_kr, m_kr_from_gbar)
 from sympineq.majorize import t_transform_pair
-from sympineq.oracles import oracle_value
+from sympineq.oracles import (IndexSet, f_kr_oracle, h_s,
+                              is_schur_concave_index_set, max_part_index_set,
+                              min_support_index_set, oracle_value)
+from sympineq.series import (TruncatedSeries, series_mul, substitute_scale,
+                             taylor_template)
 from sympineq.vectors import RationalVector
 
 from conftest import random_rational_vector
@@ -245,6 +246,45 @@ class TestGradients:
     def test_out_of_range_k(self):
         with pytest.raises(ValueError):
             grad_f_kr(vec(1, 1), 2, 5)
+
+    def test_matches_prefix_suffix_construction(self, rng):
+        # the construction grad_f_kr replaced: the product over the other
+        # entries from Fraction prefix and suffix products, times t tpl'(x_i t)
+        def by_prefix_suffix(x, r, k):
+            tpl = taylor_template(r)
+            factors = [substitute_scale(tpl, xi, k) for xi in x.entries]
+            prefix = [TruncatedSeries.one(k)]
+            for f in factors:
+                prefix.append(series_mul(prefix[-1], f))
+            suffix = [TruncatedSeries.one(k)] * (len(x) + 1)
+            for i in range(len(x) - 1, -1, -1):
+                suffix[i] = series_mul(factors[i], suffix[i + 1])
+            grads = []
+            for i, xi in enumerate(x.entries):
+                deriv = [Fraction(0)] * (k + 1)
+                for j in range(1, min(r, k) + 1):
+                    deriv[j] = j * tpl.base_coeffs[j] * xi ** (j - 1)
+                rest = series_mul(prefix[i], suffix[i + 1])
+                grads.append(series_mul(rest, TruncatedSeries(deriv)).coefficient(k))
+            return tuple(grads)
+
+        for _ in range(60):
+            n = rng.randint(1, 6)
+            x = random_rational_vector(rng, n, max_numerator=9,
+                                       denominator_bound=4)
+            r = rng.randint(1, 3)
+            for k in range(1, n * r + 1):
+                assert grad_f_kr(x, r, k) == by_prefix_suffix(x, r, k)
+
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_euler_identity_at_forty(self, rng, r):
+        # F_{k,r} is homogeneous of degree k: sum_i x_i dF/dx_i = k F
+        x = random_rational_vector(rng, 40, max_numerator=20,
+                                   denominator_bound=6)
+        for k in (1, 7, 40):
+            grad = grad_f_kr(x, r, k)
+            assert sum(xi * g for xi, g in zip(x.entries, grad)) == \
+                k * f_kr(x, k, r)
 
 
 @settings(max_examples=40)

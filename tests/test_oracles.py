@@ -4,7 +4,7 @@ import pytest
 
 from sympineq.oracles import (CompositionStream, OracleSizeError,
                               composition_count, enumerate_compositions,
-                              majorizes_int, oracle_value)
+                              f_from_matrix_oracle, majorizes_int, oracle_value)
 from sympineq.vectors import RationalVector
 
 
@@ -90,3 +90,18 @@ class TestIntegerMajorization:
 
     def test_reflexive(self):
         assert majorizes_int((2, 1, 0), (0, 1, 2))
+
+
+class TestMatrixInterpolation:
+    def test_diagonal_gives_the_product_of_templates(self):
+        # det(I + tA + t^2 A^2 / 2) of diag(1, 2) is (1 + t + t^2/2)(1 + 2t + 2t^2)
+        assert f_from_matrix_oracle(((1, 0), (0, 2)), 2) == \
+            [1, 3, Fraction(9, 2), 3, 1]
+
+    def test_non_square_rejected(self):
+        with pytest.raises(ValueError):
+            f_from_matrix_oracle(((1, 2),), 1)
+
+    def test_budget_guard(self):
+        with pytest.raises(OracleSizeError):
+            f_from_matrix_oracle([[1] * 13 for _ in range(13)], 4)

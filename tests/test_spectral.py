@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from sympineq.families import elementary_all, f_kr_all
+from sympineq.oracles import f_from_matrix_oracle
 from sympineq.series import product_over_vector, taylor_template
 from sympineq.spectral import (as_int_matrix, det_I_plus_tA, f_from_matrix,
                                gram, sign_flip_variants, spectral_summary)
@@ -109,6 +110,73 @@ class TestFFromMatrix:
         got = product_over_vector(v, taylor_template(1))
         for approx, exact in zip(got.coeffs, det_I_plus_tA(matrix_x)):
             assert float(approx) == pytest.approx(float(exact), abs=1e-9)
+
+
+def _exact_rank(rows):
+    m = [[Fraction(v) for v in row] for row in rows]
+    rank = 0
+    for col in range(len(m[0])):
+        pivot = next((i for i in range(rank, len(m)) if m[i][col]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        for i in range(len(m)):
+            if i != rank and m[i][col]:
+                f = m[i][col] / m[rank][col]
+                m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
+        rank += 1
+    return rank
+
+
+class TestOracleAgreement:
+    """The power-sum route against determinant evaluation at nodes plus
+    interpolation (oracles.f_from_matrix_oracle), on integer matrices."""
+
+    def _agree(self, a):
+        for r in (1, 2, 3):
+            table = f_from_matrix(a, r)
+            assert table == f_from_matrix_oracle(a, r)
+            assert len(table) == len(a) * r + 1
+
+    def test_random_gram(self):
+        rnd = random.Random(4101)
+        for n in range(1, 7):
+            width = rnd.randint(n, n + 2)
+            q = [[rnd.randint(-3, 3) for _ in range(width)] for _ in range(n)]
+            self._agree(gram(q))
+
+    def test_random_non_symmetric(self):
+        rnd = random.Random(4102)
+        for n in range(1, 7):
+            a = [[rnd.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+            self._agree(a)
+
+    def test_indefinite(self):
+        # symmetric with a zero diagonal and some nonzero entry: trace 0, so
+        # the spectrum has both signs
+        rnd = random.Random(4103)
+        for n in range(2, 7):
+            a = [[0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i + 1, n):
+                    a[i][j] = a[j][i] = rnd.randint(-3, 3)
+            a[0][1] = a[1][0] = rnd.choice((-2, -1, 1, 2))
+            self._agree(a)
+
+    def test_singular_gram_vanishes_above_r_times_rank(self):
+        rnd = random.Random(4104)
+        for n in range(2, 7):
+            width = rnd.randint(1, n - 1)  # rank at most width < n
+            q = [[rnd.randint(-3, 3) for _ in range(width)] for _ in range(n)]
+            q[0] = [v or 1 for v in q[0]]  # keep the rank positive
+            a = gram(q)
+            rank = _exact_rank(a)
+            assert 1 <= rank < n
+            for r in (1, 2, 3):
+                table = f_from_matrix(a, r)
+                assert table == f_from_matrix_oracle(a, r)
+                assert table[r * rank] != 0
+                assert all(c == 0 for c in table[r * rank + 1:])
 
 
 class TestSignFlips:
