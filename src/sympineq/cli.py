@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -20,13 +21,11 @@ from .families import f_kr_all
 from .majorize import majorizes, psi_compare, theorem2_scan
 from .mellin import identity_check, identity_lhs, integral_I, integral_J
 from .series import Catalyst, catalyst_product, taylor_template, tensor
-from .spectral import as_int_matrix, f_from_matrix, gram, spectral_summary
+from .spectral import as_int_matrix, gram, spectral_summary
 from .theorem1 import (DEFAULT_GRID_POINTS, DEFAULT_TOL, ConclusionReport,
                        HypothesisReport, check_hypotheses,
-                       check_hypotheses_coeffs, verify_conclusions)
+                       check_hypotheses_coeffs, full_report)
 from .vectors import RationalVector, lp_mean, partial_sums_desc
-
-DEFAULT_SEED = 12345
 
 
 class CliInputError(Exception):
@@ -149,7 +148,6 @@ def cmd_norms(args: argparse.Namespace) -> tuple[int, dict[str, Any]]:
     rows = [{"p": p, "mean": lp_mean(x, p)} for p in exponents]
     report = {
         "command": "norms",
-        "seed": args.seed,
         "n": len(x),
         "entries": fracs(x.entries),
         "partial_sums_desc": fracs(partial_sums_desc(x)),
@@ -170,7 +168,6 @@ def cmd_fkr(args: argparse.Namespace) -> tuple[int, dict[str, Any]]:
                      "kfact_value": frac_str(table[k] * math.factorial(k))})
     report = {
         "command": "fkr",
-        "seed": args.seed,
         "n": len(x),
         "r": args.r,
         "values": rows,
@@ -178,18 +175,18 @@ def cmd_fkr(args: argparse.Namespace) -> tuple[int, dict[str, Any]]:
     return 0, report
 
 
-def _float_eigen_vector(matrix, f_coeffs: list[Fraction], r: int) -> RationalVector:
+def _float_eigen_vector(matrix, e_coeffs: Sequence[Fraction]) -> RationalVector:
     # float spectrum for the (tolerance-based) norm grids only; exact
-    # quantities never go through here.  f_coeffs = f_from_matrix(matrix, r)
+    # quantities never go through here.  e_coeffs are those of det(I + tA)
     import numpy as np
 
     eig = np.linalg.eigvalsh(np.array(matrix, dtype=float))  # ascending
     values = [max(0.0, float(v)) for v in eig]
     n = len(values)
     # a zero eigenvalue comes back as +-1e-16 noise, and positive noise would
-    # reach the p -> 0 means; det(sum_{j<=r} A^j t^j / j!) of a PSD matrix has
-    # degree r * rank, so its top nonzero coefficient says how many are zero
-    rank = max(k for k, c in enumerate(f_coeffs) if c) // r
+    # reach the p -> 0 means; e_k of a PSD matrix is nonzero exactly for
+    # k <= rank, so the top nonzero coefficient says how many are zero
+    rank = max(k for k, c in enumerate(e_coeffs) if c)
     values[:n - rank] = [0.0] * (n - rank)
     return RationalVector(values)
 
@@ -200,65 +197,42 @@ def cmd_theorem1(args: argparse.Namespace) -> tuple[int, dict[str, Any]]:
         raise CliInputError("provide either --x/--y vectors or --qx/--qy matrices")
     if (args.qx is None) != (args.qy is None):
         raise CliInputError("matrix mode needs both --qx and --qy")
-
-    r_values = list(range(1, args.r_max + 1)) if args.r_max else [args.r]
+    r_values = (list(range(1, args.r_max + 1)) if args.r_max is not None
+                else [args.r])
+    if min(r_values, default=0) < 1:
+        raise CliInputError("need --r >= 1 or --r-max >= 1")
 
     if vector_mode:
         x, y = load_vector(args.x), load_vector(args.y)
         if len(x) != len(y):
             raise CliInputError("vectors must have equal length")
-        hypothesis_reports = [check_hypotheses(x, y, r) for r in r_values]
-        grid_x, grid_y = x, y
+        hypotheses = [check_hypotheses(x, y, r) for r in r_values]
     else:
         mx, my = gram(load_matrix(args.qx)), gram(load_matrix(args.qy))
         if len(mx) != len(my):
             raise CliInputError("factor matrices must have equal row counts")
-        n = len(mx)
-        fx = [f_from_matrix(mx, r) for r in r_values]
-        fy = [f_from_matrix(my, r) for r in r_values]
-        hypothesis_reports = [check_hypotheses_coeffs(cx, cy, r, n)
-                              for cx, cy, r in zip(fx, fy, r_values)]
-        grid_x = _float_eigen_vector(mx, fx[0], r_values[0])
-        grid_y = _float_eigen_vector(my, fy[0], r_values[0])
+        sx, sy = spectral_summary(mx, r_values), spectral_summary(my, r_values)
+        hypotheses = [check_hypotheses_coeffs(sx.f_coeffs[r], sy.f_coeffs[r],
+                                              r, len(mx))
+                      for r in r_values]
+        x = _float_eigen_vector(mx, sx.e_coeffs)
+        y = _float_eigen_vector(my, sy.e_coeffs)
 
-    certified = None
-    for rep in hypothesis_reports:
-        if rep.all_pass:
-            certified = rep.r
-
-    # grids are always measured when a definite order is at hand; they only
-    # count toward the exit code once the hypotheses certify that order
-    if certified is not None:
-        measure_r = certified
-    elif len(r_values) == 1:
-        measure_r = r_values[0]
-    else:
-        measure_r = None
-    conclusion = None
-    if measure_r is not None:
-        measured_rep = next(h for h in hypothesis_reports if h.r == measure_r)
-        conclusion = verify_conclusions(grid_x, grid_y, measure_r,
-                                        grid_points=args.grid_points,
-                                        tol=args.tol,
-                                        sums_equal=measured_rep.sums_equal)
-
-    asserted = certified is not None
-    ok = (certified == max(r_values)
-          and (not asserted or conclusion is None
-               or conclusion.all_asserted_pass))
+    rep = full_report(hypotheses, x, y, args.grid_points, args.tol)
     report = {
         "command": "theorem1",
-        "seed": args.seed,
         "mode": "vectors" if vector_mode else "matrices",
         "requested_r": r_values,
-        "hypotheses": [_hypothesis_json(h) for h in hypothesis_reports],
-        "certified_r": certified,
-        "certified_interval": [0.0, certified + 1.0] if certified else None,
-        "conclusions": _conclusion_json(conclusion) if conclusion else None,
-        "conclusions_asserted": asserted,
-        "pass": ok,
+        "hypotheses": [_hypothesis_json(h) for h in rep.hypotheses],
+        "certified_r": rep.certified_r,
+        "certified_interval": (list(rep.certified_interval)
+                               if rep.certified_interval else None),
+        "conclusions": (_conclusion_json(rep.conclusions)
+                        if rep.conclusions else None),
+        "conclusions_asserted": rep.certified_r is not None,
+        "pass": rep.passed,
     }
-    return (0 if ok else 1), report
+    return (0 if rep.passed else 1), report
 
 
 def cmd_majorize(args: argparse.Namespace) -> tuple[int, dict[str, Any]]:
@@ -268,7 +242,6 @@ def cmd_majorize(args: argparse.Namespace) -> tuple[int, dict[str, Any]]:
     verdict = majorizes(x, y)
     report: dict[str, Any] = {
         "command": "majorize",
-        "seed": args.seed,
         "holds": verdict.holds,
         "sums_equal": verdict.sum_equal,
         "first_violation": (
@@ -301,7 +274,6 @@ def cmd_theorem2(args: argparse.Namespace) -> tuple[int, dict[str, Any]]:
           and rep.subset_power_violation is None)
     report = {
         "command": "theorem2",
-        "seed": args.seed,
         "k_max": rep.k_max,
         "sums_equal": rep.sums_equal,
         "majorization_holds": rep.majorization_holds,
@@ -330,7 +302,6 @@ def cmd_spectral(args: argparse.Namespace) -> tuple[int, dict[str, Any]]:
         raise CliInputError(str(exc)) from exc
     report = {
         "command": "spectral",
-        "seed": args.seed,
         "n": len(matrix),
         "matrix": [list(row) for row in matrix],
         "e_coeffs": fracs(summary.e_coeffs),
@@ -357,7 +328,6 @@ def cmd_mellin_validate(args: argparse.Namespace) -> tuple[int, dict[str, Any]]:
     ok = error <= args.tol
     report = {
         "command": "mellin-validate",
-        "seed": args.seed,
         "which": args.which,
         "r": args.r,
         "p": args.p,
@@ -386,7 +356,6 @@ def cmd_catalyst(args: argparse.Namespace) -> tuple[int, dict[str, Any]]:
     cx = catalyst_product(x, catalyst, tpl, degree)
     report: dict[str, Any] = {
         "command": "catalyst",
-        "seed": args.seed,
         "r": args.r,
         "degree_bound": degree,
         "tensor_x": fracs(tensor(x, catalyst).entries),
@@ -414,9 +383,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "and lp-mean inequality verifiers.")
     parser.add_argument("--format", choices=("text", "json"), default="json",
                         help="report format (default json)")
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                        help="seed recorded in reports; fixed default for "
-                             "reproducibility")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("norms", help="lp means and partial sums of one vector")
@@ -493,9 +459,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    # one parser per process; main only reads it, and build_parser stays
+    # uncached so a caller that patches its parser gets a parser of its own
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         code, report = args.func(args)
     except (CliInputError, ValueError) as exc:

@@ -134,18 +134,17 @@ def f_from_matrix(a: Iterable[Sequence[int]], r: int) -> list[Fraction]:
     nonnegative, coefficient k is the order-r family value F_{k,r} of the
     eigenvalues.
     """
-    am = as_int_matrix(a)
-    n = _require_square(am)
-    if r < 1:
-        raise ValueError("need r >= 1")
-    deg = n * r
-    p = _power_sums(_elementary(am), deg)
+    return list(spectral_summary(a, (r,)).f_coeffs[r])
+
+
+def _f_table(p: Sequence[int], r: int, deg: int) -> tuple[Fraction, ...]:
+    # the exp step of f_from_matrix, from the power sums p_0..p_deg or more
     c = [kj * pj for kj, pj in zip(_template_cumulants(r, deg), p)]
     g = [1]
     for k in range(1, deg + 1):
         g.append(sum(comb(k - 1, j - 1) * c[j] * g[k - j]
                      for j in range(1, k + 1)))
-    return [Fraction(gk, factorial(k)) for k, gk in enumerate(g)]
+    return tuple(Fraction(gk, factorial(k)) for k, gk in enumerate(g))
 
 
 def sign_flip_variants(q: Iterable[Sequence[int]], budget: int) -> Iterator[IntMatrix]:
@@ -190,13 +189,20 @@ def spectral_summary(a: Iterable[Sequence[int]], rs: Sequence[int] = (1,),
                      assume_psd: bool = False) -> SpectralSummary:
     """Bundle det(I + tA) coefficients with family tables for each order in rs.
 
-    With ``assume_psd`` (e.g. for Gram products) negative determinant
-    coefficients are rejected as a bug instead of returned.
+    The characteristic coefficients and the power sums up to degree
+    n * max(rs) are computed once and shared by every order, so asking for
+    several orders costs one Faddeev-LeVerrier run.  With ``assume_psd``
+    (e.g. for Gram products) negative determinant coefficients are rejected
+    as a bug instead of returned.
     """
     am = as_int_matrix(a)
-    e = tuple(det_I_plus_tA(am))
+    n = _require_square(am)
+    if any(r < 1 for r in rs):
+        raise ValueError("need r >= 1")
+    e = _elementary(am)
     if assume_psd and any(c < 0 for c in e):
         raise ValueError("negative spectral coefficient on a PSD matrix; "
                          "this indicates a bug in the input or the pipeline")
-    f = {r: tuple(f_from_matrix(am, r)) for r in rs}
-    return SpectralSummary(e_coeffs=e, f_coeffs=f)
+    p = _power_sums(e, n * max(rs, default=0))
+    return SpectralSummary(e_coeffs=tuple(Fraction(c) for c in e),
+                           f_coeffs={r: _f_table(p, r, n * r) for r in rs})

@@ -163,8 +163,9 @@ def verify_conclusions(x: RationalVector, y: RationalVector, r: int,
 
 @dataclass(frozen=True)
 class FullReport:
-    """Hypothesis reports for r = 1..r_max, the largest certified order, and
-    the conclusion grids measured at that order."""
+    """The Theorem 1 verdict (see ``full_report``): per-order hypothesis
+    reports, the certified order, and the grids measured at it or, with
+    nothing certified, at the one order requested."""
 
     hypotheses: tuple[HypothesisReport, ...]
     certified_r: Optional[int]
@@ -177,21 +178,35 @@ class FullReport:
             return None
         return (0.0, float(self.certified_r + 1))
 
+    @property
+    def passed(self) -> bool:
+        # a certified order always has its grids measured
+        return (self.certified_r == self.hypotheses[-1].r
+                and self.conclusions.all_asserted_pass)
 
-def full_report(x: RationalVector, y: RationalVector, r_max: int,
+
+def full_report(hypotheses: Sequence[HypothesisReport],
+                x: RationalVector, y: RationalVector,
                 grid_points: int = DEFAULT_GRID_POINTS,
                 tol: float = DEFAULT_TOL) -> FullReport:
-    """Scan template orders 1..r_max, certify the largest passing order, and
-    measure its conclusion grids."""
-    if r_max < 1:
-        raise ValueError("need r_max >= 1")
-    reports = tuple(check_hypotheses(x, y, r) for r in range(1, r_max + 1))
-    certified = None
-    for rep in reports:
-        if rep.all_pass:
-            certified = rep.r
-    conclusions = None
-    if certified is not None:
-        conclusions = verify_conclusions(x, y, certified, grid_points, tol)
-    return FullReport(hypotheses=reports, certified_r=certified,
+    """Apply the Theorem 1 verdict rule to hypothesis reports in ascending
+    order (from ``check_hypotheses`` or ``check_hypotheses_coeffs``) and to
+    the vectors the lp-mean grids compare (the spectra in matrix mode).
+
+    Measure: the grids run at the certified order, the largest whose
+    hypotheses all hold, with its exact ``sums_equal``; with none certified
+    they run at the order requested if there is only one, and not at all
+    for a scan.  Assert: grid points count only at a certified order.
+    Pass: the last requested order is certified and its asserted grid points
+    all pass.
+    """
+    if not hypotheses:
+        raise ValueError("need at least one template order")
+    certified = [h for h in hypotheses if h.all_pass]
+    measured = certified or (list(hypotheses) if len(hypotheses) == 1 else [])
+    conclusions = (verify_conclusions(x, y, measured[-1].r, grid_points, tol,
+                                      sums_equal=measured[-1].sums_equal)
+                   if measured else None)
+    return FullReport(hypotheses=tuple(hypotheses),
+                      certified_r=certified[-1].r if certified else None,
                       conclusions=conclusions)

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from sympineq import spectral
 from sympineq.cli import main
 from sympineq.majorize import t_transform_pair
 
@@ -136,6 +137,56 @@ class TestTheorem1:
                            "--r", "1")
         assert code == 2 and "error:" in err
 
+    @pytest.mark.parametrize("order", [["--r-max", "0"], ["--r-max", "-1"],
+                                       ["--r", "0"]])
+    @pytest.mark.parametrize("mode", [("--x", "x.json", "--y", "y.json"),
+                                      ("--qx", "q.json", "--qy", "r.json")])
+    def test_orders_below_one_are_usage_errors(self, capsys, files, mode,
+                                               order):
+        code, out, err = run(capsys, "theorem1", mode[0], files[mode[1]],
+                             mode[2], files[mode[3]], *order)
+        assert code == 2 and "error:" in err and out == ""
+
+    def test_diagonal_factors_match_the_squared_vectors(self, capsys,
+                                                        tmp_path):
+        # Gram(diag(d)) = diag(d^2), and both modes share one verdict rule
+        paths = {}
+        for name, content in (("qx", [[0, 0, 0, 0], [0, 0, 0, 0],
+                                      [0, 0, 1, 0], [0, 0, 0, 3]]),
+                              ("qy", [[1, 0, 0, 0], [0, 1, 0, 0],
+                                      [0, 0, 2, 0], [0, 0, 0, 2]]),
+                              ("x", [0, 0, 1, 9]), ("y", [1, 1, 4, 4])):
+            paths[name] = tmp_path / f"{name}.json"
+            paths[name].write_text(json.dumps(content))
+        code_m, matrices, _ = run_json(capsys, "theorem1", "--qx",
+                                       str(paths["qx"]), "--qy",
+                                       str(paths["qy"]), "--r-max", "3")
+        code_v, vectors, _ = run_json(capsys, "theorem1", "--x",
+                                      str(paths["x"]), "--y", str(paths["y"]),
+                                      "--r-max", "3")
+        assert code_m == code_v
+        assert matrices["certified_r"] is not None
+        for key in ("hypotheses", "certified_r", "conclusions", "pass"):
+            assert matrices[key] == vectors[key]
+
+    def test_one_characteristic_polynomial_per_matrix(self, capsys, files,
+                                                      monkeypatch):
+        calls = []
+        elementary = spectral._elementary
+
+        def counting(am):
+            calls.append(len(am))
+            return elementary(am)
+
+        monkeypatch.setattr(spectral, "_elementary", counting)
+        code, _, _ = run(capsys, "theorem1", "--qx", files["q.json"], "--qy",
+                         files["r.json"], "--r-max", "3")
+        assert code == 1 and len(calls) == 2
+        calls.clear()
+        code, _, _ = run(capsys, "spectral", "--q", files["q.json"], "--r",
+                         "1", "--r", "2", "--r", "3")
+        assert code == 0 and len(calls) == 1
+
 
 class TestMajorize:
     def test_holds(self, capsys, files):
@@ -264,7 +315,7 @@ class TestErrorsAndDeterminism:
         assert out1 == out2
         parsed = json.loads(out1)
         assert json.dumps(parsed, indent=2, sort_keys=True) + "\n" == out1
-        assert parsed["seed"] == 12345
+        assert "seed" not in parsed
 
     def test_text_format(self, capsys, files):
         code, out, _ = run(capsys, "--format", "text", "majorize", "--x",

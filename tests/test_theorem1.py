@@ -114,20 +114,38 @@ class TestConclusions:
 
 
 class TestFullReport:
+    @staticmethod
+    def scan(x, y, r_max):
+        hypotheses = [check_hypotheses(x, y, r) for r in range(1, r_max + 1)]
+        return full_report(hypotheses, x, y)
+
     def test_equal_vectors_certify_the_whole_scan(self):
         x = vec(1, 2)
-        rep = full_report(x, x, 3)
+        rep = self.scan(x, x, 3)
         assert rep.certified_r == 3
         assert rep.certified_interval == (0.0, 4.0)
+        assert rep.conclusions.r == 3
+        assert rep.passed
 
     def test_two_zero_versus_ones(self):
-        rep = full_report(vec(2, 0), vec(1, 1), 1)
+        rep = self.scan(vec(2, 0), vec(1, 1), 1)
         assert rep.certified_r == 1
         assert rep.certified_interval == (0.0, 2.0)
         assert rep.conclusions.all_asserted_pass
+        assert rep.passed
 
     def test_no_certified_order(self):
-        rep = full_report(vec(1, 1), vec(2, 0), 1)
+        # a single requested order is still measured, but nothing is asserted
+        rep = self.scan(vec(1, 1), vec(2, 0), 1)
+        assert rep.certified_r is None
+        assert rep.certified_interval is None
+        assert rep.hypotheses[0].first_failure() is not None
+        assert rep.conclusions.r == 1
+        assert rep.conclusions.low_grid and rep.conclusions.high_grid
+        assert not rep.passed
+
+    def test_scan_without_certified_order_measures_nothing(self):
+        rep = self.scan(vec(1, 1), vec(2, 0), 3)
         assert rep.certified_r is None
         assert rep.conclusions is None
-        assert rep.hypotheses[0].first_failure() is not None
+        assert not rep.passed
