@@ -11,16 +11,16 @@ All families act on nonnegative rational vectors:
 The generic family ``H_S`` over an index set of exponent tuples is a
 brute-force enumeration and lives with the oracles.
 
-E, F, G, Gbar, DeltaGbar and M are all coefficients of one per-entry product
-``prod_i (A(x_i t) + u B(x_i t))`` (``series.product_table``), so each costs
-time polynomial in n:
+E, F, G, Gbar, DeltaGbar and M are coefficients of per-entry products that
+the integer kernels in ``series`` compute, so each costs time polynomial in n:
 
-- E: ``A = 1 + s``;  F: ``A = taylor_template(r)``  (no u),
-- DeltaGbar_{k,m} = ``[u^m t^k]`` with ``A = 1``, ``B = e^s - 1``: each entry
+- E and F: ``prod_i A(x_i t)`` with ``A = 1 + s`` and ``taylor_template(r)``,
+- M_{k,r} = ``k! [u^r t^k] prod_i (1 + u e^{x_i t})``: u picks the r-subset,
+  and ``e^{s t}`` over it gives ``s^k / k!``,
+- DeltaGbar_{k,m} = ``[u^m t^k] prod_i (1 + u (e^{x_i t} - 1))``: each entry
   contributes either nothing or a nonempty power of itself, so u counts the
-  distinct variables; Gbar and G sum the slices below and from r,
-- M_{k,r} = ``k! [u^r t^k]`` with ``A = 1``, ``B = e^s``: u picks the
-  r-subset, and ``e^{s t}`` over it gives ``s^k / k!``.
+  distinct variables.  The factor is ``(1 - u) + u e^{x_i t}``, so G, Gbar
+  and DeltaGbar are binomial transforms of the M rows of one table.
 """
 
 from __future__ import annotations
@@ -28,9 +28,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
+from operator import mul
 
-from .series import (ProductTable, SeriesTemplate, product_over_vector,
-                     product_table, taylor_template)
+from .series import (SeriesTemplate, SubsetPowerTable, product_over_vector,
+                     subset_power_table, taylor_template)
 from .vectors import RationalVector
 
 __all__ = [
@@ -42,10 +43,9 @@ __all__ = [
     "g_kr",
     "gbar_kr",
     "delta_gbar_kr",
-    "distinct_var_table",
+    "gbar_numerators",
     "g_cell",
     "m_kr",
-    "subset_power_table",
     "m_cell",
     "m_kr_from_gbar",
     "binom_ext",
@@ -106,55 +106,52 @@ def f_special_identities(x: RationalVector, r: int) -> SpecialIdentityReport:
     return SpecialIdentityReport(low, rp1, top)
 
 
-def _exp(k_max: int) -> tuple[Fraction, ...]:
-    # the kernel truncates at k_max, so order 1 serves k_max = 0 as well
-    return taylor_template(max(k_max, 1)).base_coeffs
+def gbar_numerators(table: SubsetPowerTable, r: int) -> list[int]:
+    """``k! L^k Gbar_{k,r}`` for k <= k_max, from the rows below r.
+
+    As ``1 + u (e^{x t} - 1) = (1 - u) + u e^{x t}``, ``k! L^k DeltaGbar_{k,m}
+    = sum_{j<=m} (-1)^(m-j) C(n-j, m-j) rows[j][k]``; summing over m < r with
+    ``sum_{i<=a} (-1)^i C(N, i) = (-1)^a C(N-1, a)`` leaves one sum over j < r.
+    """
+    n = table.n
+    if r > n:  # every term uses at most n < r variables
+        return [table.total ** k for k in range(table.k_max + 1)]
+    table.entry(r - 1, 0)  # IndexError unless the rows below r were built
+    coeffs = [(-1) ** (r - 1 - j) * comb(n - 1 - j, r - 1 - j) for j in range(r)]
+    return [sum(map(mul, coeffs, column)) for column in zip(*table.rows[:r])]
 
 
-def distinct_var_table(x: RationalVector, k_max: int) -> ProductTable:
-    """``[u^m t^k] prod_i (1 + u (e^{x_i t} - 1))`` for k <= k_max: entry
-    (m, k) is DeltaGbar_{k,m}.  Row m starts at t^m, so the kernel stores
-    rows only up to min(n, k_max)."""
-    exp = _exp(k_max)
-    return product_table(x, (1,), (0,) + exp[1:], k_max, len(x))
-
-
-def g_cell(table: ProductTable, k: int, r: int) -> Fraction:
-    """G_{k,r} read from a distinct_var_table with k_max >= k."""
-    return table.coefficient_sum(r, k + 1, k)
+def g_cell(table: SubsetPowerTable, k: int, r: int) -> Fraction:
+    """G_{k,r}, the complement of Gbar_{k,r} in ``(sum x)^k / k!``, read
+    from a subset_power_table with k_max >= k and the rows below r."""
+    gbar = gbar_numerators(table, r)[k]
+    return Fraction(table.total ** k - gbar, factorial(k) * table.denominator ** k)
 
 
 def gbar_kr(x: RationalVector, k: int, r: int) -> Fraction:
     """Terms of ``(sum x)^k / k!`` using fewer than r distinct variables."""
     if k < 0 or r < 1:
         raise ValueError("need k >= 0 and r >= 1")
-    return distinct_var_table(x, k).coefficient_sum(0, r, k)
+    r = min(r, k + 1)  # a degree-k term has at most k distinct variables
+    table = subset_power_table(x, k, r - 1)
+    return Fraction(gbar_numerators(table, r)[k], factorial(k) * table.denominator ** k)
 
 
 def delta_gbar_kr(x: RationalVector, k: int, r: int) -> Fraction:
     """Terms using exactly r distinct variables: Gbar_{k,r+1} - Gbar_{k,r}."""
-    if k < 0 or r < 1:
-        raise ValueError("need k >= 0 and r >= 1")
-    return distinct_var_table(x, k).coefficient(r, k)
+    return gbar_kr(x, k, r + 1) - gbar_kr(x, k, r)
 
 
 def g_kr(x: RationalVector, k: int, r: int) -> Fraction:
     """Terms of ``(sum x)^k / k!`` using at least r distinct variables."""
-    if k < 0 or r < 1:
-        raise ValueError("need k >= 0 and r >= 1")
-    return g_cell(distinct_var_table(x, k), k, r)
+    gbar = gbar_kr(x, k, r)
+    return x.total() ** k / factorial(k) - gbar
 
 
-def subset_power_table(x: RationalVector, k_max: int, r_max: int) -> ProductTable:
-    """``[u^r t^k] prod_i (1 + u e^{x_i t})`` for k <= k_max and
-    r <= min(n, r_max): entry (r, k) is M_{k,r} / k!."""
-    return product_table(x, (1,), _exp(k_max), k_max, r_max)
-
-
-def m_cell(table: ProductTable, k: int, r: int) -> Fraction:
-    """M_{k,r} read from a subset_power_table with k_max >= k, r_max >= r;
-    zero for r > n, the empty sum."""
-    return factorial(k) * table.coefficient(r, k)
+def m_cell(table: SubsetPowerTable, k: int, r: int) -> Fraction:
+    """M_{k,r} read from a subset_power_table with k_max >= k and
+    r_max >= min(r, n); zero for r > n, the empty sum."""
+    return Fraction(table.entry(r, k), table.denominator ** k)
 
 
 def m_kr(x: RationalVector, k: int, r: int) -> Fraction:

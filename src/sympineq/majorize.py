@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
 
-from . import families
+from . import families, series
 from .vectors import (RationalLike, RationalVector, log_of_fraction, lp_mean,
                       partial_sums_desc, to_fraction)
 
@@ -168,12 +168,10 @@ class Theorem2Report:
         return self.majorization is not None and self.majorization.holds
 
     @property
-    def distinct_var_holds_up_to_k_max(self) -> bool:
-        return self.sums_equal and self.distinct_var_violation is None
-
-    @property
-    def subset_power_holds_up_to_k_max(self) -> bool:
-        return self.sums_equal and self.subset_power_violation is None
+    def passed(self) -> bool:
+        """Majorization holds and no family cell up to k_max contradicts it."""
+        return (self.majorization_holds and self.distinct_var_violation is None
+                and self.subset_power_violation is None)
 
 
 def theorem2_scan(x: RationalVector, y: RationalVector, k_max: int) -> Theorem2Report:
@@ -181,8 +179,8 @@ def theorem2_scan(x: RationalVector, y: RationalVector, k_max: int) -> Theorem2R
 
     Requires exactly equal totals; with unequal totals the characterization
     does not apply and a not-applicable report is returned.  Every cell is
-    read from two product tables per vector, built once; cells are walked in
-    (r, k) order and the first violation per family is recorded.
+    read from one subset-power table per vector, built once; cells are walked
+    in (r, k) order and the first violation per family is recorded.
     """
     if len(x) != len(y):
         raise ValueError("vectors must have equal length")
@@ -194,23 +192,26 @@ def theorem2_scan(x: RationalVector, y: RationalVector, k_max: int) -> Theorem2R
                               subset_power_violation=None, cells_checked=0)
     verdict = majorizes(x, y)
     n = len(x)
-    # one pair of tables per vector covers every cell: r <= k <= k_max
-    gx_tab, gy_tab = (families.distinct_var_table(v, k_max) for v in (x, y))
-    mx_tab, my_tab = (families.subset_power_table(v, k_max, k_max) for v in (x, y))
-    g_violation = None
-    m_violation = None
+    # over one denominator L every cell of both vectors shares its
+    # denominator, k! L^k for G and L^k for M, so cells compare as ints; with
+    # equal totals, G(x) > G(y) exactly when Gbar(x) < Gbar(y)
+    den = math.lcm(*(e.denominator for e in x.entries + y.entries))
+    rows = min(n, k_max)  # cells need r <= k <= k_max
+    tx, ty = (series.subset_power_table(v, k_max, rows, den) for v in (x, y))
+    g_violation = m_violation = None
     cells = 0
-    for r in range(1, n + 1):
-        for k in range(r, k_max + 1):
-            cells += 1
-            if g_violation is None:
-                gx, gy = families.g_cell(gx_tab, k, r), families.g_cell(gy_tab, k, r)
-                if gx > gy:
-                    g_violation = CellViolation(r, k, gx, gy)
-            if m_violation is None:
-                mx, my = families.m_cell(mx_tab, k, r), families.m_cell(my_tab, k, r)
-                if mx < my:
-                    m_violation = CellViolation(r, k, mx, my)
+    for r in range(1, rows + 1):
+        ks = range(r, k_max + 1)
+        cells += len(ks)
+        if g_violation is None:
+            bx, by = families.gbar_numerators(tx, r), families.gbar_numerators(ty, r)
+            k = next((k for k in ks if bx[k] < by[k]), None)
+            g_violation = None if k is None else CellViolation(
+                r, k, families.g_cell(tx, k, r), families.g_cell(ty, k, r))
+        if m_violation is None:
+            k = next((k for k in ks if tx.rows[r][k] < ty.rows[r][k]), None)
+            m_violation = None if k is None else CellViolation(
+                r, k, families.m_cell(tx, k, r), families.m_cell(ty, k, r))
     return Theorem2Report(sums_equal=True, k_max=k_max, majorization=verdict,
                           distinct_var_violation=g_violation,
                           subset_power_violation=m_violation,
@@ -222,7 +223,7 @@ def s_r_limit_estimate(x: RationalVector, r: int, k_max: int) -> list[float]:
     entries from above as k grows."""
     if not 1 <= r <= len(x):
         raise ValueError("need 1 <= r <= n")
-    table = families.subset_power_table(x, k_max, r)
+    table = series.subset_power_table(x, k_max, r)
     out = []
     for k in range(1, k_max + 1):
         m = families.m_cell(table, k, r)
@@ -232,7 +233,7 @@ def s_r_limit_estimate(x: RationalVector, r: int, k_max: int) -> list[float]:
 
 def psi_value(s: float, lam: float) -> float:
     """``min(s, lambda) + lambda * log_+(s / lambda)`` (natural log)."""
-    if lam <= 0:
+    if not lam > 0:  # NaN included
         raise ValueError("lambda must be positive")
     if s < 0:
         raise ValueError("psi is defined on [0, inf)")

@@ -1,21 +1,21 @@
 """Exact truncated power series in one formal variable and per-entry products.
 
-The generating objects here all share one shape: per-entry factors
-``A(x_i t) + u B(x_i t)`` are multiplied out modulo ``t^(D+1)`` and
-``u^(U+1)``.  With ``B = 0`` this is the one-variable product of a base
-template ``s -> sum_j a_j s^j``; the second variable ``u`` counts how many
-entries contribute their B part.  One integer kernel, ``product_table``,
-computes every such product; ``Fraction`` appears only when a coefficient is
-read back.  The coefficient lists are dense because these products are dense
-by construction.
+Two integer kernels multiply out per-entry factors modulo ``t^(D+1)``, with
+the entries written ``x_i = v_i / L``; ``Fraction`` appears only on read-back.
+``product_table`` computes ``prod_i A(x_i t)`` for a base template (E, F and
+the catalysts), and ``subset_power_table`` computes ``prod_i (1 + u e^{x_i t})``
+in exponential generating function form (M, and by a binomial transform G,
+Gbar and DeltaGbar).  The coefficient lists are dense because these products
+are dense by construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, repeat
 from math import factorial, lcm
-from operator import mul
+from operator import add, mul
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .vectors import RationalLike, RationalVector, to_fraction
@@ -28,8 +28,9 @@ __all__ = [
     "taylor_template",
     "padded_taylor_template",
     "substitute_scale",
-    "ProductTable",
     "product_table",
+    "SubsetPowerTable",
+    "subset_power_table",
     "product_over_vector",
     "catalyst_product",
     "tensor",
@@ -183,97 +184,100 @@ def substitute_scale(tpl: SeriesTemplate, a: RationalLike,
     return TruncatedSeries(out)
 
 
-@dataclass(frozen=True)
-class ProductTable:
-    """Integer form of ``[u^m t^k] prod_i (A(x_i t) + u B(x_i t))``.
-
-    Entry (m, k) is ``numerators[m][k] / (scale * denominator^k)``, where
-    ``denominator`` is the common denominator of the entries and ``scale``
-    the n-th power of the templates' common coefficient denominator.  Rows
-    past the last stored one are zero when ``complete``; otherwise the
-    product was cut there and reading them raises ``IndexError``.
-    """
-
-    numerators: tuple[tuple[int, ...], ...]
-    scale: int
-    denominator: int
-    complete: bool
-
-    @property
-    def t_degree(self) -> int:
-        return len(self.numerators[0]) - 1
-
-    def coefficient(self, m: int, k: int) -> Fraction:
-        """``[u^m t^k]``."""
-        return self.coefficient_sum(m, m + 1, k)
-
-    def coefficient_sum(self, m_from: int, m_to: int, k: int) -> Fraction:
-        """Sum of ``[u^m t^k]`` over ``m_from <= m < m_to``."""
-        if not 0 <= k <= self.t_degree:
-            raise IndexError(f"t-degree {k} outside 0..{self.t_degree}")
-        stored = len(self.numerators)
-        if m_from < 0 or (m_to > max(m_from, stored) and not self.complete):
-            raise IndexError(f"u-degrees {m_from}..{m_to - 1} outside 0..{stored - 1}")
-        num = sum(row[k] for row in self.numerators[m_from:m_to])
-        return Fraction(num, self.scale * self.denominator ** k)
-
-    def row(self, m: int) -> list[Fraction]:
-        return [self.coefficient(m, k) for k in range(self.t_degree + 1)]
+def _over_denominator(x: RationalVector,
+                      den: Optional[int] = None) -> tuple[int, list[int]]:
+    """``den`` (default: the entries' lcm) and the integers ``v_i = x_i den``."""
+    den = lcm(*(e.denominator for e in x.entries)) if den is None else den
+    scaled = [e * den for e in x.entries]
+    if any(v.denominator != 1 for v in scaled):
+        raise ValueError(f"the entries are not all multiples of 1/{den}")
+    return den, [v.numerator for v in scaled]
 
 
 def product_table(x: RationalVector, a: Sequence[RationalLike],
-                  b: Sequence[RationalLike], t_degree: int,
-                  u_degree: int = 0) -> ProductTable:
-    """``[u^m t^k] prod_i (A(x_i t) + u B(x_i t))`` for k <= t_degree and
-    m <= u_degree, where ``A(s) = sum_j a_j s^j`` and likewise B.
+                  t_degree: int) -> TruncatedSeries:
+    """``prod_i A(x_i t)`` modulo ``t^(D+1)``, where ``A(s) = sum_j a_j s^j``.
 
-    With ``x_i = v_i / L`` for integers v_i and the templates scaled by the
-    lcm S of their coefficient denominators, every factor has the integer
-    coefficients ``S a_j v_i^j`` and ``S b_j v_i^j`` at ``(t/L)^j``, so the
-    product runs in Python ints.  Rows that vanish for every k <= t_degree
-    are not stored: those above n, and with B divisible by s^j, those above
-    t_degree // j.
+    With ``x_i = v_i / L`` and the template scaled by the lcm S of its
+    coefficient denominators, every factor has the integer coefficients
+    ``S a_j v_i^j`` at ``(t/L)^j``, so the product runs in Python ints and
+    coefficient k is read back as ``Fraction(row[k], S^n L^k)``.
     """
-    if t_degree < 0 or u_degree < 0:
-        raise ValueError("degree bounds must be nonnegative")
+    if t_degree < 0:
+        raise ValueError("degree bound must be nonnegative")
     af = [to_fraction(c) for c in a[:t_degree + 1]]
-    bf = [to_fraction(c) for c in b[:t_degree + 1]]
-    low = next((j for j, c in enumerate(bf) if c), None)  # B divisible by s^low
-    nonzero_rows = (0 if low is None else
-                    len(x) if low == 0 else min(len(x), t_degree // low))
-    complete = u_degree >= nonzero_rows
-    u_degree = min(u_degree, nonzero_rows)
-    if not u_degree:
-        bf = []
-    s = lcm(*(c.denominator for c in af + bf))
+    s = lcm(*(c.denominator for c in af))
     ai = [c.numerator * (s // c.denominator) for c in af]
-    bi = [c.numerator * (s // c.denominator) for c in bf]
-    den = lcm(*(e.denominator for e in x.entries))
-    nums = [e.numerator * (den // e.denominator) for e in x.entries]
-    width = max(len(ai), len(bi))
-    rows = [[0] * (t_degree + 1) for _ in range(u_degree + 1)]
-    rows[0][0] = 1
-    top_m = top_k = 0  # highest nonzero row and column so far
+    den, nums = _over_denominator(x)
+    width = len(ai)
+    row = [1] + [0] * t_degree
+    top_k = 0  # highest nonzero coefficient so far
     for v in nums:
-        powers = [1]
-        for _ in range(width - 1):
-            powers.append(powers[-1] * v)
-        fa = list(map(mul, ai, powers))
-        fb = list(map(mul, bi, powers))
-        top_m = min(top_m + 1, u_degree) if fb else top_m
+        fa = list(map(mul, ai, accumulate(repeat(v, width - 1), mul, initial=1)))
         top_k = min(top_k + width - 1, t_degree)
-        # in place, m and k descending: each new entry reads only old ones
-        for m in range(top_m, -1, -1):
-            row = rows[m]
-            below = rows[m - 1] if m else None
-            for k in range(top_k, -1, -1):
-                # entries k, k-1, ..., k-width+1 (clipped at 0)
-                window = slice(k, k - width if k >= width else None, -1)
-                acc = sum(map(mul, fa, row[window]))
-                if below is not None:
-                    acc += sum(map(mul, fb, below[window]))
-                row[k] = acc
-    return ProductTable(tuple(map(tuple, rows)), s ** len(nums), den, complete)
+        # in place, k descending: each new entry reads only old ones
+        for k in range(top_k, -1, -1):
+            # entries k, k-1, ..., k-width+1 (clipped at 0)
+            window = slice(k, k - width if k >= width else None, -1)
+            row[k] = sum(map(mul, fa, row[window]))
+    scale = s ** len(nums)
+    return TruncatedSeries(Fraction(c, scale * den ** k) for k, c in enumerate(row))
+
+
+@dataclass(frozen=True)
+class SubsetPowerTable:
+    """Exponential-generating-function form of ``prod_i (1 + u e^{x_i t})``:
+    with ``x_i = v_i / L``, ``rows[r][k]`` is the sum over r-subsets S of
+    ``(sum_{i in S} v_i)^k``, that is ``L^k M_{k,r}``, and ``total`` is
+    ``sum_i v_i``."""
+
+    rows: tuple[tuple[int, ...], ...]
+    n: int
+    denominator: int
+    total: int
+
+    @property
+    def k_max(self) -> int:
+        return len(self.rows[0]) - 1
+
+    def entry(self, r: int, k: int) -> int:
+        """``L^k M_{k,r}``: zero for r > n, ``IndexError`` past k_max or
+        for a row at most n that was not built."""
+        if not 0 <= k <= self.k_max:
+            raise IndexError(f"t-degree {k} outside 0..{self.k_max}")
+        if r > self.n:
+            return 0
+        if not 0 <= r < len(self.rows):
+            raise IndexError(f"subset size {r} outside 0..{len(self.rows) - 1}")
+        return self.rows[r][k]
+
+
+def subset_power_table(x: RationalVector, k_max: int, r_max: int,
+                       denominator: Optional[int] = None) -> SubsetPowerTable:
+    """The rows r <= min(n, r_max) of ``prod_i (1 + u e^{x_i t})`` in EGF
+    form, for k <= k_max, over ``denominator`` (default: the entries' lcm).
+
+    Then ``e^{x_i t}`` has the EGF coefficients ``v_i^k``, and multiplying a
+    row by it, ``sum_j C(k, j) v^j row[k - j]``, is the product of the steps
+    ``row[k] += v row[k-1]`` over k >= m for m = 1..k_max: no binomials.
+    """
+    if k_max < 0 or r_max < 0:
+        raise ValueError("degree bounds must be nonnegative")
+    den, nums = _over_denominator(x, denominator)
+    top = min(len(nums), r_max)
+    rows = [[1] + [0] * k_max] + [[0] * (k_max + 1) for _ in range(top)]
+    for i, v in enumerate(nums):
+        # r descending: row r adds row r - 1 before that row takes entry i
+        for r in range(min(i + 1, top), 1, -1):
+            grown = list(rows[r - 1])
+            for m in range(1, k_max + 1):
+                for k in range(k_max, m - 1, -1):  # reads only old entries
+                    grown[k] += v * grown[k - 1]
+            rows[r] = list(map(add, rows[r], grown))
+        if top:  # row 0 is 1, so row 1 adds e^{v t} itself
+            rows[1] = list(map(add, rows[1],
+                               accumulate(repeat(v, k_max), mul, initial=1)))
+    return SubsetPowerTable(tuple(map(tuple, rows)), len(nums), den, sum(nums))
 
 
 def product_over_vector(x: RationalVector, tpl: SeriesTemplate,
@@ -284,7 +288,7 @@ def product_over_vector(x: RationalVector, tpl: SeriesTemplate,
     template is itself a polynomial; callers may truncate lower.
     """
     d = len(x) * tpl.degree if degree_bound is None else degree_bound
-    return TruncatedSeries(product_table(x, tpl.base_coeffs, (), d).row(0))
+    return product_table(x, tpl.base_coeffs, d)
 
 
 def tensor(x: RationalVector, c: Catalyst) -> RationalVector:

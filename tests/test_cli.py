@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from sympineq import spectral
+from sympineq import series, spectral
 from sympineq.cli import main
 from sympineq.majorize import t_transform_pair
 
@@ -62,6 +62,12 @@ class TestNorms:
                                    "--p", "inf", "--p", "0")
         assert code == 0
         assert report["means"][0]["mean"] == 3.0
+
+    def test_nan_exponent_is_a_usage_error(self, capsys, files):
+        code, out, err = run(capsys, "norms", "--x", files["x.json"],
+                             "--p", "nan")
+        assert code == 2 and out == ""
+        assert "error: bad exponent 'nan'" in err
 
 
 class TestFkr:
@@ -207,6 +213,12 @@ class TestMajorize:
                                    "--psi-grid", "2")
         assert [row["holds"] for row in report["psi"]] == [True, True]
 
+    def test_nan_lambda_is_a_usage_error(self, capsys, files):
+        code, out, err = run(capsys, "majorize", "--x", files["a.json"],
+                             "--y", files["b.json"], "--psi-grid", "NaN")
+        assert code == 2 and out == ""
+        assert "error: bad exponent 'NaN'" in err
+
 
 class TestTheorem2:
     def test_majorizing_pair(self, capsys, files):
@@ -237,6 +249,24 @@ class TestTheorem2:
         assert report["distinct_var_family_violation"] is None
         assert report["subset_power_family_violation"] is None
         assert report["cells_checked"] == 36  # r <= k <= 8
+
+    def test_one_subset_power_table_per_vector(self, capsys, files,
+                                               monkeypatch):
+        calls = []
+        build = series.subset_power_table
+
+        def counting(x, *rest):
+            calls.append(len(x))
+            return build(x, *rest)
+
+        def refused(*args):
+            raise AssertionError("theorem2 ran the template product kernel")
+
+        monkeypatch.setattr(series, "subset_power_table", counting)
+        monkeypatch.setattr(series, "product_table", refused)
+        code, _, _ = run(capsys, "theorem2", "--x", files["x.json"], "--y",
+                         files["y.json"], "--k-max", "12")
+        assert code == 1 and calls == [3, 3]
 
 
 class TestSpectral:

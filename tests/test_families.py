@@ -6,13 +6,14 @@ from hypothesis import given, settings, strategies as st
 
 from sympineq.families import (binom_ext, delta_gbar_kr, elementary_all,
                                f_kr, f_kr_all, f_special_identities, g_kr,
-                               gbar_kr, grad_f_kr, m_kr, m_kr_from_gbar)
+                               gbar_kr, gbar_numerators, grad_f_kr, m_kr,
+                               m_kr_from_gbar)
 from sympineq.majorize import t_transform_pair
 from sympineq.oracles import (IndexSet, f_kr_oracle, h_s,
                               is_schur_concave_index_set, max_part_index_set,
                               min_support_index_set, oracle_value)
-from sympineq.series import (TruncatedSeries, series_mul, substitute_scale,
-                             taylor_template)
+from sympineq.series import (TruncatedSeries, series_mul, subset_power_table,
+                             substitute_scale, taylor_template)
 from sympineq.vectors import RationalVector
 
 from conftest import random_rational_vector
@@ -109,7 +110,18 @@ class TestGFamily:
             k, r = rng.randint(0, 6), rng.randint(1, n)
             delta = delta_gbar_kr(x, k, r)
             assert delta == gbar_kr(x, k, r + 1) - gbar_kr(x, k, r)
+            assert delta == (oracle_value("Gbar", x, k, r + 1)
+                             - oracle_value("Gbar", x, k, r))
             assert delta >= 0
+
+    def test_binomial_transform_needs_the_rows_below_r(self):
+        x = vec(1, 2, 3, 4)
+        table = subset_power_table(x, 4, 1)
+        assert gbar_numerators(table, 2)[3] == math.factorial(3) * gbar_kr(x, 3, 2)
+        with pytest.raises(IndexError):
+            gbar_numerators(table, 3)
+        # r > n: every term counts, whatever rows the table holds
+        assert gbar_numerators(table, 5) == [10 ** k for k in range(5)]
 
 
 class TestMFamily:

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from sympineq.majorize import (majorizes, psi_compare, psi_sum, psi_value,
                                s_r_limit_estimate, schur_ostrowski_sample,
                                t_transform_pair, theorem2_scan)
+from sympineq.oracles import oracle_value
 from sympineq.vectors import RationalVector, partial_sums_desc
 
 from conftest import random_rational_vector
@@ -155,6 +157,64 @@ class TestTheorem2Scan:
             assert rep.subset_power_violation is None
 
 
+def naive_scan(x, y, k_max):
+    # the (r, k) walk of theorem2_scan with every cell summed by the oracles
+    firsts = {"G": None, "M": None}
+    cells = 0
+    for r in range(1, len(x) + 1):
+        for k in range(r, k_max + 1):
+            cells += 1
+            for family, worse in (("G", lambda a, b: a > b),
+                                  ("M", lambda a, b: a < b)):
+                if firsts[family] is None:
+                    lhs, rhs = (oracle_value(family, v, k, r) for v in (x, y))
+                    if worse(lhs, rhs):
+                        firsts[family] = (r, k, lhs, rhs)
+    return firsts["G"], firsts["M"], cells
+
+
+class TestTheorem2AgainstOracles:
+    def pairs(self):
+        rng = random.Random(7702)
+        for i in range(16):
+            n = rng.randint(2, 5)
+            k_max = rng.choice([2, 3, 4, 5, 6, 7])
+            if i % 2:
+                # a Robin Hood pair: its reverse breaks the family inequalities
+                x, y = t_transform_pair(rng, n)
+            else:
+                # an equal-sum pair over different denominators
+                x = random_rational_vector(rng, n, 12, 4)
+                y = random_rational_vector(rng, n, 12, 9)
+                if not y.total():
+                    continue
+                y = y.scale(x.total() / y.total())
+            if i % 4 < 2 and n < 5:  # zero entries keep the totals equal
+                x = RationalVector((0,) + x.entries)
+                y = RationalVector(y.entries + (0,))
+            yield x, y, k_max
+
+    def test_cells_match_naive_scan(self):
+        seen = set()
+        for x, y, k_max in self.pairs():
+            for a, b in ((x, y), (y, x)):
+                rep = theorem2_scan(a, b, k_max)
+                g, m, cells = naive_scan(a, b, k_max)
+                got_g, got_m = rep.distinct_var_violation, rep.subset_power_violation
+                assert (got_g and (got_g.r, got_g.k, got_g.lhs, got_g.rhs)) == g
+                assert (got_m and (got_m.r, got_m.k, got_m.lhs, got_m.rhs)) == m
+                assert rep.cells_checked == cells
+                own_dens = {math.lcm(*(e.denominator for e in v.entries))
+                            for v in (a, b)}
+                seen.update(case for case, hit in (
+                    ("n > k_max", len(a) > k_max), ("n < k_max", len(a) < k_max),
+                    ("G violation", g is not None), ("M violation", m is not None),
+                    ("zero entry", 0 in a.entries),
+                    ("denominators differ", len(own_dens) == 2)) if hit)
+        # the seeded pairs reach every case the shared denominator must cover
+        assert len(seen) == 6
+
+
 class TestSubsetPowerLimit:
     def test_converges_from_above(self):
         x = vec(1, 2, 3)
@@ -194,6 +254,10 @@ class TestPsi:
     def test_lambda_must_be_positive(self):
         with pytest.raises(ValueError):
             psi_sum(vec(1), 0)
+
+    def test_nan_lambda_rejected(self):
+        with pytest.raises(ValueError):
+            psi_value(1.0, math.nan)
 
     def test_concave_nondecreasing(self):
         lam = 1.5

@@ -6,8 +6,8 @@ from hypothesis import given, strategies as st
 from sympineq.families import elementary_all
 from sympineq.series import (Catalyst, TruncatedSeries, catalyst_product,
                              padded_taylor_template, product_over_vector,
-                             product_table, series_mul, substitute_scale,
-                             taylor_template, tensor)
+                             product_table, series_mul, subset_power_table,
+                             substitute_scale, taylor_template, tensor)
 from sympineq.vectors import RationalVector
 
 
@@ -153,43 +153,52 @@ class TestCatalyst:
 
 
 class TestProductTable:
-    # prod over x = (1, 2) of (1 + u (1 + s)) = 1 + u (2 + 3t) + u^2 (1 + 3t + 2t^2)
-    def table(self, u_degree):
-        return product_table(RationalVector([1, 2]), (1,), (1, 1), 2, u_degree)
+    # over x = (1, 2), row r of prod_i (1 + u e^{x_i t}) in EGF form holds the
+    # k-th powers of the r-subset sums: row 1 is 1^k + 2^k, row 2 is 3^k
+    def table(self, r_max, k_max=2):
+        return subset_power_table(RationalVector([1, 2]), k_max, r_max)
 
     def test_entries(self):
         tab = self.table(2)
-        assert tab.row(1) == [2, 3, 0]
-        assert tab.row(2) == [1, 3, 2]
-        assert tab.coefficient_sum(1, 3, 1) == 6
+        assert tab.rows == ((1, 0, 0), (2, 3, 5), (1, 3, 9))
+        assert (tab.n, tab.denominator, tab.total) == (2, 1, 3)
+        # a zero entry contributes 0^0 = 1 at k = 0 only
+        zero = subset_power_table(RationalVector([0, 2]), 2, 2)
+        assert zero.rows == ((1, 0, 0), (2, 2, 4), (1, 2, 4))
 
     def test_rows_above_n_are_zero(self):
         tab = self.table(5)
-        assert tab.complete
-        assert tab.coefficient(4, 1) == 0
-        assert tab.coefficient_sum(0, 5, 0) == 4
+        assert len(tab.rows) == 3
+        assert tab.entry(3, 1) == 0 and tab.entry(4, 2) == 0
 
     def test_cut_rows_are_not_read_as_zero(self):
         tab = self.table(1)
-        assert not tab.complete
-        assert tab.coefficient(1, 1) == 3
+        assert tab.entry(1, 2) == 5
         with pytest.raises(IndexError):
-            tab.coefficient(2, 1)
+            tab.entry(2, 1)
         with pytest.raises(IndexError):
-            tab.coefficient_sum(0, 3, 0)
+            tab.entry(-1, 1)
 
     def test_t_degree_past_the_table_raises(self):
         tab = self.table(5)
         with pytest.raises(IndexError):
-            tab.coefficient(0, 3)
+            tab.entry(0, 3)
         with pytest.raises(IndexError):
-            tab.coefficient(4, 3)  # a zero row, but past t_degree
+            tab.entry(4, 3)  # a zero row, but past k_max
+        plain = product_table(RationalVector([1, 2]), (1, 1), 2)
+        assert plain.coeffs == (1, 3, 2)
+        with pytest.raises(IndexError):
+            plain.coefficient(3)
 
-    def test_rows_of_b_divisible_by_s_stop_early(self):
-        # B = s: row m starts at t^m, so rows above t_degree are not stored
-        tab = product_table(RationalVector([1, 2, 3]), (1,), (0, 1), 1, 3)
-        assert len(tab.numerators) == 2 and tab.complete
-        assert tab.coefficient(2, 1) == 0
+    def test_shared_denominator(self):
+        x = RationalVector([Fraction(1, 2), Fraction(1, 3)])
+        own, shared = subset_power_table(x, 3, 2), subset_power_table(x, 3, 2, 12)
+        assert own.denominator == 6 and shared.total == 10
+        for r in range(3):
+            for k in range(4):
+                assert shared.entry(r, k) == 2 ** k * own.entry(r, k)
+        with pytest.raises(ValueError):
+            subset_power_table(x, 3, 2, 4)
 
 
 class TestPaddedTemplate:
