@@ -2,48 +2,40 @@
 
 A catalyst is an auxiliary vector c with c_0 = 1; instead of comparing two
 vectors directly, one compares the coefficient sequences of the template
-products taken over x (x) c and y (x) c.  The coefficients factor through the
-tensor product exactly, and for the linear template they are convolutions of
-the elementary symmetric values.
+products taken over x (x) c and y (x) c.  That is the ordinary template
+product over the tensor vector, so one integer kernel computes both.
 """
 
 from fractions import Fraction
 
-from sympineq import (Catalyst, TruncatedSeries, catalyst_product,
-                      check_hypotheses, elementary_all, padded_taylor_template,
-                      product_over_vector, series_mul, taylor_template, tensor)
+from sympineq import (Catalyst, catalyst_product, check_hypotheses,
+                      padded_taylor_template, product_over_vector,
+                      taylor_template, tensor)
 from sympineq.vectors import RationalVector
 
 x = RationalVector([1, 2])
-c = Catalyst((Fraction(1), Fraction(1, 2), Fraction(1, 4)))
+c = Catalyst((Fraction(1), Fraction(1, 2)))
 
 print("x =", x)
 print("catalyst entries:", [str(e) for e in c.entries])
 print("x tensor c =", tensor(x, c))
 
-# Route one: per-catalyst-entry products.  Route two: one flat product over
-# the tensor vector.  They agree coefficient by coefficient, exactly.
+# With the linear template T(s) = 1 + s the product over x (x) c is
+#   (1 + t)(1 + t/2)(1 + 2t)(1 + t)
+#   = (1 + 2t + t^2)(1 + 5t/2 + t^2)
+#   = 1 + 9/2 t + 7 t^2 + 9/2 t^3 + t^4,
+# expanded by hand; the kernel gives the same coefficients exactly.
 tpl = taylor_template(1)
 d = len(x) * len(c)
-via_catalyst = catalyst_product(x, c, tpl, d)
-via_tensor = product_over_vector(tensor(x, c), tpl, d)
-print("\ncatalyst route == tensor route:", via_catalyst == via_tensor)
-print("coefficients:", [str(v) for v in via_catalyst.coeffs])
-
-# Route three: convolve the elementary-value sequences scaled by powers of
-# each catalyst entry.
-es = elementary_all(x)
-acc = TruncatedSeries.one(d)
-for cj in c.entries:
-    seq = [es[m] * cj ** m if m < len(es) else Fraction(0) for m in range(d + 1)]
-    acc = series_mul(acc, TruncatedSeries(seq))
-print("convolution route agrees:", acc == via_catalyst)
+by_hand = [Fraction(1), Fraction(9, 2), Fraction(7), Fraction(9, 2), Fraction(1)]
+cx = catalyst_product(x, c, tpl, d)
+print("\ncoefficients:", [str(v) for v in cx.coeffs])
+print("match the hand expansion:", list(cx.coeffs) == by_hand)
 
 # Tensoring with a catalyst can only help a comparison; the trivial catalyst
 # reduces to the plain hypotheses.
 y = RationalVector([Fraction(3, 2), Fraction(3, 2)])
 plain = check_hypotheses(x, y, 1)
-cx = catalyst_product(x, c, tpl, d)
 cy = catalyst_product(y, c, tpl, d)
 print("\nplain order-1 hypotheses pass:", plain.all_pass)
 print("catalyst-extended comparisons pass:",

@@ -4,8 +4,8 @@ validation of the underlying Mellin identities."""
 
 from .vectors import RationalVector, lp_mean, partial_sums_desc, to_fraction
 from .series import (Catalyst, SeriesTemplate, TruncatedSeries, catalyst_product,
-                     padded_taylor_template, product_over_vector, series_mul,
-                     substitute_scale, taylor_template, tensor)
+                     padded_taylor_template, product_over_vector, taylor_template,
+                     tensor)
 from .families import (elementary_all, f_kr, f_kr_all, f_special_identities,
                        g_kr, gbar_kr, delta_gbar_kr, grad_f_kr, m_kr,
                        m_kr_from_gbar)

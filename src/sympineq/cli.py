@@ -312,8 +312,8 @@ def cmd_spectral(args: argparse.Namespace) -> tuple[int, dict[str, Any]]:
 
 
 def cmd_mellin_validate(args: argparse.Namespace) -> tuple[int, dict[str, Any]]:
-    if args.a < 0:
-        raise CliInputError("need a >= 0")
+    if not (args.tol > 0 and math.isfinite(args.tol)):
+        raise CliInputError("tolerance must be positive and finite")
     try:
         lhs = identity_lhs(args.which, args.a, args.p, args.r)
         error = identity_check(args.which, args.a, args.p, args.r)
@@ -348,12 +348,11 @@ def cmd_catalyst(args: argparse.Namespace) -> tuple[int, dict[str, Any]]:
     except ValueError as exc:
         raise CliInputError(str(exc)) from exc
     tpl = taylor_template(args.r)
-    degree = args.degree if args.degree is not None else len(x) * len(catalyst) * args.r
-    cx = catalyst_product(x, catalyst, tpl, degree)
+    cx = catalyst_product(x, catalyst, tpl, args.degree)
     report: dict[str, Any] = {
         "command": "catalyst",
         "r": args.r,
-        "degree_bound": degree,
+        "degree_bound": cx.degree_bound,
         "tensor_x": fracs(tensor(x, catalyst).entries),
         "x_coeffs": fracs(cx.coeffs),
     }
@@ -362,7 +361,7 @@ def cmd_catalyst(args: argparse.Namespace) -> tuple[int, dict[str, Any]]:
         y = load_vector(args.y)
         if len(y) != len(x):
             raise CliInputError("vectors must have equal length")
-        cy = catalyst_product(y, catalyst, tpl, degree)
+        cy = catalyst_product(y, catalyst, tpl, cx.degree_bound)
         rows = [{"k": k, "cx": frac_str(a), "cy": frac_str(b), "pass": a <= b}
                 for k, (a, b) in enumerate(zip(cx.coeffs, cy.coeffs))]
         report["y_coeffs"] = fracs(cy.coeffs)

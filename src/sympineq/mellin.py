@@ -233,8 +233,8 @@ def identity_lhs(which: str, a: float, p: float, r: int) -> QuadratureResult:
     scale a divided by the kernel at scale 1."""
     if which not in ("id1", "id2"):
         raise ValueError("which must be 'id1' or 'id2'")
-    if a < 0:
-        raise ValueError("need a >= 0")
+    if not 0 <= a < math.inf:
+        raise ValueError("need a finite a >= 0")
     norm = integral_I(r, p) if which == "id1" else integral_J(r, p)
     if a == 0:
         return QuadratureResult(0.0, 0.0, norm.node_count)

@@ -2,11 +2,12 @@
 
 Two integer kernels multiply out per-entry factors modulo ``t^(D+1)``, with
 the entries written ``x_i = v_i / L``; ``Fraction`` appears only on read-back.
-``product_table`` computes ``prod_i A(x_i t)`` for a base template (E, F and
-the catalysts), and ``subset_power_table`` computes ``prod_i (1 + u e^{x_i t})``
-in exponential generating function form (M, and by a binomial transform G,
-Gbar and DeltaGbar).  The coefficient lists are dense because these products
-are dense by construction.
+``product_over_vector`` computes ``prod_i A(x_i t)`` for a base template (E,
+F, and the catalysts as the product over the tensor vector), and
+``subset_power_table`` computes ``prod_i (1 + u e^{x_i t})`` in exponential
+generating function form (M, and by a binomial transform G, Gbar and
+DeltaGbar).  The coefficient lists are dense because these products are
+dense by construction.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from fractions import Fraction
 from itertools import accumulate, repeat
 from math import factorial, lcm
 from operator import add, mul
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional
 
 from .vectors import RationalLike, RationalVector, to_fraction
 
@@ -24,11 +25,8 @@ __all__ = [
     "TruncatedSeries",
     "SeriesTemplate",
     "Catalyst",
-    "series_mul",
     "taylor_template",
     "padded_taylor_template",
-    "substitute_scale",
-    "product_table",
     "SubsetPowerTable",
     "subset_power_table",
     "product_over_vector",
@@ -48,12 +46,6 @@ class TruncatedSeries:
             raise ValueError("a series needs at least the constant coefficient")
         self._coeffs = cs
 
-    @classmethod
-    def one(cls, degree_bound: int) -> "TruncatedSeries":
-        if degree_bound < 0:
-            raise ValueError("degree bound must be nonnegative")
-        return cls([Fraction(1)] + [Fraction(0)] * degree_bound)
-
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
         return self._coeffs
@@ -67,9 +59,6 @@ class TruncatedSeries:
             raise IndexError(f"coefficient {k} outside degree bound {self.degree_bound}")
         return self._coeffs[k]
 
-    def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        return series_mul(self, other)
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, TruncatedSeries) and self._coeffs == other._coeffs
 
@@ -78,24 +67,6 @@ class TruncatedSeries:
 
     def __repr__(self) -> str:
         return f"TruncatedSeries([{', '.join(str(c) for c in self._coeffs)}])"
-
-
-def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    """Exact Cauchy product truncated at the common degree bound."""
-    if a.degree_bound != b.degree_bound:
-        raise ValueError(
-            f"degree bounds differ: {a.degree_bound} vs {b.degree_bound}")
-    d = a.degree_bound
-    ac, bc = a.coeffs, b.coeffs
-    out = [Fraction(0)] * (d + 1)
-    for i, ai in enumerate(ac):
-        if not ai:
-            continue
-        for j in range(d - i + 1):
-            bj = bc[j]
-            if bj:
-                out[i + j] += ai * bj
-    return TruncatedSeries(out)
 
 
 @dataclass(frozen=True)
@@ -167,23 +138,6 @@ class Catalyst:
         return len(self.entries)
 
 
-def substitute_scale(tpl: SeriesTemplate, a: RationalLike,
-                     degree_bound: int) -> TruncatedSeries:
-    """The series of ``tpl(a*t)`` modulo ``t^(D+1)``: coefficient j is a^j a_j."""
-    af = to_fraction(a)
-    if af < 0:
-        raise ValueError("scale must be nonnegative")
-    if degree_bound < 0:
-        raise ValueError("degree bound must be nonnegative")
-    out = [Fraction(0)] * (degree_bound + 1)
-    power = Fraction(1)
-    for j in range(degree_bound + 1):
-        if j <= tpl.degree:
-            out[j] = tpl.base_coeffs[j] * power
-        power *= af
-    return TruncatedSeries(out)
-
-
 def _over_denominator(x: RationalVector,
                       den: Optional[int] = None) -> tuple[int, list[int]]:
     """``den`` (default: the entries' lcm) and the integers ``v_i = x_i den``."""
@@ -194,18 +148,22 @@ def _over_denominator(x: RationalVector,
     return den, [v.numerator for v in scaled]
 
 
-def product_table(x: RationalVector, a: Sequence[RationalLike],
-                  t_degree: int) -> TruncatedSeries:
-    """``prod_i A(x_i t)`` modulo ``t^(D+1)``, where ``A(s) = sum_j a_j s^j``.
+def product_over_vector(x: RationalVector, tpl: SeriesTemplate,
+                        degree_bound: Optional[int] = None) -> TruncatedSeries:
+    """Exact coefficients of ``prod_i tpl(x_i t)`` modulo ``t^(D+1)``.
 
-    With ``x_i = v_i / L`` and the template scaled by the lcm S of its
-    coefficient denominators, every factor has the integer coefficients
-    ``S a_j v_i^j`` at ``(t/L)^j``, so the product runs in Python ints and
-    coefficient k is read back as ``Fraction(row[k], S^n L^k)``.
+    The default bound n * deg(tpl) captures the full polynomial when the
+    template is itself a polynomial; callers may truncate lower.
+
+    With ``x_i = v_i / L`` and the template ``sum_j a_j s^j`` scaled by the
+    lcm S of its coefficient denominators, every factor has the integer
+    coefficients ``S a_j v_i^j`` at ``(t/L)^j``, so the product runs in
+    Python ints and coefficient k is read back as ``Fraction(row[k], S^n L^k)``.
     """
+    t_degree = len(x) * tpl.degree if degree_bound is None else degree_bound
     if t_degree < 0:
         raise ValueError("degree bound must be nonnegative")
-    af = [to_fraction(c) for c in a[:t_degree + 1]]
+    af = tpl.base_coeffs[:t_degree + 1]
     s = lcm(*(c.denominator for c in af))
     ai = [c.numerator * (s // c.denominator) for c in af]
     den, nums = _over_denominator(x)
@@ -280,17 +238,6 @@ def subset_power_table(x: RationalVector, k_max: int, r_max: int,
     return SubsetPowerTable(tuple(map(tuple, rows)), len(nums), den, sum(nums))
 
 
-def product_over_vector(x: RationalVector, tpl: SeriesTemplate,
-                        degree_bound: Optional[int] = None) -> TruncatedSeries:
-    """Exact coefficients of ``prod_i tpl(x_i t)`` modulo ``t^(D+1)``.
-
-    The default bound n * deg(tpl) captures the full polynomial when the
-    template is itself a polynomial; callers may truncate lower.
-    """
-    d = len(x) * tpl.degree if degree_bound is None else degree_bound
-    return product_table(x, tpl.base_coeffs, d)
-
-
 def tensor(x: RationalVector, c: Catalyst) -> RationalVector:
     """All products x_i * c_j in row-major order."""
     return RationalVector(xi * cj for xi in x.entries for cj in c.entries)
@@ -298,14 +245,6 @@ def tensor(x: RationalVector, c: Catalyst) -> RationalVector:
 
 def catalyst_product(x: RationalVector, c: Catalyst, tpl: SeriesTemplate,
                      degree_bound: Optional[int] = None) -> TruncatedSeries:
-    """Exact coefficients of ``prod_i prod_j tpl(c_j x_i t)``.
-
-    Evaluated one catalyst entry at a time: the kernel product over the
-    scaled copy ``c_j x`` for each entry, multiplied together with
-    ``series_mul``.  The product over ``tensor(x, c)`` gives the same series.
-    """
-    d = len(x) * len(c) * tpl.degree if degree_bound is None else degree_bound
-    acc = TruncatedSeries.one(d)
-    for cj in c.entries:
-        acc = series_mul(acc, product_over_vector(x.scale(cj), tpl, d))
-    return acc
+    """Exact coefficients of ``prod_i prod_j tpl(c_j x_i t)``: the template
+    product over ``tensor(x, c)``, with the default bound n * len(c) * deg(tpl)."""
+    return product_over_vector(tensor(x, c), tpl, degree_bound)

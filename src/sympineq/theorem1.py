@@ -9,6 +9,7 @@ falsifier for user-supplied template variants.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -139,8 +140,8 @@ def verify_conclusions(x: RationalVector, y: RationalVector, r: int,
         raise ValueError("need r >= 1")
     if grid_points < 3:
         raise ValueError("need at least 3 grid points")
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    if not (tol > 0 and math.isfinite(tol)):
+        raise ValueError("tolerance must be positive and finite")
     if sums_equal is None:
         sums_equal = x.total() == y.total()
 

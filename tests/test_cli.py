@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from sympineq import series, spectral
+from sympineq import families, series, spectral
 from sympineq.cli import main
 from sympineq.majorize import t_transform_pair
 
@@ -153,6 +153,13 @@ class TestTheorem1:
                              mode[2], files[mode[3]], *order)
         assert code == 2 and "error:" in err and out == ""
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+    def test_tolerance_must_be_positive_and_finite(self, capsys, files, tol):
+        code, out, err = run(capsys, "theorem1", "--x", files["a.json"],
+                             "--y", files["b.json"], "--r", "1", "--tol", tol)
+        assert code == 2 and out == ""
+        assert err == "error: tolerance must be positive and finite\n"
+
     def test_diagonal_factors_match_the_squared_vectors(self, capsys,
                                                         tmp_path):
         # Gram(diag(d)) = diag(d^2), and both modes share one verdict rule
@@ -259,11 +266,12 @@ class TestTheorem2:
             calls.append(len(x))
             return build(x, *rest)
 
-        def refused(*args):
+        def refused(*args, **kwargs):
             raise AssertionError("theorem2 ran the template product kernel")
 
         monkeypatch.setattr(series, "subset_power_table", counting)
-        monkeypatch.setattr(series, "product_table", refused)
+        monkeypatch.setattr(series, "product_over_vector", refused)
+        monkeypatch.setattr(families, "product_over_vector", refused)
         code, _, _ = run(capsys, "theorem2", "--x", files["x.json"], "--y",
                          files["y.json"], "--k-max", "12")
         assert code == 1 and calls == [3, 3]
@@ -298,6 +306,21 @@ class TestMellinValidate:
                            "--r", "2", "--p", "1.5", "--a", "2")
         assert code == 2 and "error:" in err
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+    def test_tolerance_must_be_positive_and_finite(self, capsys, tol):
+        code, out, err = run(capsys, "mellin-validate", "--which", "id1",
+                             "--r", "2", "--p", "0.5", "--a", "2",
+                             "--tol", tol)
+        assert code == 2 and out == ""
+        assert err == "error: tolerance must be positive and finite\n"
+
+    @pytest.mark.parametrize("a", ["inf", "nan", "-1"])
+    def test_scale_must_be_finite_and_nonnegative(self, capsys, a):
+        code, out, err = run(capsys, "mellin-validate", "--which", "id2",
+                             "--r", "2", "--p", "1.5", "--a", a)
+        assert code == 2 and out == ""
+        assert err == "error: need a finite a >= 0\n"
+
 
 class TestCatalyst:
     def test_comparison_passes(self, capsys, files):
@@ -306,6 +329,15 @@ class TestCatalyst:
                                    files["y.json"])
         assert code == 0 and report["pass"]
         assert len(report["tensor_x"]) == 6
+        assert report["degree_bound"] == 6  # n * len(c) * r
+
+    def test_degree_truncates_both_products(self, capsys, files):
+        code, report, _ = run_json(capsys, "catalyst", "--x", files["x.json"],
+                                   "--c", files["c.json"], "--y",
+                                   files["y.json"], "--degree", "2")
+        assert code == 0 and report["degree_bound"] == 2
+        assert len(report["x_coeffs"]) == len(report["y_coeffs"]) == 3
+        assert [row["k"] for row in report["comparison"]] == [0, 1, 2]
 
     def test_catalyst_head_must_be_one(self, capsys, files, tmp_path):
         bad = tmp_path / "badc.json"

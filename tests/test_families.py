@@ -12,8 +12,7 @@ from sympineq.majorize import t_transform_pair
 from sympineq.oracles import (IndexSet, f_kr_oracle, h_s,
                               is_schur_concave_index_set, max_part_index_set,
                               min_support_index_set, oracle_value)
-from sympineq.series import (TruncatedSeries, series_mul, subset_power_table,
-                             substitute_scale, taylor_template)
+from sympineq.series import subset_power_table
 from sympineq.vectors import RationalVector
 
 from conftest import random_rational_vector
@@ -259,34 +258,28 @@ class TestGradients:
         with pytest.raises(ValueError):
             grad_f_kr(vec(1, 1), 2, 5)
 
-    def test_matches_prefix_suffix_construction(self, rng):
-        # the construction grad_f_kr replaced: the product over the other
-        # entries from Fraction prefix and suffix products, times t tpl'(x_i t)
-        def by_prefix_suffix(x, r, k):
-            tpl = taylor_template(r)
-            factors = [substitute_scale(tpl, xi, k) for xi in x.entries]
-            prefix = [TruncatedSeries.one(k)]
-            for f in factors:
-                prefix.append(series_mul(prefix[-1], f))
-            suffix = [TruncatedSeries.one(k)] * (len(x) + 1)
-            for i in range(len(x) - 1, -1, -1):
-                suffix[i] = series_mul(factors[i], suffix[i + 1])
-            grads = []
-            for i, xi in enumerate(x.entries):
-                deriv = [Fraction(0)] * (k + 1)
-                for j in range(1, min(r, k) + 1):
-                    deriv[j] = j * tpl.base_coeffs[j] * xi ** (j - 1)
-                rest = series_mul(prefix[i], suffix[i + 1])
-                grads.append(series_mul(rest, TruncatedSeries(deriv)).coefficient(k))
-            return tuple(grads)
+    def test_matches_oracle_identity(self, rng):
+        # T_r'(s) = T_r(s) - s^r / r!, so
+        # dF_{k,r}/dx_i = F_{k-1,r}(x) - x_i^r / r! * F_{k-1-r,r}(x without i),
+        # with every F from the brute-force composition sum
+        def f(entries, k, r):
+            if k < 0:
+                return 0
+            if not entries:  # the empty product is 1
+                return Fraction(int(k == 0))
+            return oracle_value("F", RationalVector(entries), k, r)
 
-        for _ in range(60):
-            n = rng.randint(1, 6)
+        for _ in range(40):
+            n = rng.randint(1, 4)
             x = random_rational_vector(rng, n, max_numerator=9,
                                        denominator_bound=4)
             r = rng.randint(1, 3)
-            for k in range(1, n * r + 1):
-                assert grad_f_kr(x, r, k) == by_prefix_suffix(x, r, k)
+            for k in range(1, min(n * r, 8) + 1):
+                expected = tuple(
+                    f(x.entries, k - 1, r) - xi ** r / math.factorial(r)
+                    * f(x.entries[:i] + x.entries[i + 1:], k - 1 - r, r)
+                    for i, xi in enumerate(x.entries))
+                assert grad_f_kr(x, r, k) == expected
 
     @pytest.mark.parametrize("r", [1, 2, 3])
     def test_euler_identity_at_forty(self, rng, r):

@@ -3,11 +3,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from sympineq.families import elementary_all
-from sympineq.series import (Catalyst, TruncatedSeries, catalyst_product,
-                             padded_taylor_template, product_over_vector,
-                             product_table, series_mul, subset_power_table,
-                             substitute_scale, taylor_template, tensor)
+from sympineq.oracles import oracle_value
+from sympineq.series import (Catalyst, SeriesTemplate, TruncatedSeries,
+                             catalyst_product, padded_taylor_template,
+                             product_over_vector, subset_power_table,
+                             taylor_template, tensor)
 from sympineq.vectors import RationalVector
 
 
@@ -18,44 +18,7 @@ def series(*coeffs):
 small_vectors = st.lists(
     st.fractions(min_value=0, max_value=6, max_denominator=6),
     min_size=1, max_size=4).map(RationalVector)
-
-
-class TestSeriesMul:
-    def test_square_of_one_plus_t(self):
-        assert series_mul(series(1, 1, 0), series(1, 1, 0)) == series(1, 2, 1)
-
-    def test_truncation(self):
-        assert series_mul(series(1, 1), series(1, 1)) == series(1, 2)
-
-    def test_hand_expansion(self):
-        a = series(1, 1, Fraction(1, 2), 0, 0)
-        assert series_mul(a, a) == series(1, 2, 2, 1, Fraction(1, 4))
-
-    def test_mismatched_bounds_rejected(self):
-        with pytest.raises(ValueError):
-            series_mul(series(1, 1), series(1, 1, 0))
-
-    @given(st.lists(st.integers(-5, 5), min_size=1, max_size=5),
-           st.lists(st.integers(-5, 5), min_size=1, max_size=5))
-    def test_commutative(self, a, b):
-        d = max(len(a), len(b))
-        a += [0] * (d - len(a))
-        b += [0] * (d - len(b))
-        sa, sb = TruncatedSeries(a), TruncatedSeries(b)
-        assert series_mul(sa, sb) == series_mul(sb, sa)
-
-
-class TestSubstituteScale:
-    def test_taylor_order_two(self):
-        got = substitute_scale(taylor_template(2), 2, 3)
-        assert got == series(1, 2, 2, 0)
-
-    def test_zero_scale_is_identity(self):
-        got = substitute_scale(taylor_template(3), 0, 4)
-        assert got == TruncatedSeries.one(4)
-
-    def test_taylor_order_one(self):
-        assert substitute_scale(taylor_template(1), 3, 2) == series(1, 3, 0)
+entries = st.fractions(min_value=0, max_value=3, max_denominator=4)
 
 
 class TestProductOverVector:
@@ -119,37 +82,21 @@ class TestCatalyst:
         assert tensor(zero, Catalyst((Fraction(1), Fraction(3)))) == \
             RationalVector([0, 0])
 
-    @given(small_vectors,
-           st.lists(st.fractions(min_value=0, max_value=3, max_denominator=4),
-                    min_size=0, max_size=2))
-    def test_catalyst_equals_product_over_tensor(self, x, tail):
-        c = Catalyst(tuple([Fraction(1)] + tail))
-        tpl = taylor_template(2)
-        d = len(x) * len(c) * 2
+    @given(st.data(), st.integers(1, 2))
+    def test_catalyst_equals_product_over_tensor(self, data, r):
+        # against the brute-force composition sum over the tensor vector,
+        # which shares no code with the kernel; tensor length <= 6 and k <= 8
+        # keep it inside the oracle's budget
+        x = data.draw(st.lists(entries, min_size=1, max_size=3))
+        tail = data.draw(st.lists(entries, max_size=6 // len(x) - 1))
+        x, c = RationalVector(x), Catalyst(tuple([Fraction(1)] + tail))
+        tpl = taylor_template(r)
+        assert (catalyst_product(x, c, tpl).degree_bound
+                == len(x) * len(c) * r)
+        d = min(8, len(x) * len(c) * r)
         got = catalyst_product(x, c, tpl, d)
-        assert got == product_over_vector(tensor(x, c), tpl, d)
-        # the same product in Fraction arithmetic, without the integer kernel
-        flat = TruncatedSeries.one(d)
-        for e in tensor(x, c).entries:
-            flat = series_mul(flat, substitute_scale(tpl, e, d))
-        assert got == flat
-
-    @given(small_vectors,
-           st.lists(st.fractions(min_value=0, max_value=3, max_denominator=4),
-                    min_size=0, max_size=2))
-    def test_convolution_identity(self, x, tail):
-        # with the linear template, the per-entry factor for c_j is the series
-        # of elementary values scaled by powers of c_j; the catalyst product is
-        # their iterated Cauchy product
-        c = Catalyst(tuple([Fraction(1)] + tail))
-        d = len(x) * len(c)
-        es = elementary_all(x)
-        acc = TruncatedSeries.one(d)
-        for cj in c.entries:
-            coeffs = [(es[m] * cj ** m if m < len(es) else Fraction(0))
-                      for m in range(d + 1)]
-            acc = series_mul(acc, TruncatedSeries(coeffs))
-        assert acc == catalyst_product(x, c, taylor_template(1), d)
+        assert got.coeffs == tuple(oracle_value("F", tensor(x, c), k, r)
+                                   for k in range(d + 1))
 
 
 class TestProductTable:
@@ -185,7 +132,8 @@ class TestProductTable:
             tab.entry(0, 3)
         with pytest.raises(IndexError):
             tab.entry(4, 3)  # a zero row, but past k_max
-        plain = product_table(RationalVector([1, 2]), (1, 1), 2)
+        plain = product_over_vector(RationalVector([1, 2]),
+                                    SeriesTemplate((1, 1)), 2)
         assert plain.coeffs == (1, 3, 2)
         with pytest.raises(IndexError):
             plain.coefficient(3)
