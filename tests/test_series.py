@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from sympineq.families import elementary_all
 from sympineq.oracles import oracle_value
 from sympineq.series import (Catalyst, SeriesTemplate, TruncatedSeries,
                              catalyst_product, padded_taylor_template,
@@ -97,6 +98,23 @@ class TestCatalyst:
         got = catalyst_product(x, c, tpl, d)
         assert got.coeffs == tuple(oracle_value("F", tensor(x, c), k, r)
                                    for k in range(d + 1))
+
+    @given(small_vectors, st.lists(entries, min_size=0, max_size=2))
+    def test_convolution_identity(self, x, tail):
+        # with the linear template, the per-entry factor for c_j is the series
+        # of elementary values scaled by powers of c_j; the catalyst product is
+        # their iterated Cauchy product, done here in plain Fraction lists
+        c = Catalyst(tuple([Fraction(1)] + tail))
+        d = len(x) * len(c)
+        es = elementary_all(x)
+        acc = [Fraction(1)] + [Fraction(0)] * d
+        for cj in c.entries:
+            factor = [es[m] * cj ** m if m < len(es) else Fraction(0)
+                      for m in range(d + 1)]
+            acc = [sum((acc[i] * factor[k - i] for i in range(k + 1)),
+                       Fraction(0)) for k in range(d + 1)]
+        assert tuple(acc) == catalyst_product(x, c, taylor_template(1),
+                                              d).coeffs
 
 
 class TestProductTable:
