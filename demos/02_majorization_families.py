@@ -44,18 +44,23 @@ print("\n(M_{k,2}(x))^(1/k) for k = 1, 5, 10, 20, 40:",
 print("target: the two largest entries sum to", float(partial_sums_desc(x)[1]))
 
 # Schur-direction sampling at random points: the F and G families run
-# concave, the M family convex.
+# concave, the M family convex.  Every quotient is an exact rational, so a
+# probe that does not certify its direction is a wrong answer and stops the
+# demo.
 rng = random.Random(7)
 point = RationalVector([rng.randint(1, 9) for _ in range(4)])
 for family in ("F", "G", "M"):
     sample = schur_ostrowski_sample(family, point, k=4, r=2)
     print(f"Schur-Ostrowski probe {family} at {point}: ok={sample.ok}")
+    assert sample.ok, sample
 
 # Transfer-generated pairs majorize by construction, and the family
 # directions follow.
 x2, y2 = t_transform_pair(random.Random(1), 4)
+m_direction = m_kr(x2, 3, 2) >= m_kr(y2, 3, 2)
 print("\ntransfer pair majorizes:", majorizes(x2, y2).holds,
-      "- M_{3,2} direction:", m_kr(x2, 3, 2) >= m_kr(y2, 3, 2))
+      "- M_{3,2} direction:", m_direction)
+assert m_direction, (x2, y2)
 
 # The concave test functions: an empirical probe, not a proof.
 rows = psi_compare(x, y, [0.5, 1, 2, 4])

@@ -7,7 +7,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from . import families, series
 from .vectors import (RationalLike, RationalVector, log_of_fraction, lp_mean,
@@ -62,83 +62,54 @@ class SchurSampleVerdict:
     ok: bool
     pairs_checked: int
     worst_pair: Optional[tuple[int, int]]
-    worst_quotient: Optional[Union[Fraction, float]]
-    exact: bool
+    worst_quotient: Optional[Fraction]
 
 
-def _fd_gradient(fn: Callable[[RationalVector], Fraction],
-                 x: RationalVector, h: float) -> list[float]:
-    # central differences on float casts; a second-order one-sided stencil
-    # keeps the evaluations inside the nonnegative orthant near zero entries
-    xs = x.to_floats()
-
-    def value_at(i: int, v: float) -> float:
-        moved = list(xs)
-        moved[i] = v
-        return float(fn(RationalVector(moved)))
-
-    grad = []
-    for i, xi in enumerate(xs):
-        step = h * max(1.0, abs(xi))
-        if xi - step < 0:
-            f0 = value_at(i, xi)
-            f1 = value_at(i, xi + step)
-            f2 = value_at(i, xi + 2 * step)
-            grad.append((-3 * f0 + 4 * f1 - f2) / (2 * step))
-        else:
-            grad.append((value_at(i, xi + step) - value_at(i, xi - step))
-                        / (2 * step))
-    return grad
+def _drop(x: RationalVector, i: int) -> RationalVector:
+    return RationalVector(x.entries[:i] + x.entries[i + 1:])
 
 
-def schur_ostrowski_sample(family: str, x: RationalVector, k: int, r: int,
-                           fd_step: float = 1e-4,
-                           tol: float = 1e-7) -> SchurSampleVerdict:
-    """Differential monotonicity probe at a single point.
+def schur_ostrowski_sample(family: str, x: RationalVector, k: int,
+                           r: int) -> SchurSampleVerdict:
+    """Differential monotonicity probe at a single point, in exact rationals.
 
     Evaluates ``(dPhi/dx_i - dPhi/dx_j) / (x_j - x_i)`` over all index pairs
-    with distinct entries.  F uses exact gradients and exact sign tests; G and
-    M fall back to central finite differences on float casts with a small
-    relative slack.  Nonnegative quotients certify the concave direction for
-    F and G; M runs in the convex direction (quotients negated before the
-    test).  A point with all entries equal passes vacuously.
+    with distinct entries.  F takes its exact gradient from the kernel.  G and
+    M take their partials, up to a term shared by every i that cancels in the
+    quotient, from family values at x with entry i left out:
+
+    - ``dG_{k,r}/dx_i = E_1^(k-1)/(k-1)! - Gbar_{k-1,r}(x)
+      + DeltaGbar_{k-1,r-1}(x without i)``,
+    - ``dM_{k,r}/dx_i = k M_{k-1,r}(x) - k M_{k-1,r}(x without i)``.
+
+    Nonnegative quotients certify the concave direction for F and G; M runs
+    in the convex direction (quotients negated before the test).  A point
+    with all entries equal passes vacuously.
     """
     if family not in ("F", "G", "M"):
         raise ValueError("family must be F, G, or M")
+    if k < 0 or r < 1:
+        raise ValueError("need k >= 0 and r >= 1")
     n = len(x)
-    if family == "F":
-        grad: Sequence[Union[Fraction, float]] = families.grad_f_kr(x, r, k)
-        exact, direction = True, 1
-    elif family == "G":
-        grad = _fd_gradient(lambda v: families.g_kr(v, k, r), x, fd_step)
-        exact, direction = False, 1
-    else:
-        grad = _fd_gradient(lambda v: families.m_kr(v, k, r), x, fd_step)
-        exact, direction = False, -1
-
-    pairs = 0
-    worst_pair = None
-    worst: Optional[Union[Fraction, float]] = None
-    largest = 0.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            if x[i] == x[j]:
-                continue
-            pairs += 1
-            if exact:
-                quotient = (grad[i] - grad[j]) / (x[j] - x[i])
-            else:
-                quotient = (grad[i] - grad[j]) / float(x[j] - x[i])
-            signed = direction * quotient
-            largest = max(largest, abs(float(quotient)))
-            if worst is None or signed < worst:
-                worst, worst_pair = signed, (i, j)
-    if pairs == 0:
-        return SchurSampleVerdict(family, k, r, True, 0, None, None, exact)
-    slack = Fraction(0) if exact else tol * max(1.0, largest)
-    ok = worst >= -slack
-    return SchurSampleVerdict(family, k, r, bool(ok), pairs, worst_pair,
-                              worst, exact)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if x[i] != x[j]]
+    if not pairs:
+        return SchurSampleVerdict(family, k, r, True, 0, None, None)
+    if family == "F" and k <= n * r:
+        grad: Sequence[Fraction] = families.grad_f_kr(x, r, k)
+    elif family == "G" and k >= 1 and r >= 2:
+        grad = [families.delta_gbar_kr(_drop(x, i), k - 1, r - 1)
+                for i in range(n)]
+    elif family == "M" and k >= 2:
+        grad = [-k * families.m_kr(_drop(x, i), k - 1, r) for i in range(n)]
+    else:  # G_{k,1}, G_{0,r}, M_{1,r} and M_{0,r} depend on the sum alone,
+        # and F_{k,r} vanishes for k > n r
+        grad = [Fraction(0)] * n
+    direction = -1 if family == "M" else 1
+    quotients = {(i, j): direction * (grad[i] - grad[j]) / (x[j] - x[i])
+                 for i, j in pairs}
+    worst = min(quotients, key=quotients.__getitem__)  # first of the minima
+    return SchurSampleVerdict(family, k, r, quotients[worst] >= 0, len(pairs),
+                              worst, quotients[worst])
 
 
 @dataclass(frozen=True)

@@ -123,6 +123,13 @@ class ConclusionReport:
         return self.low_all_pass and (high is None or high)
 
 
+def _check_grid(grid_points: int, tol: float) -> None:
+    if grid_points < 3:
+        raise ValueError("need at least 3 grid points")
+    if not (tol > 0 and math.isfinite(tol)):
+        raise ValueError("tolerance must be positive and finite")
+
+
 def verify_conclusions(x: RationalVector, y: RationalVector, r: int,
                        grid_points: int = DEFAULT_GRID_POINTS,
                        tol: float = DEFAULT_TOL,
@@ -138,10 +145,7 @@ def verify_conclusions(x: RationalVector, y: RationalVector, r: int,
         raise ValueError("vectors must have equal length")
     if r < 1:
         raise ValueError("need r >= 1")
-    if grid_points < 3:
-        raise ValueError("need at least 3 grid points")
-    if not (tol > 0 and math.isfinite(tol)):
-        raise ValueError("tolerance must be positive and finite")
+    _check_grid(grid_points, tol)
     if sums_equal is None:
         sums_equal = x.total() == y.total()
 
@@ -203,6 +207,7 @@ def full_report(hypotheses: Sequence[HypothesisReport],
     """
     if not hypotheses:
         raise ValueError("need at least one template order")
+    _check_grid(grid_points, tol)  # also when no order is measured
     certified = [h for h in hypotheses if h.all_pass]
     measured = certified or (list(hypotheses) if len(hypotheses) == 1 else [])
     conclusions = (verify_conclusions(x, y, measured[-1].r, grid_points, tol,

@@ -160,6 +160,22 @@ class TestTheorem1:
         assert code == 2 and out == ""
         assert err == "error: tolerance must be positive and finite\n"
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--tol", "nan", "tolerance must be positive and finite"),
+        ("--grid-points", "2", "need at least 3 grid points")],
+        ids=["tol-nan", "grid-points-2"])
+    def test_grid_inputs_checked_with_no_order_certified(
+            self, capsys, tmp_path, flag, value, message):
+        # no order is certified for this pair, so no grid is measured
+        (tmp_path / "x.json").write_text("[5, 1]")
+        (tmp_path / "y.json").write_text("[1, 1]")
+        code, out, err = run(capsys, "theorem1", "--x",
+                             str(tmp_path / "x.json"), "--y",
+                             str(tmp_path / "y.json"), "--r-max", "2",
+                             flag, value)
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
+
     def test_diagonal_factors_match_the_squared_vectors(self, capsys,
                                                         tmp_path):
         # Gram(diag(d)) = diag(d^2), and both modes share one verdict rule
@@ -348,6 +364,17 @@ class TestCatalyst:
 
 
 class TestErrorsAndDeterminism:
+    @pytest.mark.parametrize("argv", [
+        ("theorem1", "--x", "x.json", "--y", "a.json", "--r", "1"),
+        ("majorize", "--x", "x.json", "--y", "a.json"),
+        ("theorem2", "--x", "x.json", "--y", "a.json"),
+        ("catalyst", "--x", "x.json", "--c", "c.json", "--y", "a.json")],
+        ids=lambda argv: argv[0])
+    def test_unequal_lengths_are_usage_errors(self, capsys, files, argv):
+        code, out, err = run(capsys, *(files.get(a, a) for a in argv))
+        assert code == 2 and out == ""
+        assert err == "error: vectors must have equal length\n"
+
     def test_malformed_json_diagnoses_position(self, capsys, files):
         code, _, err = run(capsys, "norms", "--x", files["bad.json"])
         assert code == 2

@@ -76,17 +76,38 @@ def t_transform_pair_from(rng, start):
     return RationalVector(ys)
 
 
+def _oracle_partial(family, x, k, r, i):
+    # Newton forward differences at unit steps along coordinate i: exact,
+    # since t -> Phi(x + t e_i) is a polynomial of degree at most k
+    values = [oracle_value(family, RationalVector(
+        x.entries[:i] + (x[i] + t,) + x.entries[i + 1:]), k, r)
+        for t in range(k + 1)]
+    slope = Fraction(0)
+    for m in range(1, k + 1):
+        diff = sum((-1) ** (m - j) * math.comb(m, j) * values[j]
+                   for j in range(m + 1))
+        slope += Fraction((-1) ** (m + 1), m) * diff
+    return slope
+
+
+def _min_quotient(x, grad, direction):
+    quotients = {(i, j): direction * (grad[i] - grad[j]) / (x[j] - x[i])
+                 for i in range(len(x)) for j in range(i + 1, len(x))
+                 if x[i] != x[j]}
+    return quotients, min(quotients.values(), default=None)
+
+
 class TestSchurOstrowski:
     def test_elementary_gradient_quotient(self):
         verdict = schur_ostrowski_sample("F", vec(1, 2, 3), k=2, r=1)
-        assert verdict.ok and verdict.exact
+        assert verdict.ok
         assert verdict.pairs_checked == 3
 
     def test_subset_power_runs_convex(self):
         verdict = schur_ostrowski_sample("M", vec(1, 2), k=2, r=1)
         assert verdict.ok
-        # raw quotient is about -2; stored signed in the certifying direction
-        assert verdict.worst_quotient == pytest.approx(2.0, rel=1e-3)
+        # raw quotient is -2; stored signed in the certifying direction
+        assert verdict.worst_quotient == 2
 
     def test_degenerate_point_passes_vacuously(self):
         verdict = schur_ostrowski_sample("F", vec(2, 2, 2), k=3, r=2)
@@ -99,12 +120,50 @@ class TestSchurOstrowski:
             verdict = schur_ostrowski_sample("F", x, k=4, r=2)
             assert verdict.ok
 
-    def test_fd_sweeps(self, rng):
+    def test_g_and_m_sweeps(self, rng):
         for _ in range(10):
             x = random_rational_vector(rng, 3, max_numerator=9,
                                        denominator_bound=2)
             assert schur_ostrowski_sample("G", x, k=3, r=2).ok
             assert schur_ostrowski_sample("M", x, k=3, r=2).ok
+
+    def test_quotients_match_oracle_derivatives(self):
+        rng = random.Random(905)
+        points = [vec(0, 0, 1, 3), vec(0, 2)]
+        points += [random_rational_vector(rng, rng.randint(2, 4),
+                                          max_numerator=4, denominator_bound=3)
+                   for _ in range(8)]
+        for x in points:
+            for family in ("F", "G", "M"):
+                direction = -1 if family == "M" else 1
+                for r in range(1, 4):
+                    for k in range(6):
+                        verdict = schur_ostrowski_sample(family, x, k, r)
+                        grad = [_oracle_partial(family, x, k, r, i)
+                                for i in range(len(x))]
+                        quotients, worst = _min_quotient(x, grad, direction)
+                        assert verdict.pairs_checked == len(quotients)
+                        assert verdict.worst_quotient == worst
+                        assert verdict.ok == (worst is None or worst >= 0)
+                        if worst is not None:
+                            assert quotients[verdict.worst_pair] == worst
+
+    @pytest.mark.parametrize("family", ["G", "M"])
+    def test_large_degree_quotients_are_exact(self, family):
+        # at r = 2 the partials have closed forms, up to a term shared by
+        # every i: dG_{k,2}/dx_i = -x_i^(k-1)/(k-1)! and
+        # dM_{k,2}/dx_i = k sum_{j != i} (x_i + x_j)^(k-1)
+        x, k = vec(1000, 999, 3, 1), 120
+        if family == "G":
+            grad = [-e ** (k - 1) / math.factorial(k - 1) for e in x]
+        else:
+            grad = [k * sum((x[i] + x[j]) ** (k - 1)
+                            for j in range(len(x)) if j != i)
+                    for i in range(len(x))]
+        _, worst = _min_quotient(x, grad, -1 if family == "M" else 1)
+        verdict = schur_ostrowski_sample(family, x, k=k, r=2)
+        assert verdict.ok and verdict.pairs_checked == 6
+        assert verdict.worst_quotient == worst > 0
 
     def test_unknown_family(self):
         with pytest.raises(ValueError):
