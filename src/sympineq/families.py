@@ -138,8 +138,14 @@ def gbar_kr(x: RationalVector, k: int, r: int) -> Fraction:
 
 
 def delta_gbar_kr(x: RationalVector, k: int, r: int) -> Fraction:
-    """Terms using exactly r distinct variables: Gbar_{k,r+1} - Gbar_{k,r}."""
-    return gbar_kr(x, k, r + 1) - gbar_kr(x, k, r)
+    """Terms using exactly r distinct variables: Gbar_{k,r+1} - Gbar_{k,r},
+    both read from one table with the rows below r + 1."""
+    if k < 0 or r < 1:
+        raise ValueError("need k >= 0 and r >= 1")
+    table = subset_power_table(x, k, min(r, k))
+    upper = gbar_numerators(table, min(r + 1, k + 1))[k]
+    lower = gbar_numerators(table, min(r, k + 1))[k]
+    return Fraction(upper - lower, factorial(k) * table.denominator ** k)
 
 
 def g_kr(x: RationalVector, k: int, r: int) -> Fraction:

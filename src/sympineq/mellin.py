@@ -7,6 +7,12 @@ call from analytic tail bounds so the truncation error stays far below the
 quadrature tolerance; inside a window a composite Gauss-Legendre rule is
 refined by panel doubling until stable.
 
+Every integrand value depends on its node alone: the gap series of the J
+kernel stops at each node once that node has converged, not when the whole
+array has.  So the rule evaluates its ascending nodes in blocks of a fixed
+number of panels, which bounds the temporaries, and sums all values in one
+dot product with the weights; the result does not depend on the block size.
+
 This module is validation equipment: it exists to test the integral
 identities numerically and to catch transcription errors.  It certifies
 nothing by itself.
@@ -31,6 +37,7 @@ __all__ = [
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _LOG4 = math.log(4.0)
+_BLOCK_PANELS = 2048  # panels per integrand call: bounds the temporaries
 
 
 @dataclass(frozen=True)
@@ -69,16 +76,31 @@ def _log_pr_from_logs(s_log: np.ndarray, r: int) -> np.ndarray:
 
 
 def _delta_small(s: np.ndarray, r: int) -> np.ndarray:
-    """The gap ``s - log P_r(s)`` for s <= 4, via -log1p of the scaled
-    exponential remainder; immune to the cancellation that kills the direct
-    difference when the gap is O(s^(r+1))."""
+    """The gap ``s - log P_r(s)`` for a nonempty array of s <= 4, via -log1p
+    of the scaled exponential remainder; immune to the cancellation that
+    kills the direct difference when the gap is O(s^(r+1)).
+
+    Each node leaves the remainder series once its own term is at most
+    1e-22 of its own sum: with s <= 4 every later term is smaller still and
+    below half an ulp of the sum, so adding it changes nothing.  Each value
+    therefore depends on its node alone.  Nodes in ascending s converge
+    in ascending order, so the loop runs over a shrinking suffix; in any
+    other order the converged nodes behind the first unconverged one keep
+    adding terms that leave them unchanged.
+    """
     term = s ** (r + 1) / math.factorial(r + 1)
     rem = term.copy()
+    lo = 0  # nodes before lo have converged
     for j in range(r + 2, r + 64):
-        term = term * s / j
-        rem += term
-        if term.max(initial=0.0) < 1e-22 * rem.max(initial=1e-300):
+        t, total = term[lo:], rem[lo:]
+        t *= s[lo:]
+        t /= j
+        total += t
+        done = t <= 1e-22 * total
+        first_open = int(done.argmin())
+        if done[first_open]:
             break
+        lo += first_open
     q = np.exp(-s) * rem  # = 1 - e^{-s} P_r(s), always in [0, 1)
     return -np.log1p(-q)
 
@@ -99,13 +121,13 @@ def delta_r(s: float, r: int) -> float:
     """The nonnegative gap between s and the log of the order-r exponential
     truncation; O(s^(r+1)) near zero, computed cancellation-safe there."""
     _validate_r(r)
-    if s < 0:
-        raise ValueError("need s >= 0")
+    if not 0 <= s < math.inf:
+        raise ValueError("need a finite s >= 0")
     return float(_delta_vec(np.array([s], dtype=float), r)[0])
 
 
 def _validate_r(r: int) -> None:
-    if not isinstance(r, int) or r < 1:
+    if isinstance(r, bool) or not isinstance(r, int) or r < 1:
         raise ValueError("r must be an integer >= 1")
 
 
@@ -123,18 +145,19 @@ def _i_integrand(u: np.ndarray, log_a: float, p: float, r: int) -> np.ndarray:
 
 
 def _j_integrand(u: np.ndarray, log_a: float, p: float, r: int) -> np.ndarray:
+    """The J integrand at ascending nodes u, which split at s = 4 into a
+    prefix on the gap series and a suffix on the log form."""
     s_log = u + log_a
     out = np.empty_like(u)
-    small = s_log <= _LOG4
-    if small.any():
-        gap = _delta_small(np.exp(s_log[small]), r)
-        out[small] = _times_decay(gap, u[small], p)
-    big = ~small
-    if big.any():
-        ub = u[big]
+    cut = int(np.searchsorted(s_log, _LOG4, side="right"))
+    if cut:
+        gap = _delta_small(np.exp(s_log[:cut]), r)
+        out[:cut] = _times_decay(gap, u[:cut], p)
+    if cut < u.size:
+        ub = u[cut:]
         # (s - log P_r(s)) e^{-pu} split into two separately-safe terms
         linear = np.exp(log_a + (1.0 - p) * ub)
-        out[big] = linear - _times_decay(_log_pr_from_logs(s_log[big], r), ub, p)
+        out[cut:] = linear - _times_decay(_log_pr_from_logs(s_log[cut:], r), ub, p)
     return out
 
 
@@ -171,7 +194,10 @@ def _integrate_panels(fvec, lo: float, hi: float, rel_tol: float = 1e-10,
                       abs_floor: float = 1e-14,
                       max_rounds: int = 9) -> tuple[float, float, int]:
     """Composite 16-point Gauss-Legendre with panel doubling; the error
-    estimate is the change under the last doubling."""
+    estimate is the change under the last doubling.
+
+    The integrand runs on ascending nodes, _BLOCK_PANELS panels at a time,
+    into one value array; a single dot product with the weights sums it."""
     panels = max(8, math.ceil((hi - lo) / 4.0))
     prev = None
     err = math.inf
@@ -181,10 +207,14 @@ def _integrate_panels(fvec, lo: float, hi: float, rel_tol: float = 1e-10,
         edges = np.linspace(lo, hi, panels + 1)
         mid = 0.5 * (edges[1:] + edges[:-1])
         half = 0.5 * (edges[1:] - edges[:-1])
-        pts = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
         wts = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
-        value = float(wts @ fvec(pts))
-        nodes += pts.size
+        vals = np.empty((panels, _GL_NODES.size))
+        for first in range(0, panels, _BLOCK_PANELS):
+            block = slice(first, first + _BLOCK_PANELS)
+            pts = mid[block, None] + half[block, None] * _GL_NODES[None, :]
+            vals[block] = fvec(pts.ravel()).reshape(pts.shape)
+        value = float(wts @ vals.ravel())
+        nodes += wts.size
         if prev is not None:
             err = abs(value - prev)
             if err <= max(rel_tol * abs(value), abs_floor):

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from sympineq import families, series
 from sympineq.majorize import (majorizes, psi_compare, psi_sum, psi_value,
                                s_r_limit_estimate, schur_ostrowski_sample,
                                t_transform_pair, theorem2_scan)
@@ -164,6 +165,26 @@ class TestSchurOstrowski:
         verdict = schur_ostrowski_sample(family, x, k=k, r=2)
         assert verdict.ok and verdict.pairs_checked == 6
         assert verdict.worst_quotient == worst > 0
+
+    def test_one_table_per_distinct_entry(self, monkeypatch):
+        built = []
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return series.subset_power_table(*args, **kwargs)
+
+        monkeypatch.setattr(families, "subset_power_table", counting)
+        distinct = RationalVector(range(1, 13))
+        for family in ("G", "M"):
+            built.clear()
+            assert schur_ostrowski_sample(family, distinct, k=8, r=3).ok
+            assert len(built) == 12  # one per leave-one-out vector
+        repeated = vec(1, 1, 2, 2, 2, 5)
+        for family in ("G", "M"):
+            built.clear()
+            verdict = schur_ostrowski_sample(family, repeated, k=8, r=3)
+            assert verdict.ok and verdict.pairs_checked == 11
+            assert len(built) == 3
 
     def test_unknown_family(self):
         with pytest.raises(ValueError):

@@ -1,8 +1,10 @@
 import math
 
 import mpmath as mp
+import numpy as np
 import pytest
 
+from sympineq import mellin
 from sympineq.mellin import (delta_r, identity_check, identity_lhs, integral_I,
                              integral_J)
 
@@ -58,6 +60,74 @@ class TestDelta:
             delta_r(-1.0, 1)
         with pytest.raises(ValueError):
             delta_r(1.0, 0)
+        for s in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="need a finite s >= 0"):
+                delta_r(s, 1)
+        with pytest.raises(ValueError):
+            delta_r(1.0, True)
+
+
+def whole_array_delta_small(s: np.ndarray, r: int) -> np.ndarray:
+    # the gap series stopped for all nodes at once, when the largest term
+    # falls below 1e-22 of the largest sum: the reference for the per-node
+    # stop, which must give the same bits
+    term = s ** (r + 1) / math.factorial(r + 1)
+    rem = term.copy()
+    for j in range(r + 2, r + 64):
+        term = term * s / j
+        rem += term
+        if term.max(initial=0.0) < 1e-22 * rem.max(initial=1e-300):
+            break
+    q = np.exp(-s) * rem
+    return -np.log1p(-q)
+
+
+class TestPerNodeStop:
+    ascending = np.logspace(-300, math.log10(4.0), 4001)
+    with_tiny = np.sort(np.concatenate(
+        [ascending, [0.0, 0.0, 5e-324, 1e-315, 2.2250738585072014e-308]]))
+    arrays = {
+        "ascending": ascending,
+        "zeros and subnormals": with_tiny,
+        "shuffled": np.random.default_rng(17).permutation(with_tiny),
+        "single": np.array([0.37]),
+        "four": np.array([4.0]),
+    }
+
+    @pytest.mark.parametrize("name", sorted(arrays))
+    @pytest.mark.parametrize("r", range(1, 7))
+    def test_same_bits_as_the_whole_array_stop(self, name, r):
+        s = self.arrays[name]
+        got = mellin._delta_small(s.copy(), r)
+        assert got.tobytes() == whole_array_delta_small(s, r).tobytes()
+
+    def test_underflowed_nodes_stop_at_once(self):
+        # a term of 0 passes 0 <= 1e-22 * 0 at the first test, so those
+        # nodes take one step of the series while s = 4 takes them all
+        class Counted(np.ndarray):
+            steps = 0
+
+            def __itruediv__(self, other):
+                Counted.steps += self.size
+                return super().__itruediv__(other)
+
+        s = np.concatenate([np.zeros(500), np.full(500, 5e-324), [1e-200, 4.0]])
+        got = mellin._delta_small(s.view(Counted), 2)
+        assert not got[:-1].any() and got[-1] > 0
+        assert s.size <= Counted.steps <= s.size + 64
+
+    @pytest.mark.parametrize("integrand", [mellin._i_integrand,
+                                           mellin._j_integrand])
+    def test_blocks_give_the_same_bytes(self, integrand):
+        # one window's ascending nodes, whole and in uneven blocks
+        p = 0.5 if integrand is mellin._i_integrand else 1.98
+        lo, hi = mellin._window("I" if p < 1 else "J", 1, p, 2.5, 1e-13)
+        u = np.linspace(lo, hi, 50001)
+        log_a = math.log(2.5)
+        whole = integrand(u, log_a, p, 1)
+        parts = [integrand(u[a:a + 7919], log_a, p, 1)
+                 for a in range(0, u.size, 7919)]
+        assert whole.tobytes() == np.concatenate(parts).tobytes()
 
 
 class TestIntegralI:
