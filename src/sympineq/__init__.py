@@ -6,9 +6,8 @@ from .vectors import RationalVector, lp_mean, partial_sums_desc, to_fraction
 from .series import (Catalyst, SeriesTemplate, TruncatedSeries, catalyst_product,
                      padded_taylor_template, product_over_vector, taylor_template,
                      tensor)
-from .families import (elementary_all, f_kr, f_kr_all, f_special_identities,
-                       g_kr, gbar_kr, delta_gbar_kr, grad_f_kr, m_kr,
-                       m_kr_from_gbar)
+from .families import (elementary_all, f_kr, f_kr_all, g_kr, gbar_kr,
+                       delta_gbar_kr, grad_f_kr, m_kr, m_kr_from_gbar)
 from .majorize import (MajorizationVerdict, Theorem2Report, majorizes,
                        psi_compare, psi_sum, s_r_limit_estimate,
                        schur_ostrowski_sample, t_transform_pair, theorem2_scan)

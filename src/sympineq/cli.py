@@ -439,6 +439,9 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):
+        # exact values are read and printed whatever their length
+        sys.set_int_max_str_digits(0)
     args = _parser().parse_args(argv)
     try:
         code, report = args.func(args)

@@ -25,7 +25,6 @@ the integer kernels in ``series`` compute, so each costs time polynomial in n:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 from operator import mul
@@ -35,11 +34,9 @@ from .series import (SeriesTemplate, SubsetPowerTable, product_over_vector,
 from .vectors import RationalVector
 
 __all__ = [
-    "SpecialIdentityReport",
     "elementary_all",
     "f_kr_all",
     "f_kr",
-    "f_special_identities",
     "g_kr",
     "gbar_kr",
     "delta_gbar_kr",
@@ -76,34 +73,6 @@ def f_kr(x: RationalVector, k: int, r: int) -> Fraction:
         return Fraction(0)
     # truncating the product at degree k is enough for one coefficient
     return product_over_vector(x, taylor_template(r), degree_bound=k).coefficient(k)
-
-
-@dataclass(frozen=True)
-class SpecialIdentityReport:
-    """Exact pass/fail for the closed forms satisfied by the F family."""
-
-    low_degree_ok: bool   # F_{k,r} = E_1^k / k! for k <= r
-    r_plus_one_ok: bool   # F_{r+1,r} = (E_1^{r+1} - sum_i x_i^{r+1}) / (r+1)!
-    top_degree_ok: bool   # F_{nr,r} = E_n^r / (r!)^n
-
-    @property
-    def all_ok(self) -> bool:
-        return self.low_degree_ok and self.r_plus_one_ok and self.top_degree_ok
-
-
-def f_special_identities(x: RationalVector, r: int) -> SpecialIdentityReport:
-    if r < 1:
-        raise ValueError("need r >= 1")
-    n = len(x)
-    coeffs = f_kr_all(x, r)
-    e1 = x.total()
-    low = all(coeffs[k] == e1 ** k / factorial(k) for k in range(min(r, n * r) + 1))
-    value_rp1 = coeffs[r + 1] if r + 1 <= n * r else Fraction(0)
-    power_sum = sum((e ** (r + 1) for e in x.entries), Fraction(0))
-    rp1 = value_rp1 == (e1 ** (r + 1) - power_sum) / factorial(r + 1)
-    en = elementary_all(x)[n]
-    top = coeffs[n * r] == en ** r / Fraction(factorial(r)) ** n
-    return SpecialIdentityReport(low, rp1, top)
 
 
 def gbar_numerators(table: SubsetPowerTable, r: int) -> list[int]:

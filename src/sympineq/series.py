@@ -7,7 +7,9 @@ F, and the catalysts as the product over the tensor vector), and
 ``subset_power_table`` computes ``prod_i (1 + u e^{x_i t})`` in exponential
 generating function form (M, and by a binomial transform G, Gbar and
 DeltaGbar).  The coefficient lists are dense because these products are
-dense by construction.
+dense by construction.  ``product_over_vector`` multiplies each factor into
+its row in one whole-row pass per template degree, so its inner loops run in
+C over ``map``.
 """
 
 from __future__ import annotations
@@ -157,8 +159,12 @@ def product_over_vector(x: RationalVector, tpl: SeriesTemplate,
 
     With ``x_i = v_i / L`` and the template ``sum_j a_j s^j`` scaled by the
     lcm S of its coefficient denominators, every factor has the integer
-    coefficients ``S a_j v_i^j`` at ``(t/L)^j``, so the product runs in
+    coefficients ``fa_j = S a_j v_i^j`` at ``(t/L)^j``, so the product runs in
     Python ints and coefficient k is read back as ``Fraction(row[k], S^n L^k)``.
+    Multiplying the row by a factor is ``fa_0 row`` plus, for each j >= 1,
+    ``fa_j`` times the row shifted up by j: one pass over the whole row per
+    template degree, cut at degree D.  The row only grows to the top degree
+    reached so far.
     """
     t_degree = len(x) * tpl.degree if degree_bound is None else degree_bound
     if t_degree < 0:
@@ -167,17 +173,18 @@ def product_over_vector(x: RationalVector, tpl: SeriesTemplate,
     s = lcm(*(c.denominator for c in af))
     ai = [c.numerator * (s // c.denominator) for c in af]
     den, nums = _over_denominator(x)
-    width = len(ai)
-    row = [1] + [0] * t_degree
-    top_k = 0  # highest nonzero coefficient so far
+    deg = len(ai) - 1
+    row = [1]  # up to the top degree so far, at most t_degree
     for v in nums:
-        fa = list(map(mul, ai, accumulate(repeat(v, width - 1), mul, initial=1)))
-        top_k = min(top_k + width - 1, t_degree)
-        # in place, k descending: each new entry reads only old ones
-        for k in range(top_k, -1, -1):
-            # entries k, k-1, ..., k-width+1 (clipped at 0)
-            window = slice(k, k - width if k >= width else None, -1)
-            row[k] = sum(map(mul, fa, row[window]))
+        fa = list(map(mul, ai, accumulate(repeat(v, deg), mul, initial=1)))
+        grown = list(map(mul, repeat(fa[0]), row))
+        grown += [0] * (min(len(row) + deg, t_degree + 1) - len(row))
+        for j in range(1, deg + 1):  # grown[j:] += fa_j row, cut at t_degree
+            if fa[j]:
+                grown[j:j + len(row)] = map(add, grown[j:j + len(row)],
+                                            map(mul, repeat(fa[j]), row))
+        row = grown
+    row += [0] * (t_degree + 1 - len(row))
     scale = s ** len(nums)
     return TruncatedSeries(Fraction(c, scale * den ** k) for k, c in enumerate(row))
 

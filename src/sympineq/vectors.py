@@ -2,7 +2,9 @@
 
 Every polynomial-family value in this package is an exact ``fractions.Fraction``;
 lp means are the one deliberately float-valued quantity, and they are only ever
-compared on grids with explicit tolerances.
+compared on grids with explicit tolerances.  A vector is immutable, so it
+converts its entries to floats once, on the first lp mean, and every later
+grid point reuses them.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ def log_of_fraction(q: Fraction) -> float:
 class RationalVector:
     """Finite vector of nonnegative exact rationals; the universal input type."""
 
-    __slots__ = ("_entries",)
+    __slots__ = ("_entries", "_floats")
 
     def __init__(self, entries: Iterable[RationalLike]):
         ent = tuple(to_fraction(e) for e in entries)
@@ -101,8 +103,13 @@ class RationalVector:
     def scale(self, c: RationalLike) -> "RationalVector":
         return RationalVector(e * to_fraction(c) for e in self._entries)
 
-    def to_floats(self) -> list[float]:
-        return [float(e) for e in self._entries]
+    def to_floats(self) -> tuple[float, ...]:
+        """The entries as floats, converted on the first call and kept."""
+        try:
+            return self._floats
+        except AttributeError:
+            self._floats = tuple(float(e) for e in self._entries)
+            return self._floats
 
 
 def lp_mean(x: RationalVector, p: Union[int, float, Fraction]) -> float:
@@ -123,7 +130,7 @@ def lp_mean(x: RationalVector, p: Union[int, float, Fraction]) -> float:
         return math.exp(math.fsum(log_of_fraction(e) for e in entries) / n)
     if pf < 0 and any(e == 0 for e in entries):
         return 0.0
-    mean_pow = math.fsum(float(e) ** pf for e in entries) / n
+    mean_pow = math.fsum([f ** pf for f in x.to_floats()]) / n
     return mean_pow ** (1.0 / pf)
 
 

@@ -1,11 +1,13 @@
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
 from sympineq import families, series, spectral
 from sympineq.cli import main
 from sympineq.majorize import t_transform_pair
+from sympineq.vectors import RationalVector
 
 from conftest import SAMPLE_Q, SAMPLE_R
 
@@ -83,6 +85,17 @@ class TestFkr:
                                    "--r", "2", "--k", "3")
         assert report["values"] == [
             {"k": 3, "value": "8", "kfact_value": "48"}]
+
+    def test_values_of_any_length(self, capsys, tmp_path):
+        # six 500-digit denominators give 6,000-digit ones at k = 12, past
+        # the 4,300 digits that str() of an int allows by default
+        entries = [Fraction(i + 1, 10 ** 499 + 7 * i + 1) for i in range(6)]
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps([str(e) for e in entries]))
+        code, out, err = run(capsys, "fkr", "--x", str(path), "--r", "2")
+        assert (code, err) == (0, "")
+        values = [Fraction(row["value"]) for row in json.loads(out)["values"]]
+        assert values == families.f_kr_all(RationalVector(entries), 2)
 
 
 class TestTheorem1:

@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sympineq.families import (binom_ext, delta_gbar_kr, elementary_all,
-                               f_kr, f_kr_all, f_special_identities, g_kr,
-                               gbar_kr, gbar_numerators, grad_f_kr, m_kr,
-                               m_kr_from_gbar)
+                               f_kr, f_kr_all, g_kr, gbar_kr, gbar_numerators,
+                               grad_f_kr, m_kr, m_kr_from_gbar)
 from sympineq.majorize import t_transform_pair
 from sympineq.oracles import (IndexSet, f_kr_oracle, h_s,
                               is_schur_concave_index_set, max_part_index_set,
@@ -63,14 +62,30 @@ class TestFFamily:
                 assert table[k] == x.total() ** k / math.factorial(k)
 
 
+def assert_closed_forms(x, r):
+    """The lowest and highest degrees of the F product in closed form:
+    F_{k,r} = E_1^k / k! for k <= r, F_{r+1,r} = (E_1^{r+1} - sum_i
+    x_i^{r+1}) / (r+1)!, and F_{nr,r} = E_n^r / (r!)^n."""
+    n = len(x)
+    table = f_kr_all(x, r)
+    e1 = x.total()
+    for k in range(r + 1):
+        assert table[k] == e1 ** k / math.factorial(k)
+    power_sum = sum((e ** (r + 1) for e in x.entries), Fraction(0))
+    value_rp1 = table[r + 1] if n > 1 else 0  # past the top degree when n = 1
+    assert value_rp1 == (e1 ** (r + 1) - power_sum) / math.factorial(r + 1)
+    en = math.prod(x.entries, start=Fraction(1))
+    assert table[n * r] == en ** r / Fraction(math.factorial(r)) ** n
+
+
 class TestSpecialIdentities:
     def test_pair_of_ones(self):
-        assert f_special_identities(vec(1, 1), 2).all_ok
+        assert_closed_forms(vec(1, 1), 2)
 
     def test_always_hold(self, rng):
         for _ in range(30):
             x = random_rational_vector(rng, rng.randint(1, 4))
-            assert f_special_identities(x, rng.randint(1, 3)).all_ok
+            assert_closed_forms(x, rng.randint(1, 3))
 
 
 class TestGFamily:

@@ -1,10 +1,10 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from sympineq.families import elementary_all
-from sympineq.oracles import oracle_value
+from sympineq.oracles import f_kr_oracle, oracle_value
 from sympineq.series import (Catalyst, SeriesTemplate, TruncatedSeries,
                              catalyst_product, padded_taylor_template,
                              product_over_vector, subset_power_table,
@@ -20,6 +20,20 @@ small_vectors = st.lists(
     st.fractions(min_value=0, max_value=6, max_denominator=6),
     min_size=1, max_size=4).map(RationalVector)
 entries = st.fractions(min_value=0, max_value=3, max_denominator=4)
+# zero entries drawn on purpose: their factor is 1, so they add no degree
+entries_with_zeros = st.one_of(st.just(Fraction(0)), entries)
+
+
+def cauchy_reference(values, coeffs, d):
+    """``prod_i sum_j coeffs[j] (values[i] t)^j`` modulo ``t^(d+1)``, one
+    Fraction Cauchy product per value."""
+    acc = [Fraction(1)] + [Fraction(0)] * d
+    for v in values:
+        factor = [coeffs[j] * v ** j if j < len(coeffs) else Fraction(0)
+                  for j in range(d + 1)]
+        acc = [sum((acc[i] * factor[k - i] for i in range(k + 1)), Fraction(0))
+               for k in range(d + 1)]
+    return tuple(acc)
 
 
 class TestProductOverVector:
@@ -49,6 +63,48 @@ class TestProductOverVector:
         got = product_over_vector(x, taylor_template(2))
         assert got.coefficient(0) == 1
         assert got.coefficient(1) == x.total()
+
+
+class TestKernelEdgeCases:
+    # each case runs every degree bound from 0 (below the template degree)
+    # to one past the top degree n * deg, where the kernel pads with zeros;
+    # a product cut at t^d is the first d + 1 coefficients of the full one
+
+    @given(st.lists(entries_with_zeros, min_size=1, max_size=4), st.integers(1, 3))
+    @example([Fraction(5, 3)], 3)
+    @example([Fraction(0), Fraction(2), Fraction(0)], 2)
+    def test_taylor_against_oracle(self, values, r):
+        x = RationalVector(values)
+        top = len(x) * r + 1
+        want = tuple(f_kr_oracle(x, r, k) for k in range(top + 1))
+        tpl = taylor_template(r)
+        for d in range(top + 1):
+            assert product_over_vector(x, tpl, d).coeffs == want[:d + 1]
+
+    @given(st.lists(entries_with_zeros, min_size=1, max_size=3), st.integers(1, 2),
+           st.lists(st.one_of(st.just(Fraction(0)),
+                              st.fractions(0, Fraction(4, 5), max_denominator=5)),
+                    min_size=1, max_size=3))
+    @example([Fraction(1, 2), Fraction(3)], 1, [Fraction(0), Fraction(1, 2)])
+    def test_padded_against_cauchy_product(self, values, r, extras):
+        tpl = padded_taylor_template(r, {r + 1 + j: a for j, a in enumerate(extras)})
+        top = len(values) * tpl.degree + 1
+        want = cauchy_reference(values, tpl.base_coeffs, top)
+        x = RationalVector(values)
+        for d in range(top + 1):
+            assert product_over_vector(x, tpl, d).coeffs == want[:d + 1]
+
+    @given(st.lists(entries_with_zeros, min_size=1, max_size=3),
+           entries_with_zeros, st.integers(1, 2))
+    def test_two_entry_catalyst_against_cauchy_product(self, values, c1, r):
+        c = Catalyst((Fraction(1), c1))
+        tpl = taylor_template(r)
+        top = 2 * len(values) * r + 1
+        products = [v * cj for v in values for cj in (1, c1)]
+        want = cauchy_reference(products, tpl.base_coeffs, top)
+        x = RationalVector(values)
+        for d in range(top + 1):
+            assert catalyst_product(x, c, tpl, d).coeffs == want[:d + 1]
 
 
 class TestCatalyst:

@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from sympineq.vectors import RationalVector, lp_mean, partial_sums_desc, to_fraction
+from sympineq.vectors import (RationalVector, log_of_fraction, lp_mean,
+                              partial_sums_desc, to_fraction)
 
 from conftest import random_rational_vector
 
@@ -90,6 +91,52 @@ class TestLpMean:
         gaps = [abs(lp_mean(x, p) - lp_mean(x, 0)) for p in (1e-2, 1e-3, 1e-4)]
         assert gaps[0] > gaps[1] > gaps[2]
         assert gaps[2] <= 1e-4
+
+
+def uncached_lp_mean(x, p):
+    """lp_mean with every entry converted to float at every call."""
+    entries = x.entries
+    n = len(entries)
+    if math.isinf(p):
+        return float(max(entries) if p > 0 else min(entries))
+    if p == 0:
+        if 0 in entries:
+            return 0.0
+        return math.exp(math.fsum(log_of_fraction(e) for e in entries) / n)
+    if p < 0 and 0 in entries:
+        return 0.0
+    return (math.fsum(float(e) ** p for e in entries) / n) ** (1.0 / p)
+
+
+def bits(values):
+    return [v.hex() for v in values]
+
+
+float_cache_vectors = st.lists(
+    st.one_of(st.just(Fraction(0)),
+              st.fractions(min_value=0, max_value=10 ** 6, max_denominator=10 ** 4)),
+    min_size=1, max_size=8)
+EXPONENTS = (-2.0, -0.5, 0.0, 0.37, 1.0, 2.5, math.inf, -math.inf)
+
+
+class TestFloatCache:
+    @given(float_cache_vectors)
+    def test_same_bits_as_uncached(self, values):
+        x = RationalVector(values)
+        want = bits(uncached_lp_mean(RationalVector(values), p) for p in EXPONENTS)
+        assert bits(lp_mean(x, p) for p in EXPONENTS) == want
+        assert bits(lp_mean(x, p) for p in EXPONENTS) == want  # from the cache
+
+    @given(float_cache_vectors)
+    def test_filled_cache_keeps_equality_and_hash(self, values):
+        x = RationalVector(values)
+        floats = x.to_floats()
+        assert floats == tuple(float(e) for e in values)
+        assert x.to_floats() is floats
+        fresh = RationalVector(values)
+        assert x == fresh and fresh == x
+        assert hash(x) == hash(fresh)
+        assert {fresh: "kept"}[x] == "kept"
 
 
 class TestPartialSums:
