@@ -6,8 +6,7 @@ from .vectors import RationalVector, lp_mean, partial_sums_desc, to_fraction
 from .series import (Catalyst, SeriesTemplate, TruncatedSeries, catalyst_product,
                      padded_taylor_template, product_over_vector, taylor_template,
                      tensor)
-from .families import (elementary_all, f_kr, f_kr_all, g_kr, gbar_kr,
-                       delta_gbar_kr, grad_f_kr, m_kr, m_kr_from_gbar)
+from .families import (f_kr_all, g_kr, gbar_kr, delta_gbar_kr, grad_f_kr, m_kr)
 from .majorize import (MajorizationVerdict, Theorem2Report, majorizes,
                        psi_compare, psi_sum, s_r_limit_estimate,
                        schur_ostrowski_sample, t_transform_pair, theorem2_scan)
@@ -15,7 +14,7 @@ from .theorem1 import (ConclusionReport, FullReport, HypothesisReport,
                        check_hypotheses, check_hypotheses_coeffs, full_report,
                        verify_conclusions)
 from .spectral import (SpectralSummary, det_I_plus_tA, f_from_matrix, gram,
-                       sign_flip_variants, spectral_summary)
+                       spectral_summary)
 from .mellin import (QuadratureResult, delta_r, identity_check, identity_lhs,
                      integral_I, integral_J)
 from .oracles import (CompositionStream, IndexSet, OracleSizeError,

@@ -15,7 +15,7 @@ import json
 import math
 import sys
 from fractions import Fraction
-from typing import Any, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from .families import f_kr_all
 from .majorize import majorizes, psi_compare, theorem2_scan
@@ -32,14 +32,16 @@ class CliInputError(Exception):
     """Malformed input file or value; maps to exit code 2."""
 
 
-def load_vector(path: str) -> RationalVector:
+def _read_input(path: str, parse: Callable[[str], Any]) -> Any:
+    """``parse`` applied to the text of the file at ``path``; every failure
+    becomes a CliInputError that names the file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise CliInputError(f"{path}: {exc.strerror}") from exc
     try:
-        return RationalVector.from_json(text)
+        return parse(text)
     except json.JSONDecodeError as exc:
         raise CliInputError(
             f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
@@ -47,24 +49,17 @@ def load_vector(path: str) -> RationalVector:
         raise CliInputError(f"{path}: {exc}") from exc
 
 
+def load_vector(path: str) -> RationalVector:
+    return _read_input(path, RationalVector.from_json)
+
+
 def load_matrix(path: str) -> tuple[tuple[int, ...], ...]:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise CliInputError(f"{path}: {exc.strerror}") from exc
-    try:
+    def parse(text: str) -> tuple[tuple[int, ...], ...]:
         if path.endswith(".csv"):
-            rows = [[int(cell) for cell in row]
-                    for row in csv.reader(text.splitlines()) if row]
-        else:
-            rows = json.loads(text)
-        return as_int_matrix(rows)
-    except json.JSONDecodeError as exc:
-        raise CliInputError(
-            f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    except (ValueError, TypeError) as exc:
-        raise CliInputError(f"{path}: {exc}") from exc
+            return as_int_matrix([[int(cell) for cell in row]
+                                  for row in csv.reader(text.splitlines()) if row])
+        return as_int_matrix(json.loads(text))
+    return _read_input(path, parse)
 
 
 def parse_exponent(text: str) -> float:

@@ -2,7 +2,7 @@
 
 All families act on nonnegative rational vectors:
 
-- ``E_k``       elementary symmetric polynomials,
+- ``E_k``       elementary symmetric polynomials, ``f_kr_all(x, 1)[k]``,
 - ``F_{k,r}``   terms of ``(sum x)^k / k!`` with every exponent at most r,
 - ``G_{k,r}``   terms with at least r distinct variables (``Gbar`` is the
                 complement, ``DeltaGbar`` the exactly-r slice),
@@ -14,13 +14,17 @@ brute-force enumeration and lives with the oracles.
 E, F, G, Gbar, DeltaGbar and M are coefficients of per-entry products that
 the integer kernels in ``series`` compute, so each costs time polynomial in n:
 
-- E and F: ``prod_i A(x_i t)`` with ``A = 1 + s`` and ``taylor_template(r)``,
+- F: ``prod_i A(x_i t)`` with ``A = taylor_template(r)``; E is r = 1, where
+  ``A = 1 + s``,
 - M_{k,r} = ``k! [u^r t^k] prod_i (1 + u e^{x_i t})``: u picks the r-subset,
   and ``e^{s t}`` over it gives ``s^k / k!``,
 - DeltaGbar_{k,m} = ``[u^m t^k] prod_i (1 + u (e^{x_i t} - 1))``: each entry
   contributes either nothing or a nonempty power of itself, so u counts the
   distinct variables.  The factor is ``(1 - u) + u e^{x_i t}``, so G, Gbar
   and DeltaGbar are binomial transforms of the M rows of one table.
+
+The F gradient and the G and M partials take their entry-dependent part from
+the family at x with one entry left out, computed once per distinct entry.
 """
 
 from __future__ import annotations
@@ -28,15 +32,14 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, factorial
 from operator import mul
+from typing import Callable
 
-from .series import (SeriesTemplate, SubsetPowerTable, product_over_vector,
-                     subset_power_table, taylor_template)
+from .series import (SubsetPowerTable, product_over_vector, subset_power_table,
+                     taylor_template)
 from .vectors import RationalVector
 
 __all__ = [
-    "elementary_all",
     "f_kr_all",
-    "f_kr",
     "g_kr",
     "gbar_kr",
     "delta_gbar_kr",
@@ -44,15 +47,9 @@ __all__ = [
     "g_cell",
     "m_kr",
     "m_cell",
-    "m_kr_from_gbar",
-    "binom_ext",
+    "leave_one_out",
     "grad_f_kr",
 ]
-
-
-def elementary_all(x: RationalVector) -> list[Fraction]:
-    """E_0..E_n: the coefficients of ``prod_i (1 + x_i t)``."""
-    return list(product_over_vector(x, SeriesTemplate((1, 1))).coeffs)
 
 
 def f_kr_all(x: RationalVector, r: int) -> list[Fraction]:
@@ -61,18 +58,6 @@ def f_kr_all(x: RationalVector, r: int) -> list[Fraction]:
     if r < 1:
         raise ValueError("need r >= 1")
     return list(product_over_vector(x, taylor_template(r)).coeffs)
-
-
-def f_kr(x: RationalVector, k: int, r: int) -> Fraction:
-    """A single F_{k,r}; zero above the top degree n*r."""
-    if k < 0:
-        raise ValueError("need k >= 0")
-    if r < 1:
-        raise ValueError("need r >= 1")
-    if k > len(x) * r:
-        return Fraction(0)
-    # truncating the product at degree k is enough for one coefficient
-    return product_over_vector(x, taylor_template(r), degree_bound=k).coefficient(k)
 
 
 def gbar_numerators(table: SubsetPowerTable, r: int) -> list[int]:
@@ -136,38 +121,25 @@ def m_kr(x: RationalVector, k: int, r: int) -> Fraction:
     return m_cell(subset_power_table(x, k, r), k, r)
 
 
-def binom_ext(a: int, b: int) -> int:
-    """Binomial coefficient with the conventions the subset-power identity
-    needs: C(a, 0) = 1 for every integer a; 0 when b < 0 or b > a >= 0."""
-    if b == 0:
-        return 1
-    if b < 0:
-        return 0
-    assert a >= 0, "negative upper index with positive lower never arises here"
-    return comb(a, b) if b <= a else 0
-
-
-def m_kr_from_gbar(x: RationalVector, k: int, r: int) -> Fraction:
-    """M_{k,r} reassembled from the Gbar family:
-    ``M/k! = sum_m C(n-r-1+m, m) * Gbar_{k, r+1-m}`` for m = 0..r-1.
-
-    Kept as an identity under test; no evaluator runs through it."""
-    n = len(x)
-    if not 1 <= r <= n:
-        raise ValueError("need 1 <= r <= n")
-    total = Fraction(0)
-    for m in range(r):
-        total += binom_ext(n - r - 1 + m, m) * gbar_kr(x, k, r + 1 - m)
-    return factorial(k) * total
+def leave_one_out(x: RationalVector,
+                  value: Callable[[RationalVector], Fraction]) -> list[Fraction]:
+    """``value(x without entry i)`` for each i, computed once per distinct
+    entry: leaving out equal entries leaves the same multiset, and every
+    family here is symmetric."""
+    by_entry: dict[Fraction, Fraction] = {}
+    for i, e in enumerate(x.entries):
+        if e not in by_entry:
+            by_entry[e] = value(RationalVector(x.entries[:i] + x.entries[i + 1:]))
+    return [by_entry[e] for e in x.entries]
 
 
 def grad_f_kr(x: RationalVector, r: int, k: int) -> tuple[Fraction, ...]:
-    """Exact gradient of F_{k,r}: component i is the t^k coefficient of
-    ``t tpl'(x_i t) prod_{j != i} tpl(x_j t)``.
+    """Exact gradient of F_{k,r}.
 
-    The product over every entry comes from the kernel once; dividing it by
-    the factor ``tpl(x_i t)``, whose constant term is 1, leaves the product
-    over the others in O(k r) steps per entry."""
+    The template ``T_r`` satisfies ``T_r'(s) = T_r(s) - s^r / r!``, so
+    ``dF_{k,r}/dx_i = F_{k-1,r}(x) - x_i^r / r! * F_{k-1-r,r}(x without i)``.
+    The first term is shared by every i; the second vanishes for k <= r,
+    and otherwise takes one kernel product per distinct entry."""
     n = len(x)
     if r < 1:
         raise ValueError("need r >= 1")
@@ -176,19 +148,10 @@ def grad_f_kr(x: RationalVector, r: int, k: int) -> tuple[Fraction, ...]:
     if k == 0:
         return tuple(Fraction(0) for _ in range(n))
     tpl = taylor_template(r)
-    a = tpl.base_coeffs
-    top = min(r, k)
-    full = product_over_vector(x, tpl, degree_bound=k - 1).coeffs
-    grads = []
-    for xi in x.entries:
-        powers = [xi ** j for j in range(top + 1)]
-        factor = [a[j] * powers[j] for j in range(top + 1)]
-        rest: list[Fraction] = []  # prod_{j != i} tpl(x_j t) up to t^(k-1)
-        for m in range(k):
-            acc = full[m]
-            for j in range(1, min(m, top) + 1):
-                acc -= factor[j] * rest[m - j]
-            rest.append(acc)
-        grads.append(sum((j * a[j] * powers[j - 1] * rest[k - j]
-                          for j in range(1, top + 1)), Fraction(0)))
-    return tuple(grads)
+    shared = product_over_vector(x, tpl, degree_bound=k - 1).coeffs[k - 1]
+    if k <= r:  # n = 1 always ends here, as k <= n r
+        return (shared,) * n
+    rest = leave_one_out(
+        x, lambda others: product_over_vector(others, tpl, k - 1 - r).coeffs[-1])
+    a_r = tpl.base_coeffs[r]
+    return tuple(shared - a_r * xi ** r * f for xi, f in zip(x.entries, rest))

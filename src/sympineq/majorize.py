@@ -7,7 +7,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from . import families, series
 from .vectors import (RationalLike, RationalVector, log_of_fraction, lp_mean,
@@ -65,25 +65,13 @@ class SchurSampleVerdict:
     worst_quotient: Optional[Fraction]
 
 
-def _leave_one_out(x: RationalVector,
-                   value: Callable[[RationalVector], Fraction]) -> list[Fraction]:
-    """``value(x without entry i)`` for each i, computed once per distinct
-    entry: leaving out equal entries leaves the same multiset, and every
-    family here is symmetric."""
-    by_entry: dict[Fraction, Fraction] = {}
-    for i, e in enumerate(x.entries):
-        if e not in by_entry:
-            by_entry[e] = value(RationalVector(x.entries[:i] + x.entries[i + 1:]))
-    return [by_entry[e] for e in x.entries]
-
-
 def schur_ostrowski_sample(family: str, x: RationalVector, k: int,
                            r: int) -> SchurSampleVerdict:
     """Differential monotonicity probe at a single point, in exact rationals.
 
     Evaluates ``(dPhi/dx_i - dPhi/dx_j) / (x_j - x_i)`` over all index pairs
-    with distinct entries.  F takes its exact gradient from the kernel.  G and
-    M take their partials, up to a term shared by every i that cancels in the
+    with distinct entries.  F takes its exact gradient from ``grad_f_kr``.  G
+    and M take their partials, up to a term shared by every i that cancels in the
     quotient, from family values at x with entry i left out:
 
     - ``dG_{k,r}/dx_i = E_1^(k-1)/(k-1)! - Gbar_{k-1,r}(x)
@@ -105,10 +93,11 @@ def schur_ostrowski_sample(family: str, x: RationalVector, k: int,
     if family == "F" and k <= n * r:
         grad: Sequence[Fraction] = families.grad_f_kr(x, r, k)
     elif family == "G" and k >= 1 and r >= 2:
-        grad = _leave_one_out(
+        grad = families.leave_one_out(
             x, lambda rest: families.delta_gbar_kr(rest, k - 1, r - 1))
     elif family == "M" and k >= 2:
-        grad = _leave_one_out(x, lambda rest: -k * families.m_kr(rest, k - 1, r))
+        grad = families.leave_one_out(
+            x, lambda rest: -k * families.m_kr(rest, k - 1, r))
     else:  # G_{k,1}, G_{0,r}, M_{1,r} and M_{0,r} depend on the sum alone,
         # and F_{k,r} vanishes for k > n r
         grad = [Fraction(0)] * n

@@ -105,25 +105,18 @@ def _delta_small(s: np.ndarray, r: int) -> np.ndarray:
     return -np.log1p(-q)
 
 
-def _delta_vec(s: np.ndarray, r: int) -> np.ndarray:
-    out = np.empty_like(s)
-    small = s <= 4.0
-    if small.any():
-        out[small] = _delta_small(s[small], r)
-    big = ~small
-    if big.any():
-        sb = s[big]
-        out[big] = sb - _log_pr_from_logs(np.log(sb), r)
-    return out
-
-
 def delta_r(s: float, r: int) -> float:
     """The nonnegative gap between s and the log of the order-r exponential
     truncation; O(s^(r+1)) near zero, computed cancellation-safe there."""
     _validate_r(r)
     if not 0 <= s < math.inf:
         raise ValueError("need a finite s >= 0")
-    return float(_delta_vec(np.array([s], dtype=float), r)[0])
+    arr = np.array([s], dtype=float)
+    if arr[0] <= 4.0:
+        gap = _delta_small(arr, r)
+    else:
+        gap = arr - _log_pr_from_logs(np.log(arr), r)
+    return float(gap[0])
 
 
 def _validate_r(r: int) -> None:

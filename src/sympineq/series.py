@@ -56,11 +56,6 @@ class TruncatedSeries:
     def degree_bound(self) -> int:
         return len(self._coeffs) - 1
 
-    def coefficient(self, k: int) -> Fraction:
-        if not 0 <= k <= self.degree_bound:
-            raise IndexError(f"coefficient {k} outside degree bound {self.degree_bound}")
-        return self._coeffs[k]
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, TruncatedSeries) and self._coeffs == other._coeffs
 

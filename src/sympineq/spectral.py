@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 __all__ = [
     "IntMatrix",
@@ -21,7 +21,6 @@ __all__ = [
     "gram",
     "det_I_plus_tA",
     "f_from_matrix",
-    "sign_flip_variants",
     "SpectralSummary",
     "spectral_summary",
 ]
@@ -145,35 +144,6 @@ def _f_table(p: Sequence[int], r: int, deg: int) -> tuple[Fraction, ...]:
         g.append(sum(comb(k - 1, j - 1) * c[j] * g[k - j]
                      for j in range(1, k + 1)))
     return tuple(Fraction(gk, factorial(k)) for k, gk in enumerate(g))
-
-
-def sign_flip_variants(q: Iterable[Sequence[int]], budget: int) -> Iterator[IntMatrix]:
-    """Deterministic enumeration of sign-flip variants of a matrix.
-
-    Flip sets are bit masks over the nonzero positions in row-major order,
-    masks ascending, so the unflipped matrix always comes first.  At most
-    ``budget`` variants are yielded.
-    """
-    qm = as_int_matrix(q)
-    if budget < 0:
-        raise ValueError("budget must be nonnegative")
-    positions = [(i, j) for i, row in enumerate(qm)
-                 for j, v in enumerate(row) if v]
-    total = 1 << len(positions)
-    count = 0
-    mask = 0
-    while mask < total and count < budget:
-        rows = [list(row) for row in qm]
-        mm, idx = mask, 0
-        while mm:
-            if mm & 1:
-                i, j = positions[idx]
-                rows[i][j] = -rows[i][j]
-            mm >>= 1
-            idx += 1
-        yield tuple(tuple(row) for row in rows)
-        count += 1
-        mask += 1
 
 
 @dataclass(frozen=True)

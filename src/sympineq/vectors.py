@@ -31,12 +31,15 @@ def to_fraction(value: RationalLike) -> Fraction:
 
     Strings parse exactly: ``"3/7"`` as a quotient, ``"1.9"`` as the decimal
     19/10 -- never as the nearest binary float.  Python floats convert to the
-    exact rational value they already hold.
+    exact rational value they already hold; infinities raise ValueError, as
+    NaN does inside ``Fraction``.
     """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
         raise TypeError("booleans are not rational scalars")
+    if isinstance(value, float) and math.isinf(value):
+        raise ValueError(f"cannot interpret {value!r} as an exact rational")
     if isinstance(value, (int, str, float)):
         return Fraction(value)
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
@@ -99,9 +102,6 @@ class RationalVector:
 
     def sorted_desc(self) -> tuple[Fraction, ...]:
         return tuple(sorted(self._entries, reverse=True))
-
-    def scale(self, c: RationalLike) -> "RationalVector":
-        return RationalVector(e * to_fraction(c) for e in self._entries)
 
     def to_floats(self) -> tuple[float, ...]:
         """The entries as floats, converted on the first call and kept."""

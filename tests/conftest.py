@@ -1,8 +1,10 @@
 import random
 from fractions import Fraction
+from math import comb, factorial
 
 import pytest
 
+from sympineq.families import gbar_kr
 from sympineq.spectral import gram
 from sympineq.vectors import RationalVector
 
@@ -39,3 +41,26 @@ def random_rational_vector(rng: random.Random, n: int, max_numerator: int = 40,
 @pytest.fixture
 def rng():
     return random.Random(20260809)
+
+
+def binom_ext(a: int, b: int) -> int:
+    """Binomial coefficient with the conventions the subset-power identity
+    needs: C(a, 0) = 1 for every integer a; 0 when b < 0 or b > a >= 0."""
+    if b == 0:
+        return 1
+    if b < 0:
+        return 0
+    assert a >= 0, "negative upper index with positive lower never arises here"
+    return comb(a, b) if b <= a else 0
+
+
+def m_kr_from_gbar(x: RationalVector, k: int, r: int) -> Fraction:
+    """M_{k,r} reassembled from the Gbar family:
+    ``M/k! = sum_m C(n-r-1+m, m) * Gbar_{k, r+1-m}`` for m = 0..r-1."""
+    n = len(x)
+    if not 1 <= r <= n:
+        raise ValueError("need 1 <= r <= n")
+    total = Fraction(0)
+    for m in range(r):
+        total += binom_ext(n - r - 1 + m, m) * gbar_kr(x, k, r + 1 - m)
+    return factorial(k) * total

@@ -11,7 +11,7 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
-from sympineq.families import (f_kr_all, g_kr, gbar_kr, m_kr, m_kr_from_gbar)
+from sympineq.families import f_kr_all, g_kr, gbar_kr, m_kr
 from sympineq.majorize import majorizes, t_transform_pair
 from sympineq.mellin import identity_check, integral_I
 from sympineq.oracles import f_from_matrix_oracle, oracle_value
@@ -19,7 +19,7 @@ from sympineq.spectral import det_I_plus_tA, f_from_matrix, gram
 from sympineq.theorem1 import check_hypotheses, verify_conclusions
 from sympineq.vectors import RationalVector
 
-from conftest import SAMPLE_Q, SAMPLE_R, random_rational_vector
+from conftest import SAMPLE_Q, SAMPLE_R, m_kr_from_gbar, random_rational_vector
 
 X_TABLE = (81, 405, 1524, 4050, 7290, 5670, 2520)
 Y_TABLE = (81, 513, 2388, 5130, 7290, 5670, 2520)

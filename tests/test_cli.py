@@ -397,6 +397,20 @@ class TestErrorsAndDeterminism:
         code, _, err = run(capsys, "norms", "--x", files["negative.json"])
         assert code == 2 and "nonnegative" in err
 
+    @pytest.mark.parametrize("argv", [["norms"], ["fkr", "--r", "2"],
+                                      ["theorem1", "--r", "1", "--y"]],
+                             ids=["norms", "fkr", "theorem1"])
+    @pytest.mark.parametrize("literal", ["Infinity", "-Infinity"])
+    def test_infinite_entry_is_a_usage_error(self, capsys, files, tmp_path,
+                                             argv, literal):
+        path = tmp_path / "inf.json"
+        path.write_text(f"[1, {literal}]")
+        if argv[0] == "theorem1":
+            argv = argv + [files["a.json"]]
+        code, out, err = run(capsys, *argv, "--x", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {path}: ")
+
     def test_unknown_command_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["no-such-command"])

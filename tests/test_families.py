@@ -4,9 +4,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sympineq.families import (binom_ext, delta_gbar_kr, elementary_all,
-                               f_kr, f_kr_all, g_kr, gbar_kr, gbar_numerators,
-                               grad_f_kr, m_kr, m_kr_from_gbar)
+from sympineq import families, series
+from sympineq.families import (delta_gbar_kr, f_kr_all, g_kr, gbar_kr,
+                               gbar_numerators, grad_f_kr, m_kr)
 from sympineq.majorize import t_transform_pair
 from sympineq.oracles import (IndexSet, f_kr_oracle, h_s,
                               is_schur_concave_index_set, max_part_index_set,
@@ -14,7 +14,7 @@ from sympineq.oracles import (IndexSet, f_kr_oracle, h_s,
 from sympineq.series import subset_power_table
 from sympineq.vectors import RationalVector
 
-from conftest import random_rational_vector
+from conftest import binom_ext, m_kr_from_gbar, random_rational_vector
 
 
 def vec(*entries):
@@ -28,22 +28,15 @@ small_vectors = st.lists(
 
 class TestElementary:
     def test_one_two_three(self):
-        assert elementary_all(vec(1, 2, 3)) == [1, 6, 11, 6]
+        assert f_kr_all(vec(1, 2, 3), 1) == [1, 6, 11, 6]
 
     def test_all_ones_gives_binomials(self):
-        assert elementary_all(vec(1, 1, 1, 1)) == [1, 4, 6, 4, 1]
-
-    @given(small_vectors)
-    def test_matches_order_one_family(self, x):
-        assert elementary_all(x) == f_kr_all(x, 1)
+        assert f_kr_all(vec(1, 1, 1, 1), 1) == [1, 4, 6, 4, 1]
 
 
 class TestFFamily:
     def test_pair_of_ones(self):
         assert f_kr_all(vec(1, 1), 2) == [1, 2, 2, 1, Fraction(1, 4)]
-
-    def test_single_value_above_top_degree_is_zero(self):
-        assert f_kr(vec(1, 1), 5, 2) == 0
 
     def test_oracle_agreement_small_grid(self, rng):
         for _ in range(25):
@@ -180,7 +173,9 @@ class TestGenericFamily:
             n = rng.randint(1, 4)
             x = random_rational_vector(rng, n, max_numerator=10)
             k, r = rng.randint(0, 5), rng.randint(1, 3)
-            assert h_s(x, max_part_index_set(n, k, r)) == f_kr(x, k, r)
+            table = f_kr_all(x, r)
+            expected = table[k] if k < len(table) else 0  # zero above n r
+            assert h_s(x, max_part_index_set(n, k, r)) == expected
 
     def test_min_support_set_reproduces_g(self, rng):
         for _ in range(10):
@@ -245,7 +240,7 @@ class TestGradients:
         def value(xs, i, v, k, r):
             moved = list(xs)
             moved[i] = v
-            return float(f_kr(RationalVector(moved), k, r))
+            return float(f_kr_all(RationalVector(moved), r)[k])
 
         for _ in range(15):
             n = rng.randint(1, 4)
@@ -304,7 +299,26 @@ class TestGradients:
         for k in (1, 7, 40):
             grad = grad_f_kr(x, r, k)
             assert sum(xi * g for xi, g in zip(x.entries, grad)) == \
-                k * f_kr(x, k, r)
+                k * f_kr_all(x, r)[k]
+
+    def test_one_product_per_distinct_entry(self, monkeypatch):
+        built = []
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return series.product_over_vector(*args, **kwargs)
+
+        monkeypatch.setattr(families, "product_over_vector", counting)
+        distinct, repeated = vec(*range(1, 7)), vec(1, 1, 2, 2, 2, 5)
+        for x, count in ((distinct, 6), (repeated, 3)):
+            for k in range(1, 4):  # k <= r: one product shared by every i
+                built.clear()
+                grad_f_kr(x, 3, k)
+                assert len(built) == 1
+            for k in (4, 9, 18):  # one more per distinct leave-one-out vector
+                built.clear()
+                grad_f_kr(x, 3, k)
+                assert len(built) == 1 + count
 
 
 @settings(max_examples=40)
@@ -314,7 +328,7 @@ def test_families_are_permutation_invariant(x, rnd):
     rnd.shuffle(shuffled)
     y = RationalVector(shuffled)
     n = len(x)
-    assert elementary_all(x) == elementary_all(y)
+    assert f_kr_all(x, 1) == f_kr_all(y, 1)
     assert f_kr_all(x, 2) == f_kr_all(y, 2)
     for r in range(1, n + 1):
         assert g_kr(x, 3, r) == g_kr(y, 3, r)

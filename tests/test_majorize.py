@@ -268,7 +268,8 @@ class TestTheorem2AgainstOracles:
                 y = random_rational_vector(rng, n, 12, 9)
                 if not y.total():
                     continue
-                y = y.scale(x.total() / y.total())
+                c = x.total() / y.total()
+                y = RationalVector(e * c for e in y.entries)
             if i % 4 < 2 and n < 5:  # zero entries keep the totals equal
                 x = RationalVector((0,) + x.entries)
                 y = RationalVector(y.entries + (0,))

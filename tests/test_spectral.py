@@ -5,11 +5,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from sympineq.families import elementary_all, f_kr_all
+from sympineq.families import f_kr_all
 from sympineq.oracles import f_from_matrix_oracle
 from sympineq.series import product_over_vector, taylor_template
 from sympineq.spectral import (as_int_matrix, det_I_plus_tA, f_from_matrix,
-                               gram, sign_flip_variants, spectral_summary)
+                               gram, spectral_summary)
 from sympineq.vectors import RationalVector
 
 from conftest import SAMPLE_Q, SAMPLE_R
@@ -46,7 +46,7 @@ class TestDetIPlusT:
     def test_integer_spectrum_cross_check(self):
         # [[2,1],[1,2]] has spectrum {1, 3}
         coeffs = det_I_plus_tA(((2, 1), (1, 2)))
-        assert coeffs == elementary_all(RationalVector([1, 3]))
+        assert coeffs == f_kr_all(RationalVector([1, 3]), 1)
 
     def test_psd_gram_coefficients_are_nonnegative(self):
         rnd = random.Random(7)
@@ -177,27 +177,6 @@ class TestOracleAgreement:
                 assert table == f_from_matrix_oracle(a, r)
                 assert table[r * rank] != 0
                 assert all(c == 0 for c in table[r * rank + 1:])
-
-
-class TestSignFlips:
-    def test_budget_one_returns_the_original(self):
-        assert list(sign_flip_variants(SAMPLE_Q, 1)) == [as_int_matrix(SAMPLE_Q)]
-
-    def test_single_flip_reaches_the_variant(self):
-        positions = [(i, j) for i, row in enumerate(SAMPLE_Q)
-                     for j, v in enumerate(row) if v]
-        idx = positions.index((3, 3))
-        variants = list(sign_flip_variants(SAMPLE_Q, (1 << idx) + 1))
-        assert variants[1 << idx] == as_int_matrix(SAMPLE_R)
-
-    def test_zero_matrix_has_one_variant(self):
-        z = ((0, 0), (0, 0))
-        assert list(sign_flip_variants(z, 10)) == [z]
-
-    def test_enumeration_is_deterministic(self):
-        a = list(sign_flip_variants(SAMPLE_Q, 8))
-        b = list(sign_flip_variants(SAMPLE_Q, 8))
-        assert a == b and len(a) == 8
 
 
 class TestSummary:

@@ -46,7 +46,7 @@ class TestHypotheses:
         for _ in range(10):
             x = random_rational_vector(rng, rng.randint(1, 4),
                                        max_numerator=12)
-            y = x.scale(Fraction(3, 2))
+            y = RationalVector(e * Fraction(3, 2) for e in x.entries)
             for r in (1, 2, 3):
                 assert check_hypotheses(x, y, r).all_pass
 

@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -39,6 +40,15 @@ class TestParsing:
         with pytest.raises(ValueError):
             RationalVector([])
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_floats_rejected(self, value):
+        with pytest.raises(ValueError):
+            to_fraction(value)
+        with pytest.raises(ValueError):
+            RationalVector([1, value])
+        with pytest.raises(ValueError):
+            RationalVector.from_json(f"[1, {json.dumps(value)}]")
+
 
 class TestLpMean:
     def test_arithmetic_mean(self):
@@ -75,7 +85,7 @@ class TestLpMean:
             x = random_rational_vector(rng, rng.randint(1, 5))
             c = Fraction(rng.randint(1, 9), rng.randint(1, 5))
             for p in exponents:
-                lhs = lp_mean(x.scale(c), p)
+                lhs = lp_mean(RationalVector(e * c for e in x.entries), p)
                 rhs = float(c) * lp_mean(x, p)
                 assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
