@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import itertools
 import json
 import math
 import sys
@@ -74,10 +75,79 @@ def parse_exponent(text: str) -> float:
 
 
 def emit(report: dict[str, Any], fmt: str) -> None:
+    """Print ``report`` to stdout as text, or as the JSON that
+    ``json.dumps(report, indent=2, sort_keys=True)`` gives, byte for byte.
+
+    ``json.dumps`` with an indent runs the stdlib's pure-Python encoder, so
+    the JSON writer (``_json_text``) hands the bulk to the C encoder instead:
+    an encoder whose item separator is ``",\\n"`` plus the indent writes
+    every scalar exactly as the indented encoder does.
+    - A container of scalars is one ``encode``; its outer brackets then
+      become the indented ones.
+    - A list of non-empty scalar-only dicts (grid rows, checks, F values)
+      is one ``encode`` at the depth of the row keys; one ``str.replace`` of
+      ``"},\\n" + pad + "{"`` then re-indents the seams between rows.  That
+      pattern occurs nowhere else: an encoded string never holds a raw
+      newline, and within a row every separator is followed by a quoted
+      key.  An empty row would encode as ``{}`` and match it, so such a
+      list takes the generic path.
+    - Everything else (the few containers that hold containers) is one
+      ``encode`` with each inner container replaced by a ``0``, which
+      writes every key and loose scalar in order; the output splits
+      exactly at its separators, again because only separators hold a
+      newline, and each ``0`` gives way to the inner container's own text.
+    """
     if fmt == "json":
-        print(json.dumps(report, indent=2, sort_keys=True))
+        print(_json_text(report))
     else:
         _print_text(report)
+
+
+_CONTAINERS = (dict, list, tuple)
+
+
+@functools.lru_cache(maxsize=None)
+def _encoder(depth: int) -> Callable[[Any], str]:
+    # indent None, so encode runs the C encoder (or, without _json, the
+    # pure-Python one, which writes the same bytes)
+    return json.JSONEncoder(separators=(",\n" + "  " * depth, ": "),
+                            sort_keys=True).encode
+
+
+def _flat(items) -> bool:
+    return not any(map(isinstance, items, itertools.repeat(_CONTAINERS)))
+
+
+def _json_text(obj: Any, depth: int = 0) -> str:
+    if not isinstance(obj, _CONTAINERS):
+        return _encoder(0)(obj)
+    is_dict = isinstance(obj, dict)
+    if not obj:
+        return "{}" if is_dict else "[]"
+    pad, inner = "  " * depth, "  " * (depth + 1)
+    values = obj.values() if is_dict else obj
+    if _flat(values):
+        body = _encoder(depth + 1)(obj)[1:-1]
+    elif (not is_dict and all(map(isinstance, obj, itertools.repeat(dict)))
+          and all(obj) and _flat(itertools.chain.from_iterable(map(dict.values, obj)))):
+        deep = "  " * (depth + 2)
+        rows = _encoder(depth + 2)(obj)[2:-2]
+        body = ("{\n" + deep
+                + rows.replace("},\n" + deep + "{",
+                               "\n" + inner + "},\n" + inner + "{\n" + deep)
+                + "\n" + inner + "}")
+    else:
+        placeholders = ({key: 0 if isinstance(v, _CONTAINERS) else v
+                         for key, v in obj.items()} if is_dict
+                        else [0 if isinstance(v, _CONTAINERS) else v for v in obj])
+        pieces = _encoder(depth + 1)(placeholders)[1:-1].split(",\n" + inner)
+        if is_dict:
+            values = [v for _, v in sorted(obj.items())]
+        body = (",\n" + inner).join(
+            piece[:-1] + _json_text(v, depth + 1) if isinstance(v, _CONTAINERS) else piece
+            for piece, v in zip(pieces, values))
+    opening, closing = ("{", "}") if is_dict else ("[", "]")
+    return opening + "\n" + inner + body + "\n" + pad + closing
 
 
 def _print_text(report: dict[str, Any], indent: int = 0) -> None:

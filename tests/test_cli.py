@@ -1,11 +1,20 @@
+import contextlib
+import io
 import json
+import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, strategies as st
 
+import sympineq
 from sympineq import families, series, spectral
-from sympineq.cli import main
+from sympineq.cli import emit, main
 from sympineq.majorize import t_transform_pair
 from sympineq.vectors import RationalVector
 
@@ -432,9 +441,94 @@ class TestErrorsAndDeterminism:
         parsed = json.loads(out1)
         assert json.dumps(parsed, indent=2, sort_keys=True) + "\n" == out1
         assert "seed" not in parsed
+        # every other report shape: the default norms exponents and
+        # --psi-grid inf print -Infinity and Infinity
+        outs = {}
+        for argv in (("norms", "--x", "x.json"),
+                     ("fkr", "--x", "x.json", "--r", "2"),
+                     ("theorem1", "--x", "x.json", "--y", "y.json", "--r", "3"),
+                     ("theorem1", "--qx", "q.json", "--qy", "r.json", "--r-max", "3"),
+                     ("majorize", "--x", "a.json", "--y", "b.json",
+                      "--psi-grid", "inf", "--psi-grid", "0.5"),
+                     ("spectral", "--q", "q.json", "--r", "1", "--r", "2"),
+                     ("catalyst", "--x", "x.json", "--c", "c.json", "--y", "y.json"),
+                     ("mellin-validate", "--which", "id1", "--r", "2",
+                      "--p", "0.5", "--a", "1.5")):
+            argv = [files.get(a, a) for a in argv]
+            code, out, err = run(capsys, *argv)
+            assert code in (0, 1) and err == "", argv
+            assert run(capsys, *argv) == (code, out, err)
+            assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+            outs[argv[0]] = out
+        assert '"p": -Infinity' in outs["norms"]
+        assert '"lambda": Infinity' in outs["majorize"]
 
     def test_text_format(self, capsys, files):
         code, out, _ = run(capsys, "--format", "text", "majorize", "--x",
                            files["a.json"], "--y", files["b.json"])
         assert code == 0
         assert "holds: True" in out
+
+
+def emitted(obj):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        emit(obj, "json")
+    return out.getvalue()
+
+
+SCALARS = (st.none() | st.booleans() | st.integers() | st.floats()
+           | st.text())
+# the rows, checks and value tables of the reports are lists of flat dicts
+TREES = st.recursive(
+    SCALARS,
+    lambda kids: (st.lists(kids, max_size=4)
+                  | st.lists(kids, max_size=4).map(tuple)
+                  | st.dictionaries(st.text(), kids, max_size=4)
+                  | st.lists(st.dictionaries(st.text(), SCALARS, max_size=4),
+                             max_size=4)),
+    max_leaves=24)
+SEAM = "},\n      {"
+
+
+class TestJsonWriter:
+    @given(TREES)
+    @example({"rows": [{"a": SEAM, SEAM: "},\n", "{[": "]}"},
+                       {"q": '"\\', "c": "\x00\x1f\n\t", "u": "\u00e9\u2713",
+                        "s": "\ud800"}]})
+    @example([{"a": 1}, {}, {"b": [SEAM]}])
+    @example({"top": [{"a": 1}, {}], "e": {}, "l": [], "n": [[], {}, [{}]]})
+    @example({})
+    @example([])
+    @example(())
+    @example("},\n")
+    @example({"f": [0.0, -0.0, 5e-324, 1e16, math.inf, -math.inf, math.nan],
+              "rows": [{"p": math.inf, "m": -0.0}, {"p": math.nan, "m": 5e-324}]})
+    @example({"b": [True, 0, False, 1], "rows": [{"t": True, "o": 1},
+                                                  {"t": False, "o": 0}]})
+    @example({"big": [10 ** 4400, -(10 ** 4400)], "rows": [{"v": 10 ** 4400}]})
+    def test_matches_json_dumps(self, obj):
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            assert emitted(obj) == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+        finally:
+            sys.set_int_max_str_digits(old)
+
+    def test_same_bytes_without_the_c_accelerator(self, capsys, files):
+        argv = ["theorem1", "--x", files["x.json"], "--y", files["y.json"],
+                "--r", "3"]
+        code, out, _ = run(capsys, *argv)
+        script = ("import sys\n"
+                  "sys.modules['_json'] = None\n"
+                  "import json.encoder\n"
+                  "assert json.encoder.c_make_encoder is None\n"
+                  "from sympineq.cli import main\n"
+                  "sys.exit(main(sys.argv[1:]))\n")
+        src = str(Path(sympineq.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        done = subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert (done.returncode, done.stdout, done.stderr) == (code, out, "")
