@@ -504,18 +504,25 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    if hasattr(sys, "set_int_max_str_digits"):
-        # exact values are read and printed whatever their length
+    lift = hasattr(sys, "set_int_max_str_digits")
+    if lift:
+        # exact values are read and printed whatever their length; the
+        # caller's limit comes back once the report is out
+        old_limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)
-    args = _parser().parse_args(argv)
     try:
-        code, report = args.func(args)
-    except (CliInputError, ValueError) as exc:
-        # library ValueErrors are contract violations of the inputs
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    emit(report, args.format)
-    return code
+        args = _parser().parse_args(argv)
+        try:
+            code, report = args.func(args)
+        except (CliInputError, ValueError) as exc:
+            # library ValueErrors are contract violations of the inputs
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        emit(report, args.format)
+        return code
+    finally:
+        if lift:
+            sys.set_int_max_str_digits(old_limit)
 
 
 if __name__ == "__main__":

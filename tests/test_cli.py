@@ -60,6 +60,16 @@ def run_json(capsys, *argv):
     return code, json.loads(out), err
 
 
+@contextlib.contextmanager
+def int_max_str_digits(limit):
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
 class TestNorms:
     def test_defaults(self, capsys, files):
         code, report, _ = run_json(capsys, "norms", "--x", files["x.json"])
@@ -103,8 +113,27 @@ class TestFkr:
         path.write_text(json.dumps([str(e) for e in entries]))
         code, out, err = run(capsys, "fkr", "--x", str(path), "--r", "2")
         assert (code, err) == (0, "")
-        values = [Fraction(row["value"]) for row in json.loads(out)["values"]]
+        with int_max_str_digits(0):
+            values = [Fraction(row["value"]) for row in json.loads(out)["values"]]
         assert values == families.f_kr_all(RationalVector(entries), 2)
+
+    @pytest.mark.parametrize("argv", [
+        ("fkr", "--x", "x.json", "--r", "2"),
+        ("mellin-validate", "--which", "id1", "--r", "2", "--p", "0.5",
+         "--a", "2"),
+        ("norms", "--x", "bad.json"),
+        ("fkr", "--r", "2")],
+        ids=["report", "mellin", "usage-error", "argparse-exit"])
+    @pytest.mark.parametrize("limit", [4300, 5000])
+    def test_the_callers_digit_limit_comes_back(self, capsys, files, argv,
+                                                limit):
+        with int_max_str_digits(limit):
+            try:
+                main([files.get(a, a) for a in argv])
+            except SystemExit:
+                pass
+            assert sys.get_int_max_str_digits() == limit
+        capsys.readouterr()
 
 
 class TestTheorem1:

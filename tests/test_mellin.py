@@ -1,10 +1,13 @@
 import math
+from itertools import islice
 
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sympineq import mellin
+from sympineq.cli import main as cli_main
 from sympineq.mellin import (delta_r, identity_check, identity_lhs, integral_I,
                              integral_J)
 
@@ -123,11 +126,174 @@ class TestPerNodeStop:
         p = 0.5 if integrand is mellin._i_integrand else 1.98
         lo, hi = mellin._window("I" if p < 1 else "J", 1, p, 2.5, 1e-13)
         u = np.linspace(lo, hi, 50001)
-        log_a = math.log(2.5)
+        log_a = np.full(u.size, math.log(2.5))
         whole = integrand(u, log_a, p, 1)
-        parts = [integrand(u[a:a + 7919], log_a, p, 1)
+        parts = [integrand(u[a:a + 7919], log_a[a:a + 7919], p, 1)
                  for a in range(0, u.size, 7919)]
         assert whole.tobytes() == np.concatenate(parts).tobytes()
+
+    @pytest.mark.parametrize("integrand", [mellin._i_integrand,
+                                           mellin._j_integrand])
+    def test_two_scales_interleaved_give_the_same_bytes(self, integrand):
+        # the nodes of scales 1 and 2.5 merged in ascending s_log, in one
+        # call, against each scale's nodes alone
+        p = 0.5 if integrand is mellin._i_integrand else 1.98
+        kind = "I" if p < 1 else "J"
+        alone, merged_u, merged_log = [], [], []
+        for a in (1.0, 2.5):
+            lo, hi = mellin._window(kind, 1, p, a, 1e-13)
+            u = np.linspace(lo, hi, 20001)
+            log_a = np.full(u.size, math.log(a))
+            alone.append(integrand(u, log_a, p, 1))
+            merged_u.append(u)
+            merged_log.append(log_a)
+        u, log_a = np.concatenate(merged_u), np.concatenate(merged_log)
+        order = np.argsort(u + log_a, kind="stable")
+        assert (np.diff(order) < 0).sum() > 1000  # the scales interleave
+        merged = np.empty_like(u)
+        merged[order] = integrand(u[order], log_a[order], p, 1)
+        assert merged.tobytes() == np.concatenate(alone).tobytes()
+
+
+# (which, r, p, a) -> identity_lhs (value, estimated_error, node_count) and
+# the normalizer's, as float.hex, from the one-quadrature-at-a-time driver
+# that the lockstep driver replaced: the four fixed end-of-interval requests
+# of the mellin-validate benchmark workload, a = 0, a = 1 and interior points
+GOLDEN = [
+    ("id1", 1, 0.02, 2.5, "0x1.04bc12a189b9cp+0", "0x1.bff078a1e6f95p-32", 62784,
+     "0x1.38b4a981cea0fp+11", "0x1.0c9cd690e36b8p-21", 31392),
+    ("id2", 1, 1.02, 2.5, "0x1.45eb1749ec285p+1", "0x1.17f6324d8c618p-30", 50880,
+     "0x1.886a3e2063fc9p+5", "0x1.5114f8c7c0ea6p-27", 25152),
+    ("id1", 1, 0.98, 2.5, "0x1.3a306be38d9a3p+1", "0x1.0f8de3511a527p-30", 619248,
+     "0x1.986e8b76e3ec5p+5", "0x1.61020b28ad800p-27", 309360),
+    ("id2", 1, 1.98, 2.5, "0x1.88bc86de9b94fp+2", "0x1.824fb86656340p-24", 5092624,
+     "0x1.941263db9b728p+4", "0x1.73fdf348bac62p-23", 2537568),
+    ("id1", 2, 0.5, 0.0, "0x0.0p+0", "0x0.0p+0", 2256,
+     "0x1.3867a08fe2416p+3", "0x1.0c5aaa18f86a9p-29", 2256),
+    ("id2", 3, 2.2, 0.0, "0x0.0p+0", "0x0.0p+0", 912,
+     "0x1.fe5c6238d581ep-4", "0x1.b7261a6df138dp-36", 912),
+    ("id1", 2, 0.3, 1.0, "0x1.0000000000000p+0", "0x1.b7ce2a69d849dp-32", 5472,
+     "0x1.6afe25ccf2234p+4", "0x1.37cf13bc52a2cp-28", 2736),
+    ("id2", 2, 1.7, 1.0, "0x1.0000000000000p+0", "0x1.b7cdfc1eab4fbp-32", 2592,
+     "0x1.2eefff3dc093cp-1", "0x1.0438a79d69e4fp-33", 1296),
+    ("id1", 3, 0.45, 0.27, "0x1.1c0aef5b48a0bp-1", "0x1.e7fb72bf4578dp-33", 4512,
+     "0x1.d746d3078ee0cp+3", "0x1.94d2f4ebceb92p-29", 2256),
+    ("id1", 2, 0.81, 7.9, "0x1.556545f5d1d88p+2", "0x1.2541b6b8f26f4p-29", 6768,
+     "0x1.0c474ac34b4acp+3", "0x1.cce61e9c09be9p-30", 3312),
+    ("id2", 2, 2.4, 3.1, "0x1.e386257490fc9p+3", "0x1.9f59c5aa172dcp-28", 2784,
+     "0x1.7b25db2e3a4e8p-2", "0x1.45b0dee2dd608p-34", 1344),
+    ("id2", 3, 3.3, 0.52, "0x1.d9566b599b5e2p-4", "0x1.96a57928102b9p-35", 2160,
+     "0x1.222b97a461cb3p-4", "0x1.f292b8c55c81cp-37", 1104),
+    ("id2", 1, 1.5, 8.4, "0x1.85873891e2648p+4", "0x1.4e9a2fa36bd97p-27", 4368,
+     "0x1.0c152382ca9c4p+1", "0x1.cc8ff4d4d4240p-32", 2112),
+]
+
+
+def bits(result):
+    return (result.value.hex(), result.estimated_error.hex(), result.node_count)
+
+
+def counted_integrands(monkeypatch):
+    """Wrap both integrands; the list gets the node count of each call."""
+    sizes = []
+    for name in ("_i_integrand", "_j_integrand"):
+        def counted(u, *args, _inner=getattr(mellin, name)):
+            sizes.append(u.size)
+            return _inner(u, *args)
+        monkeypatch.setattr(mellin, name, counted)
+    return sizes
+
+
+class TestLockstep:
+    @pytest.mark.parametrize("row", GOLDEN, ids=lambda row: "-".join(map(str, row[:4])))
+    def test_reproduces_the_golden_bits(self, row):
+        which, r, p, a = row[:4]
+        mellin._memo.cache_clear()
+        lhs = identity_lhs(which, a, p, r)
+        norm = (integral_I if which == "id1" else integral_J)(r, p)
+        assert bits(lhs) + bits(norm) == row[4:]
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from(["I", "J"]), st.integers(1, 3),
+           st.floats(0.05, 0.95), st.floats(0.05, 20.0))
+    def test_lockstep_gives_the_bits_of_each_scale_alone(self, kind, r, t, a):
+        p = t if kind == "I" else 1.0 + t * r
+        both = mellin._lockstep(kind, r, p, [1.0, a])
+        alone = [mellin._lockstep(kind, r, p, [s])[0] for s in (1.0, a)]
+        assert both == alone
+        assert [bits(x) for x in both] == [bits(x) for x in alone]
+
+    @pytest.mark.parametrize("which, p", [("id1", "0.37"), ("id2", "2.3")])
+    def test_an_interior_request_makes_two_integrand_calls(self, monkeypatch,
+                                                          capsys, which, p):
+        sizes = counted_integrands(monkeypatch)
+        mellin._memo.cache_clear()
+        code = cli_main(["mellin-validate", "--which", which, "--r", "2",
+                         "--p", p, "--a", "3.1"])
+        assert code == 0 and len(sizes) == 2
+        capsys.readouterr()
+
+    def test_no_call_exceeds_one_block(self, monkeypatch):
+        # the far end of id2 runs rounds of 79104 panels per quadrature
+        sizes = counted_integrands(monkeypatch)
+        mellin._memo.cache_clear()
+        identity_lhs("id2", 2.5, 1.98, 1)
+        assert max(sizes) == mellin._BLOCK_PANELS * 16
+
+    def test_each_quadrature_runs_once_per_request(self, monkeypatch, capsys):
+        runs = []
+        inner = mellin._mellin_value
+
+        def counted(*key):
+            runs.append(key)
+            return inner(*key)
+
+        monkeypatch.setattr(mellin, "_mellin_value", counted)
+        mellin._memo.cache_clear()
+        cli_main(["mellin-validate", "--which", "id1", "--r", "3",
+                  "--p", "0.61", "--a", "0.4"])
+        assert sorted(runs) == [("I", 3, 0.61, 0.4), ("I", 3, 0.61, 1.0)]
+        capsys.readouterr()
+
+
+def drive_panels(sums, **kwargs):
+    """Run one panel-doubling pass on [0, 40] on the given rule sums: the
+    number of rounds per stage, the panels of each stage's first round, and
+    what the pass returns."""
+    run = mellin._integrate_panels(0.0, 40.0, **kwargs)
+    stages, feed = [next(run)], iter(sums)
+    try:
+        while True:
+            stages.append(run.send(tuple(islice(feed, len(stages[-1])))))
+    except StopIteration as done:
+        return ([len(stage) for stage in stages],
+                [stage[0][0].size for stage in stages], done.value)
+
+
+class TestConverged:
+    def test_a_pass_that_settles_at_round_one(self):
+        # 10 panels, then 20: rounds 0 and 1 come as one stage
+        assert drive_panels([3.0, 3.0]) == ([2], [10], (3.0, 0.0, 480, True))
+
+    def test_a_pass_that_runs_out_of_rounds(self):
+        assert drive_panels([1.0, 2.0, 3.0, 4.0], max_rounds=4) == (
+            [2, 1, 1], [10, 40, 80], (4.0, 1.0, (10 + 20 + 40 + 80) * 16, False))
+
+    @pytest.mark.parametrize("r, p", [(1, 1.98), (3, 3.98)])
+    def test_normalizers_that_run_out_of_rounds(self, r, p):
+        assert not integral_J(r, p).converged
+
+    def test_converged_kernels(self):
+        assert integral_I(1, 0.98).converged
+        assert integral_J(2, 1.5).converged
+        assert identity_lhs("id1", 2.0, 0.5, 2).converged
+        assert identity_lhs("id2", 0.3, 2.7, 3).converged
+        assert identity_lhs("id2", 0.0, 1.5, 1).converged
+
+    def test_identity_ands_its_two_quadratures(self):
+        # scale 1 runs out of rounds at p = 1.98, so the ratio cannot pass
+        assert not identity_lhs("id2", 2.5, 1.98, 1).converged
+        assert not identity_lhs("id2", 0.0, 1.98, 1).converged
 
 
 class TestIntegralI:
