@@ -7,14 +7,13 @@ call from analytic tail bounds so the truncation error stays far below the
 quadrature tolerance; inside a window a composite Gauss-Legendre rule is
 refined by panel doubling until stable.
 
-A quadrature is a generator of stages.  A stage is the panel rounds it still
-needs: rounds 0 and 1 of a pass together, because the stop test needs both,
-then one round at a time.  It is sent back one rule sum per round.  An
-identity check needs the same kernel at scales 1 and a, so one driver runs
-both quadratures in lockstep.  When their pending stages fit in one block of
-``_BLOCK_PANELS`` panels, the driver joins their nodes, sorts them by
-``s_log = u + log a`` and makes one integrand call; larger rounds run block by
-block, one quadrature at a time, which bounds the temporaries.
+An identity check needs the same kernel at scales 1 and a, so one
+panel-doubling loop refines the windows of all its scales side by side, each
+window's panels and rounds held in plain lists: one call answers rounds 0 and
+1 of every window, then each round one call answers the windows still open.
+When a call's grids fit in one block of ``_BLOCK_PANELS`` panels, their nodes
+are joined, sorted by ``s_log = u + log a`` and given to one integrand call;
+larger rounds run block by block, one grid at a time, bounding temporaries.
 
 No grouping changes a bit of the result.  Every integrand value depends on
 its node alone: the gap series of the J kernel stops at each node once that
@@ -31,7 +30,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
@@ -47,6 +45,7 @@ __all__ = [
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _LOG4 = math.log(4.0)
 _BLOCK_PANELS = 2048  # panels per integrand call: bounds the temporaries
+_ABS_FLOOR = 1e-14  # a doubling that moves a pass by at most this ends it
 _MEMO_SIZE = 512
 
 
@@ -197,51 +196,12 @@ def _window(kind: str, r: int, p: float, a: float, eps: float) -> tuple[float, f
     return lo, hi
 
 
-def _panel_grid(lo: float, hi: float,
-                panels: int) -> tuple[np.ndarray, np.ndarray]:
-    """Midpoints and half-widths of `panels` equal panels on [lo, hi]."""
+def _panel_grid(lo: float, hi: float, log_a: float,
+                panels: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """The grid (mid, half, log_a): midpoints and half-widths of `panels`
+    equal panels on the window [lo, hi] of scale e^log_a."""
     edges = np.linspace(lo, hi, panels + 1)
-    return 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
-
-
-def _integrate_panels(lo: float, hi: float, rel_tol: float = 1e-10,
-                      abs_floor: float = 1e-14, max_rounds: int = 9):
-    """Composite 16-point Gauss-Legendre with panel doubling; the error
-    estimate is the change under the last doubling.
-
-    A generator: it yields the panel grids (mid, half) of the rounds it still
-    needs, is sent back their rule sums, and returns (value, err, nodes,
-    converged).  It takes at least two rounds."""
-    panels = max(8, math.ceil((hi - lo) / 4.0))
-    prev, value = yield (_panel_grid(lo, hi, panels),
-                         _panel_grid(lo, hi, 2 * panels))
-    nodes = 3 * panels * _GL_NODES.size
-    panels *= 2
-    rounds = 2
-    while True:
-        err = abs(value - prev)
-        if err <= max(rel_tol * abs(value), abs_floor):
-            return value, err, nodes, True
-        if rounds == max_rounds:
-            return value, err, nodes, False
-        panels *= 2
-        (latest,) = yield (_panel_grid(lo, hi, panels),)
-        prev, value = value, latest
-        nodes += panels * _GL_NODES.size
-        rounds += 1
-
-
-def _mellin_value(kind: str, r: int, p: float, a: float):
-    """The quadrature of the kernel at scale a: a generator of stages, as
-    `_integrate_panels`, that returns its QuadratureResult."""
-    # pass 1: rough magnitude; pass 2: window sized from it
-    lo, hi = _window(kind, r, p, a, 1e-6)
-    rough, _, n0, ok0 = yield from _integrate_panels(lo, hi, rel_tol=1e-6,
-                                                     max_rounds=6)
-    eps = max(1e-13, abs(rough) * 1e-10)
-    lo, hi = _window(kind, r, p, a, eps)
-    value, err, n1, ok1 = yield from _integrate_panels(lo, hi)
-    return QuadratureResult(value, err + 2.0 * eps, n0 + n1, ok0 and ok1)
+    return 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1]), log_a
 
 
 def _node_values(integrand, p: float, r: int, grids) -> np.ndarray:
@@ -289,26 +249,56 @@ def _rule_sums(integrand, p: float, r: int, grids) -> list[float]:
     return sums
 
 
+def _doubling(integrand, p: float, r: int, windows, rel_tol: float,
+              max_rounds: int) -> list[tuple[float, float, int, bool]]:
+    """Composite 16-point Gauss-Legendre with panel doubling on each window
+    (lo, hi, log_a), the windows side by side; the error estimate is the
+    change under the last doubling.
+
+    One rule-sum call answers rounds 0 and 1 of every window, because the
+    stop test needs both; each later round is one call for the windows still
+    open.  Returns (value, err, nodes, converged) per window."""
+    panels = [max(8, math.ceil((hi - lo) / 4.0)) for lo, hi, _ in windows]
+    sums = _rule_sums(integrand, p, r, [_panel_grid(*window, k * n) for window, n
+                                        in zip(windows, panels) for k in (1, 2)])
+    prev, value = sums[0::2], sums[1::2]
+    nodes = [3 * n * _GL_NODES.size for n in panels]
+    panels = [2 * n for n in panels]
+    results: list = [None] * len(windows)
+    active = range(len(windows))
+    for rounds in range(2, max_rounds + 1):
+        for i in active:
+            err = abs(value[i] - prev[i])
+            ok = err <= max(rel_tol * abs(value[i]), _ABS_FLOOR)
+            if ok or rounds == max_rounds:
+                results[i] = (value[i], err, nodes[i], ok)
+        active = [i for i in active if results[i] is None]
+        if not active:
+            break
+        for i in active:
+            panels[i] *= 2
+        sums = _rule_sums(integrand, p, r,
+                          [_panel_grid(*windows[i], panels[i]) for i in active])
+        for i, latest in zip(active, sums):
+            prev[i], value[i] = value[i], latest
+            nodes[i] += panels[i] * _GL_NODES.size
+    return results
+
+
 def _lockstep(kind: str, r: int, p: float,
               scales: list[float]) -> list[QuadratureResult]:
     """The quadratures of one kernel at several scales, run side by side:
-    each step answers the pending stages of all of them at once."""
+    pass 1 finds each rough magnitude, pass 2 refines on the window sized
+    from it."""
     integrand = _i_integrand if kind == "I" else _j_integrand
-    runs = [_mellin_value(kind, r, p, a) for a in scales]
-    log_as = [math.log(a) for a in scales]
-    results: dict[int, QuadratureResult] = {}
-    pending = {i: next(run) for i, run in enumerate(runs)}
-    while pending:
-        grids = [(mid, half, log_as[i]) for i, stage in pending.items()
-                 for mid, half in stage]
-        sums = iter(_rule_sums(integrand, p, r, grids))
-        for i in list(pending):
-            try:
-                pending[i] = runs[i].send(tuple(islice(sums, len(pending[i]))))
-            except StopIteration as done:
-                del pending[i]
-                results[i] = done.value
-    return [results[i] for i in range(len(runs))]
+    rough = _doubling(integrand, p, r, [(*_window(kind, r, p, a, 1e-6), math.log(a))
+                                        for a in scales], 1e-6, 6)
+    epss = [max(1e-13, abs(value) * 1e-10) for value, _, _, _ in rough]
+    fine = _doubling(integrand, p, r, [(*_window(kind, r, p, a, eps), math.log(a))
+                                       for a, eps in zip(scales, epss)], 1e-10, 9)
+    return [QuadratureResult(value, err + 2.0 * eps, n0 + n1, ok0 and ok1)
+            for (_, _, n0, ok0), (value, err, n1, ok1), eps
+            in zip(rough, fine, epss)]
 
 
 @functools.cache

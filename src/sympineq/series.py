@@ -19,7 +19,7 @@ from fractions import Fraction
 from itertools import accumulate, repeat
 from math import factorial, lcm
 from operator import add, mul
-from typing import Iterable, Mapping, Optional
+from typing import Mapping, Optional
 
 from .vectors import RationalLike, RationalVector, to_fraction
 
@@ -37,33 +37,15 @@ __all__ = [
 ]
 
 
+@dataclass(frozen=True)
 class TruncatedSeries:
     """Polynomial in t modulo ``t^(D+1)`` with exact rational coefficients."""
 
-    __slots__ = ("_coeffs",)
-
-    def __init__(self, coeffs: Iterable[RationalLike]):
-        cs = tuple(to_fraction(c) for c in coeffs)
-        if not cs:
-            raise ValueError("a series needs at least the constant coefficient")
-        self._coeffs = cs
-
-    @property
-    def coeffs(self) -> tuple[Fraction, ...]:
-        return self._coeffs
+    coeffs: tuple[Fraction, ...]
 
     @property
     def degree_bound(self) -> int:
-        return len(self._coeffs) - 1
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, TruncatedSeries) and self._coeffs == other._coeffs
-
-    def __hash__(self) -> int:
-        return hash(self._coeffs)
-
-    def __repr__(self) -> str:
-        return f"TruncatedSeries([{', '.join(str(c) for c in self._coeffs)}])"
+        return len(self.coeffs) - 1
 
 
 @dataclass(frozen=True)
@@ -181,7 +163,8 @@ def product_over_vector(x: RationalVector, tpl: SeriesTemplate,
         row = grown
     row += [0] * (t_degree + 1 - len(row))
     scale = s ** len(nums)
-    return TruncatedSeries(Fraction(c, scale * den ** k) for k, c in enumerate(row))
+    return TruncatedSeries(tuple(Fraction(c, scale * den ** k)
+                                 for k, c in enumerate(row)))
 
 
 @dataclass(frozen=True)

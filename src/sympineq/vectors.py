@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from fractions import Fraction
 from typing import Iterable, Iterator, Union
 
 RationalLike = Union[Fraction, int, float, str]
+_MIN_NORMAL = sys.float_info.min
 
 __all__ = [
     "RationalLike",
@@ -116,7 +118,11 @@ def lp_mean(x: RationalVector, p: Union[int, float, Fraction]) -> float:
     """The lp mean ``(n^-1 sum x_i^p)^(1/p)`` with its continuous-limit conventions.
 
     p = 0 is the geometric mean, p = +/-inf the largest/smallest entry, and a
-    negative p with any zero entry gives 0.
+    negative p with any zero entry gives 0.  The powers are taken of the
+    entries' floats while their mean is a normal float.  When a power
+    overflows or the mean falls below the normal range, the mean is
+    ``m M_p(x / m)`` instead, from the exact ratios, with m the entry whose
+    power dominates: the largest for p > 0, the smallest for p < 0.
     """
     entries = x.entries
     n = len(entries)
@@ -130,8 +136,19 @@ def lp_mean(x: RationalVector, p: Union[int, float, Fraction]) -> float:
         return math.exp(math.fsum(log_of_fraction(e) for e in entries) / n)
     if pf < 0 and any(e == 0 for e in entries):
         return 0.0
-    mean_pow = math.fsum([f ** pf for f in x.to_floats()]) / n
-    return mean_pow ** (1.0 / pf)
+    try:
+        mean_pow = math.fsum([f ** pf for f in x.to_floats()]) / n
+        if mean_pow >= _MIN_NORMAL:
+            return mean_pow ** (1.0 / pf)
+    except (OverflowError, ZeroDivisionError):  # a power left the float range
+        pass
+    m = max(entries) if pf > 0 else min(entries)
+    if m == 0:
+        return 0.0
+    # each (e / m)^p lies in [0, 1]: raise the ratio that is at most 1 to |p|
+    ratios = [e / m if pf > 0 else m / e for e in entries]
+    mean_pow = math.fsum([float(q) ** abs(pf) for q in ratios]) / n
+    return float(m) * mean_pow ** (1.0 / pf)
 
 
 def partial_sums_desc(x: RationalVector) -> tuple[Fraction, ...]:

@@ -90,6 +90,16 @@ class TestNorms:
         assert code == 2 and out == ""
         assert "error: bad exponent 'nan'" in err
 
+    @pytest.mark.parametrize("values", [["1e160", "1"], ["1e-160", "1"],
+                                        ["1e-400", "1"], ["1e-170", "3e-170"]],
+                             ids=str)
+    def test_extreme_entries(self, capsys, tmp_path, values):
+        path = tmp_path / "x.json"
+        path.write_text(json.dumps(values))
+        code, report, err = run_json(capsys, "norms", "--x", str(path))
+        assert code == 0 and err == ""
+        assert all(row["mean"] >= 0 for row in report["means"])
+
 
 class TestFkr:
     def test_table(self, capsys, files):
@@ -137,6 +147,16 @@ class TestFkr:
 
 
 class TestTheorem1:
+    def test_entries_whose_powers_overflow(self, capsys, tmp_path):
+        # 1e200 ** p overflows a float for p > 1.54 on the high grid
+        (tmp_path / "x.json").write_text('["1e200", "3e199", "1"]')
+        (tmp_path / "y.json").write_text('["9e199", "4e199", "1"]')
+        code, report, err = run_json(capsys, "theorem1", "--r", "1", "--x",
+                                     str(tmp_path / "x.json"), "--y",
+                                     str(tmp_path / "y.json"))
+        assert code == 0 and err == ""
+        assert report["conclusions"]["high_all_pass"]
+
     def test_matrix_mode_order_two_certifies(self, capsys, files):
         code, report, _ = run_json(
             capsys, "theorem1", "--qx", files["q.json"], "--qy",

@@ -1,5 +1,4 @@
 import math
-from itertools import islice
 
 import mpmath as mp
 import numpy as np
@@ -241,43 +240,47 @@ class TestLockstep:
         assert max(sizes) == mellin._BLOCK_PANELS * 16
 
     def test_each_quadrature_runs_once_per_request(self, monkeypatch, capsys):
-        runs = []
-        inner = mellin._mellin_value
+        passes = []
+        inner = mellin._doubling
 
-        def counted(*key):
-            runs.append(key)
-            return inner(*key)
+        def counted(integrand, p, r, windows, *args):
+            passes.append((integrand, r, p, [log_a for _, _, log_a in windows]))
+            return inner(integrand, p, r, windows, *args)
 
-        monkeypatch.setattr(mellin, "_mellin_value", counted)
+        monkeypatch.setattr(mellin, "_doubling", counted)
         mellin._memo.cache_clear()
         cli_main(["mellin-validate", "--which", "id1", "--r", "3",
                   "--p", "0.61", "--a", "0.4"])
-        assert sorted(runs) == [("I", 3, 0.61, 0.4), ("I", 3, 0.61, 1.0)]
+        # the rough pass and the fine pass, each over scales 1 and 0.4
+        assert passes == [(mellin._i_integrand, 3, 0.61, [0.0, math.log(0.4)])] * 2
         capsys.readouterr()
 
 
-def drive_panels(sums, **kwargs):
+def drive_doubling(monkeypatch, sums, max_rounds=9):
     """Run one panel-doubling pass on [0, 40] on the given rule sums: the
-    number of rounds per stage, the panels of each stage's first round, and
-    what the pass returns."""
-    run = mellin._integrate_panels(0.0, 40.0, **kwargs)
-    stages, feed = [next(run)], iter(sums)
-    try:
-        while True:
-            stages.append(run.send(tuple(islice(feed, len(stages[-1])))))
-    except StopIteration as done:
-        return ([len(stage) for stage in stages],
-                [stage[0][0].size for stage in stages], done.value)
+    panel counts of the grids of each rule-sum call, and what the pass
+    returns."""
+    feed, asked = iter(sums), []
+
+    def fixed(integrand, p, r, grids):
+        asked.append([mid.size for mid, _, _ in grids])
+        return [next(feed) for _ in grids]
+
+    monkeypatch.setattr(mellin, "_rule_sums", fixed)
+    (result,) = mellin._doubling(mellin._i_integrand, 0.5, 1, [(0.0, 40.0, 0.0)],
+                                 1e-10, max_rounds)
+    return asked, result
 
 
 class TestConverged:
-    def test_a_pass_that_settles_at_round_one(self):
-        # 10 panels, then 20: rounds 0 and 1 come as one stage
-        assert drive_panels([3.0, 3.0]) == ([2], [10], (3.0, 0.0, 480, True))
+    def test_a_pass_that_settles_at_round_one(self, monkeypatch):
+        # 10 panels, then 20: rounds 0 and 1 come in one call
+        assert drive_doubling(monkeypatch, [3.0, 3.0]) == (
+            [[10, 20]], (3.0, 0.0, 480, True))
 
-    def test_a_pass_that_runs_out_of_rounds(self):
-        assert drive_panels([1.0, 2.0, 3.0, 4.0], max_rounds=4) == (
-            [2, 1, 1], [10, 40, 80], (4.0, 1.0, (10 + 20 + 40 + 80) * 16, False))
+    def test_a_pass_that_runs_out_of_rounds(self, monkeypatch):
+        assert drive_doubling(monkeypatch, [1.0, 2.0, 3.0, 4.0], max_rounds=4) == (
+            [[10, 20], [40], [80]], (4.0, 1.0, (10 + 20 + 40 + 80) * 16, False))
 
     @pytest.mark.parametrize("r, p", [(1, 1.98), (3, 3.98)])
     def test_normalizers_that_run_out_of_rounds(self, r, p):

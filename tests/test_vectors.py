@@ -2,6 +2,7 @@ import json
 import math
 from fractions import Fraction
 
+import mpmath as mp
 import pytest
 from hypothesis import given, strategies as st
 
@@ -101,6 +102,34 @@ class TestLpMean:
         gaps = [abs(lp_mean(x, p) - lp_mean(x, 0)) for p in (1e-2, 1e-3, 1e-4)]
         assert gaps[0] > gaps[1] > gaps[2]
         assert gaps[2] <= 1e-4
+
+
+# entries whose powers leave the normal float range at the default norms
+# exponents, and the theorem1 pair whose high grid overflows
+EXTREME_VECTORS = [["1e160", "1"], ["1e-160", "1"], ["1e-400", "1"],
+                   ["1e-170", "3e-170"], ["1e200", "3e199", "1"],
+                   ["9e199", "4e199", "1"]]
+NORMS_EXPONENTS = (-math.inf, -2.0, -1.0, 0.0, 0.5, 1.0, 2.0, math.inf)
+
+
+def mp_lp_mean(entries, p):
+    """The lp mean in 50-digit arithmetic, rounded to a float."""
+    with mp.workdps(50):
+        xs = [mp.mpf(e.numerator) / e.denominator for e in entries]
+        if math.isinf(p):
+            return float(max(xs) if p > 0 else min(xs))
+        if p == 0:
+            return float(mp.exp(mp.fsum(mp.log(v) for v in xs) / len(xs)))
+        return float((mp.fsum(v ** p for v in xs) / len(xs)) ** (1 / mp.mpf(p)))
+
+
+class TestExtremeEntries:
+    @pytest.mark.parametrize("values", EXTREME_VECTORS, ids=str)
+    @pytest.mark.parametrize("p", NORMS_EXPONENTS)
+    def test_against_a_50_digit_reference(self, values, p):
+        x = RationalVector(values)
+        want = mp_lp_mean(x.entries, p)
+        assert lp_mean(x, p) == pytest.approx(want, rel=1e-12, abs=0)
 
 
 def uncached_lp_mean(x, p):
