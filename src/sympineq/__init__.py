@@ -2,6 +2,8 @@
 inequality verifiers, with an exact Gram-matrix pipeline and numerical
 validation of the underlying Mellin identities."""
 
+import importlib
+
 from .vectors import RationalVector, lp_mean, partial_sums_desc, to_fraction
 from .series import (Catalyst, SeriesTemplate, TruncatedSeries, catalyst_product,
                      padded_taylor_template, product_over_vector, taylor_template,
@@ -15,11 +17,46 @@ from .theorem1 import (ConclusionReport, FullReport, HypothesisReport,
                        verify_conclusions)
 from .spectral import (SpectralSummary, det_I_plus_tA, f_from_matrix, gram,
                        spectral_summary)
-from .mellin import (QuadratureResult, delta_r, identity_check, identity_lhs,
-                     integral_I, integral_J)
-from .oracles import (CompositionStream, IndexSet, OracleSizeError,
-                      enumerate_compositions, f_from_matrix_oracle, f_kr_oracle,
-                      h_s, is_schur_concave_index_set, majorizes_int,
-                      max_part_index_set, min_support_index_set, oracle_value)
 
 __version__ = "0.1.0"
+
+# Names imported on first access (PEP 562): mellin loads numpy, and the
+# oracles serve only the tests and demos, so the exact paths load neither.
+_LAZY = {
+    **dict.fromkeys(("QuadratureResult", "delta_r", "identity_check",
+                     "identity_lhs", "integral_I", "integral_J"), "mellin"),
+    **dict.fromkeys(("CompositionStream", "IndexSet", "OracleSizeError",
+                     "enumerate_compositions", "f_from_matrix_oracle",
+                     "f_kr_oracle", "h_s", "is_schur_concave_index_set",
+                     "majorizes_int", "max_part_index_set",
+                     "min_support_index_set", "oracle_value"), "oracles"),
+}
+
+__all__ = [
+    "RationalVector", "lp_mean", "partial_sums_desc", "to_fraction",
+    "Catalyst", "SeriesTemplate", "TruncatedSeries", "catalyst_product",
+    "padded_taylor_template", "product_over_vector", "taylor_template",
+    "tensor",
+    "f_kr_all", "g_kr", "gbar_kr", "delta_gbar_kr", "grad_f_kr", "m_kr",
+    "MajorizationVerdict", "Theorem2Report", "majorizes", "psi_compare",
+    "psi_sum", "s_r_limit_estimate", "schur_ostrowski_sample",
+    "t_transform_pair", "theorem2_scan",
+    "ConclusionReport", "FullReport", "HypothesisReport", "check_hypotheses",
+    "check_hypotheses_coeffs", "full_report", "verify_conclusions",
+    "SpectralSummary", "det_I_plus_tA", "f_from_matrix", "gram",
+    "spectral_summary",
+    *_LAZY,
+]
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY})

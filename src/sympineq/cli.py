@@ -16,17 +16,39 @@ import json
 import math
 import sys
 from fractions import Fraction
-from typing import Any, Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
 
 from .families import f_kr_all
 from .majorize import majorizes, psi_compare, theorem2_scan
-from .mellin import identity_check, identity_lhs, integral_I, integral_J
 from .series import Catalyst, catalyst_product, taylor_template, tensor
 from .spectral import as_int_matrix, gram, spectral_summary
 from .theorem1 import (DEFAULT_GRID_POINTS, DEFAULT_TOL, ConclusionReport,
                        HypothesisReport, check_hypotheses,
                        check_hypotheses_coeffs, full_report)
 from .vectors import RationalVector, lp_mean, partial_sums_desc
+
+if TYPE_CHECKING:
+    from .mellin import identity_check, identity_lhs, integral_I, integral_J
+
+# mellin loads numpy, so its kernels become module globals on first use:
+# through _load_mellin in cmd_mellin_validate, or through the module
+# __getattr__ (PEP 562) for a caller that reads or wraps
+# sympineq.cli.identity_lhs.  A global that is already set is kept, so a
+# wrapper put in its place is what cmd_mellin_validate calls.
+_MELLIN_KERNELS = ("identity_check", "identity_lhs", "integral_I", "integral_J")
+
+
+def _load_mellin() -> None:
+    from . import mellin
+    for name in _MELLIN_KERNELS:
+        globals().setdefault(name, getattr(mellin, name))
+
+
+def __getattr__(name: str) -> Any:
+    if name not in _MELLIN_KERNELS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _load_mellin()
+    return globals()[name]
 
 
 class CliInputError(Exception):
@@ -362,6 +384,7 @@ def cmd_spectral(args: argparse.Namespace) -> tuple[int, dict[str, Any]]:
 def cmd_mellin_validate(args: argparse.Namespace) -> tuple[int, dict[str, Any]]:
     if not (args.tol > 0 and math.isfinite(args.tol)):
         raise CliInputError("tolerance must be positive and finite")
+    _load_mellin()
     lhs = identity_lhs(args.which, args.a, args.p, args.r)
     error = identity_check(args.which, args.a, args.p, args.r)
     base = (integral_I(args.r, args.p) if args.which == "id1"

@@ -123,7 +123,15 @@ def lp_mean(x: RationalVector, p: Union[int, float, Fraction]) -> float:
     overflows or the mean falls below the normal range, the mean is
     ``m M_p(x / m)`` instead, from the exact ratios, with m the entry whose
     power dominates: the largest for p > 0, the smallest for p < 0.
+    A mean beyond the float range raises ValueError, which names p.
     """
+    try:
+        return _lp_mean(x, p)
+    except OverflowError:
+        raise ValueError(f"the lp mean at p={p} is beyond the float range") from None
+
+
+def _lp_mean(x: RationalVector, p: Union[int, float, Fraction]) -> float:
     entries = x.entries
     n = len(entries)
     if isinstance(p, float) and math.isinf(p):
@@ -148,7 +156,12 @@ def lp_mean(x: RationalVector, p: Union[int, float, Fraction]) -> float:
     # each (e / m)^p lies in [0, 1]: raise the ratio that is at most 1 to |p|
     ratios = [e / m if pf > 0 else m / e for e in entries]
     mean_pow = math.fsum([float(q) ** abs(pf) for q in ratios]) / n
-    return float(m) * mean_pow ** (1.0 / pf)
+    scale = mean_pow ** (1.0 / pf)
+    try:
+        return float(m) * scale
+    except OverflowError:  # m is beyond the float range; the mean may not be
+        e = m.numerator.bit_length() - m.denominator.bit_length()
+        return math.ldexp(float(m / 2 ** e) * scale, e)
 
 
 def partial_sums_desc(x: RationalVector) -> tuple[Fraction, ...]:

@@ -1,9 +1,14 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import comb, factorial
+from pathlib import Path
 
 import pytest
 
+import sympineq
 from sympineq.families import gbar_kr
 from sympineq.spectral import gram
 from sympineq.vectors import RationalVector
@@ -64,3 +69,14 @@ def m_kr_from_gbar(x: RationalVector, k: int, r: int) -> Fraction:
     for m in range(r):
         total += binom_ext(n - r - 1 + m, m) * gbar_kr(x, k, r + 1 - m)
     return factorial(k) * total
+
+
+def run_python(script: str, *args: str) -> subprocess.CompletedProcess:
+    """``python -c script args`` in a fresh interpreter that imports this
+    checkout's package."""
+    src = str(Path(sympineq.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-c", script, *args], env=env,
+                          capture_output=True, text=True, timeout=120)

@@ -5,6 +5,8 @@ import pytest
 
 import sympineq
 
+from conftest import run_python
+
 MODULES = ["sympineq"] + sorted(
     m.name for m in pkgutil.iter_modules(sympineq.__path__, "sympineq."))
 
@@ -19,3 +21,12 @@ def test_every_export_resolves(name):
     module = importlib.import_module(name)
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert missing == []
+
+
+def test_dir_lists_the_lazy_names_without_loading_them():
+    # a fresh interpreter: in this one an earlier test may have loaded them
+    script = ("import sys, sympineq\n"
+              "print(sorted(set(sympineq.__all__) - set(dir(sympineq))),"
+              " 'sympineq.mellin' in sys.modules, 'sympineq.oracles' in sys.modules)\n")
+    done = run_python(script)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[] False False\n", "")

@@ -131,6 +131,21 @@ class TestExtremeEntries:
         want = mp_lp_mean(x.entries, p)
         assert lp_mean(x, p) == pytest.approx(want, rel=1e-12, abs=0)
 
+    # an entry beyond the float range: the mean may lie inside it (1e309 with
+    # nine ones at p = 0.5 is about 1e307) or beyond it (p = 1, or 2e400 x 2)
+    @pytest.mark.parametrize("values", [["1e309"] + ["1"] * 9, ["1e400", "1"],
+                                        ["1e400", "2e400"]], ids=str)
+    @pytest.mark.parametrize("p", NORMS_EXPONENTS + (0.01,))
+    def test_entries_beyond_the_float_range(self, values, p):
+        x = RationalVector(values)
+        want = mp_lp_mean(x.entries, p)
+        if math.isinf(want):
+            with pytest.raises(ValueError, match=f"^the lp mean at p={p} is "
+                                                 "beyond the float range$"):
+                lp_mean(x, p)
+        else:
+            assert lp_mean(x, p) == pytest.approx(want, rel=1e-12, abs=0)
+
 
 def uncached_lp_mean(x, p):
     """lp_mean with every entry converted to float at every call."""
