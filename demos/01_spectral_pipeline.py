@@ -7,11 +7,9 @@ exact rational arithmetic until the final lp-mean grids.
 
 import math
 
-import numpy as np
-
-from sympineq import (check_hypotheses_coeffs, det_I_plus_tA, f_from_matrix,
-                      gram, verify_conclusions)
-from sympineq.vectors import RationalVector
+from sympineq import (check_hypotheses_coeffs, gram, spectral_summary,
+                      verify_conclusions)
+from sympineq.theorem1 import grid_spectrum
 
 Q = [[1, 1, 1, 1],
      [0, 1, 1, 0],
@@ -27,15 +25,21 @@ print("X = Q Q^T rows:", *X, sep="\n  ")
 print("Y = R R^T rows:", *Y, sep="\n  ")
 
 # The coefficients of det(I + tA) are the elementary symmetric values of the
-# spectrum, so no eigenvalue ever needs to be extracted numerically.
-print("\ndet(I + tX) coefficients:", det_I_plus_tA(X))
-print("det(I + tY) coefficients:", det_I_plus_tA(Y))
+# spectrum, so no eigenvalue ever needs to be extracted numerically.  The
+# higher-order family tables come from det(sum_j A^j t^j / j!), every order
+# from the one characteristic polynomial.
+SX = spectral_summary(X, (1, 2, 3), assume_psd=True)
+SY = spectral_summary(Y, (1, 2, 3), assume_psd=True)
+print("\ndet(I + tX) coefficients:", list(SX.e_coeffs))
+print("det(I + tY) coefficients:", list(SY.e_coeffs))
 
-# Higher-order family tables come from det(sum_j A^j t^j / j!).
+certified = []
 for r in (1, 2, 3):
-    fx, fy = f_from_matrix(X, r), f_from_matrix(Y, r)
+    fx, fy = SX.f_coeffs[r], SY.f_coeffs[r]
     report = check_hypotheses_coeffs(fx, fy, r, len(X))
     print(f"\norder r={r}: hypotheses all pass = {report.all_pass}")
+    if report.all_pass:
+        certified.append(r)
     if r == 2:
         scaled = [math.factorial(k) * fx[k] for k in range(2, 9)]
         print("  k! * F_{k,2}(X) for k=2..8:", scaled)
@@ -44,17 +48,17 @@ for r in (1, 2, 3):
         print(f"  first failure at k={failure.k}: "
               f"{math.factorial(failure.k) * failure.fx} > "
               f"{math.factorial(failure.k) * failure.fy} (after k! scaling)")
+        assert (r, failure.k) == (3, 10), (r, failure)
+assert certified == [1, 2], certified
 
 # Orders 1 and 2 pass, so the mean inequalities are certified on [0, 3].
 # The grids themselves are float-side; the numeric spectrum is fine there.
-x = RationalVector([max(0.0, float(v))
-                    for v in np.linalg.eigvalsh(np.array(X, dtype=float))])
-y = RationalVector([max(0.0, float(v))
-                    for v in np.linalg.eigvalsh(np.array(Y, dtype=float))])
+x, y = grid_spectrum(X, SX.e_coeffs), grid_spectrum(Y, SY.e_coeffs)
 conclusion = verify_conclusions(x, y, r=2, sums_equal=True)
 print("\nmeasured grids at the certified order r=2:")
 print("  low grid  [0,1]  all pass:", conclusion.low_all_pass)
 print("  high grid [1,3]  all pass:", conclusion.high_all_pass)
+assert conclusion.all_asserted_pass
 worst_low = min(pt.margin for pt in conclusion.low_grid)
 worst_high = min(pt.margin for pt in conclusion.high_grid)
 print(f"  smallest margins: low {worst_low:.3e}, high {worst_high:.3e}")

@@ -15,8 +15,7 @@ from .majorize import (MajorizationVerdict, Theorem2Report, majorizes,
 from .theorem1 import (ConclusionReport, FullReport, HypothesisReport,
                        check_hypotheses, check_hypotheses_coeffs, full_report,
                        verify_conclusions)
-from .spectral import (SpectralSummary, det_I_plus_tA, f_from_matrix, gram,
-                       spectral_summary)
+from .spectral import SpectralSummary, gram, spectral_summary
 
 __version__ = "0.1.0"
 
@@ -43,8 +42,7 @@ __all__ = [
     "t_transform_pair", "theorem2_scan",
     "ConclusionReport", "FullReport", "HypothesisReport", "check_hypotheses",
     "check_hypotheses_coeffs", "full_report", "verify_conclusions",
-    "SpectralSummary", "det_I_plus_tA", "f_from_matrix", "gram",
-    "spectral_summary",
+    "SpectralSummary", "gram", "spectral_summary",
     *_LAZY,
 ]
 

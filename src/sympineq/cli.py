@@ -16,7 +16,7 @@ import json
 import math
 import sys
 from fractions import Fraction
-from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from .families import f_kr_all
 from .majorize import majorizes, psi_compare, theorem2_scan
@@ -24,52 +24,47 @@ from .series import Catalyst, catalyst_product, taylor_template, tensor
 from .spectral import as_int_matrix, gram, spectral_summary
 from .theorem1 import (DEFAULT_GRID_POINTS, DEFAULT_TOL, ConclusionReport,
                        HypothesisReport, check_hypotheses,
-                       check_hypotheses_coeffs, full_report)
+                       check_hypotheses_coeffs, full_report, grid_spectrum)
 from .vectors import RationalVector, lp_mean, partial_sums_desc
 
-if TYPE_CHECKING:
-    from .mellin import identity_check, identity_lhs, integral_I, integral_J
 
-# mellin loads numpy, so its kernels become module globals on first use:
-# through _load_mellin in cmd_mellin_validate, or through the module
-# __getattr__ (PEP 562) for a caller that reads or wraps
-# sympineq.cli.identity_lhs.  A global that is already set is kept, so a
-# wrapper put in its place is what cmd_mellin_validate calls.
-_MELLIN_KERNELS = ("identity_check", "identity_lhs", "integral_I", "integral_J")
-
-
-def _load_mellin() -> None:
+# mellin loads numpy, so these kernels import it on their first call.  A
+# wrapper put in place of one of these globals is what cmd_mellin_validate calls.
+def identity_lhs(which: str, a: float, p: float, r: int):
     from . import mellin
-    for name in _MELLIN_KERNELS:
-        globals().setdefault(name, getattr(mellin, name))
+    return mellin.identity_lhs(which, a, p, r)
 
 
-def __getattr__(name: str) -> Any:
-    if name not in _MELLIN_KERNELS:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    _load_mellin()
-    return globals()[name]
+def identity_check(which: str, a: float, p: float, r: int):
+    from . import mellin
+    return mellin.identity_check(which, a, p, r)
 
 
-class CliInputError(Exception):
-    """Malformed input file or value; maps to exit code 2."""
+def integral_I(r: int, p: float):
+    from . import mellin
+    return mellin.integral_I(r, p)
+
+
+def integral_J(r: int, p: float):
+    from . import mellin
+    return mellin.integral_J(r, p)
 
 
 def _read_input(path: str, parse: Callable[[str], Any]) -> Any:
     """``parse`` applied to the text of the file at ``path``; every failure
-    becomes a CliInputError that names the file."""
+    becomes a ValueError that names the file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
-        raise CliInputError(f"{path}: {exc.strerror}") from exc
+        raise ValueError(f"{path}: {exc.strerror}") from exc
     try:
         return parse(text)
     except json.JSONDecodeError as exc:
-        raise CliInputError(
+        raise ValueError(
             f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     except (ValueError, TypeError, ZeroDivisionError) as exc:
-        raise CliInputError(f"{path}: {exc}") from exc
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def load_vector(path: str) -> RationalVector:
@@ -92,7 +87,7 @@ def parse_exponent(text: str) -> float:
     except ValueError:
         exponent = math.nan
     if math.isnan(exponent):
-        raise CliInputError(f"bad exponent {text!r}")
+        raise ValueError(f"bad exponent {text!r}")
     return exponent
 
 
@@ -219,6 +214,12 @@ def _conclusion_json(rep: ConclusionReport) -> dict[str, Any]:
     }
 
 
+def _f_row(k: int, value: Fraction) -> dict[str, Any]:
+    # one row of an F table: F_k and k! F_k
+    return {"k": k, "value": str(value),
+            "kfact_value": str(value * math.factorial(k))}
+
+
 def cmd_norms(args: argparse.Namespace) -> tuple[int, dict[str, Any]]:
     x = load_vector(args.x)
     exponents = ([parse_exponent(p) for p in args.p]
@@ -237,48 +238,28 @@ def cmd_norms(args: argparse.Namespace) -> tuple[int, dict[str, Any]]:
 def cmd_fkr(args: argparse.Namespace) -> tuple[int, dict[str, Any]]:
     x = load_vector(args.x)
     table = f_kr_all(x, args.r)
-    ks = [args.k] if args.k is not None else list(range(len(table)))
-    rows = []
-    for k in ks:
-        if not 0 <= k < len(table):
-            raise CliInputError(f"k={k} outside 0..{len(table) - 1}")
-        rows.append({"k": k, "value": str(table[k]),
-                     "kfact_value": str(table[k] * math.factorial(k))})
+    if args.k is not None and not 0 <= args.k < len(table):
+        raise ValueError(f"k={args.k} outside 0..{len(table) - 1}")
+    ks = [args.k] if args.k is not None else range(len(table))
     report = {
         "command": "fkr",
         "n": len(x),
         "r": args.r,
-        "values": rows,
+        "values": [_f_row(k, table[k]) for k in ks],
     }
     return 0, report
-
-
-def _float_eigen_vector(matrix, e_coeffs: Sequence[Fraction]) -> RationalVector:
-    # float spectrum for the (tolerance-based) norm grids only; exact
-    # quantities never go through here.  e_coeffs are those of det(I + tA)
-    import numpy as np
-
-    eig = np.linalg.eigvalsh(np.array(matrix, dtype=float))  # ascending
-    values = [max(0.0, float(v)) for v in eig]
-    n = len(values)
-    # a zero eigenvalue comes back as +-1e-16 noise, and positive noise would
-    # reach the p -> 0 means; e_k of a PSD matrix is nonzero exactly for
-    # k <= rank, so the top nonzero coefficient says how many are zero
-    rank = max(k for k, c in enumerate(e_coeffs) if c)
-    values[:n - rank] = [0.0] * (n - rank)
-    return RationalVector(values)
 
 
 def cmd_theorem1(args: argparse.Namespace) -> tuple[int, dict[str, Any]]:
     vector_mode = args.x is not None
     if vector_mode != (args.y is not None) or vector_mode == (args.qx is not None):
-        raise CliInputError("provide either --x/--y vectors or --qx/--qy matrices")
+        raise ValueError("provide either --x/--y vectors or --qx/--qy matrices")
     if (args.qx is None) != (args.qy is None):
-        raise CliInputError("matrix mode needs both --qx and --qy")
+        raise ValueError("matrix mode needs both --qx and --qy")
     r_values = (list(range(1, args.r_max + 1)) if args.r_max is not None
                 else [args.r])
     if min(r_values, default=0) < 1:
-        raise CliInputError("need --r >= 1 or --r-max >= 1")
+        raise ValueError("need --r >= 1 or --r-max >= 1")
 
     if vector_mode:
         x, y = load_vector(args.x), load_vector(args.y)
@@ -286,13 +267,13 @@ def cmd_theorem1(args: argparse.Namespace) -> tuple[int, dict[str, Any]]:
     else:
         mx, my = gram(load_matrix(args.qx)), gram(load_matrix(args.qy))
         if len(mx) != len(my):
-            raise CliInputError("factor matrices must have equal row counts")
-        sx, sy = spectral_summary(mx, r_values), spectral_summary(my, r_values)
+            raise ValueError("factor matrices must have equal row counts")
+        sx = spectral_summary(mx, r_values, assume_psd=True)
+        sy = spectral_summary(my, r_values, assume_psd=True)
         hypotheses = [check_hypotheses_coeffs(sx.f_coeffs[r], sy.f_coeffs[r],
                                               r, len(mx))
                       for r in r_values]
-        x = _float_eigen_vector(mx, sx.e_coeffs)
-        y = _float_eigen_vector(my, sy.e_coeffs)
+        x, y = grid_spectrum(mx, sx.e_coeffs), grid_spectrum(my, sy.e_coeffs)
 
     rep = full_report(hypotheses, x, y, args.grid_points, args.tol)
     report = {
@@ -357,7 +338,7 @@ def cmd_theorem2(args: argparse.Namespace) -> tuple[int, dict[str, Any]]:
 
 def cmd_spectral(args: argparse.Namespace) -> tuple[int, dict[str, Any]]:
     if (args.q is None) == (args.matrix is None):
-        raise CliInputError("provide exactly one of --q (factor) or --matrix (square)")
+        raise ValueError("provide exactly one of --q (factor) or --matrix (square)")
     if args.q is not None:
         matrix = gram(load_matrix(args.q))
         assume_psd = True
@@ -371,20 +352,15 @@ def cmd_spectral(args: argparse.Namespace) -> tuple[int, dict[str, Any]]:
         "n": len(matrix),
         "matrix": [list(row) for row in matrix],
         "e_coeffs": list(map(str, summary.e_coeffs)),
-        "f_tables": {
-            str(r): [{"k": k, "value": str(v),
-                      "kfact_value": str(v * math.factorial(k))}
-                     for k, v in enumerate(table)]
-            for r, table in summary.f_coeffs.items()
-        },
+        "f_tables": {str(r): list(itertools.starmap(_f_row, enumerate(table)))
+                     for r, table in summary.f_coeffs.items()},
     }
     return 0, report
 
 
 def cmd_mellin_validate(args: argparse.Namespace) -> tuple[int, dict[str, Any]]:
     if not (args.tol > 0 and math.isfinite(args.tol)):
-        raise CliInputError("tolerance must be positive and finite")
-    _load_mellin()
+        raise ValueError("tolerance must be positive and finite")
     lhs = identity_lhs(args.which, args.a, args.p, args.r)
     error = identity_check(args.which, args.a, args.p, args.r)
     base = (integral_I(args.r, args.p) if args.which == "id1"
@@ -425,7 +401,7 @@ def cmd_catalyst(args: argparse.Namespace) -> tuple[int, dict[str, Any]]:
     if args.y:
         y = load_vector(args.y)
         if len(y) != len(x):
-            raise CliInputError("vectors must have equal length")
+            raise ValueError("vectors must have equal length")
         cy = catalyst_product(y, catalyst, tpl, cx.degree_bound)
         rows = [{"k": k, "cx": str(a), "cy": str(b), "pass": a <= b}
                 for k, (a, b) in enumerate(zip(cx.coeffs, cy.coeffs))]
@@ -537,8 +513,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = _parser().parse_args(argv)
         try:
             code, report = args.func(args)
-        except (CliInputError, ValueError) as exc:
-            # library ValueErrors are contract violations of the inputs
+        except ValueError as exc:
+            # every input error, the CLI's own or the library's, is a ValueError
             print(f"error: {exc}", file=sys.stderr)
             return 2
         emit(report, args.format)

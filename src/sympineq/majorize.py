@@ -225,9 +225,9 @@ class PsiComparison:
 
 
 def psi_compare(x: RationalVector, y: RationalVector,
-                lambda_grid: Sequence[Union[int, float, Fraction]],
-                tol: float = 1e-9) -> list[PsiComparison]:
-    """Evaluate ``sum psi(x_i) <= sum psi(y_i)`` on a lambda grid.
+                lambda_grid: Sequence[Union[int, float, Fraction]]
+                ) -> list[PsiComparison]:
+    """Evaluate ``sum psi(x_i) <= sum psi(y_i)`` on a lambda grid, to 1e-9 relative.
 
     An empirical companion to the polynomial-family hypotheses; this reports
     observations and proves nothing.
@@ -238,7 +238,7 @@ def psi_compare(x: RationalVector, y: RationalVector,
     for lam in lambda_grid:
         lhs, rhs = psi_sum(x, lam), psi_sum(y, lam)
         rows.append(PsiComparison(float(lam), lhs, rhs,
-                                  lhs <= rhs + tol * max(1.0, abs(rhs))))
+                                  lhs <= rhs + 1e-9 * max(1.0, abs(rhs))))
     return rows
 
 

@@ -130,8 +130,9 @@ def delta_r(s: float, r: int) -> float:
 
 
 def _validate_r(r: int) -> None:
-    if isinstance(r, bool) or not isinstance(r, int) or r < 1:
-        raise ValueError("r must be an integer >= 1")
+    # (r+1)! must be a float, in delta_r and in the J window: 171! is not
+    if isinstance(r, bool) or not isinstance(r, int) or not 1 <= r <= 169:
+        raise ValueError("r must be an integer with 1 <= r <= 169")
 
 
 def _times_decay(val: np.ndarray, u: np.ndarray, p: float) -> np.ndarray:
@@ -282,6 +283,8 @@ def _doubling(integrand, p: float, r: int, windows, rel_tol: float,
         for i, latest in zip(active, sums):
             prev[i], value[i] = value[i], latest
             nodes[i] += panels[i] * _GL_NODES.size
+    if not all(math.isfinite(v) and math.isfinite(e) for v, e, _, _ in results):
+        raise OverflowError("a quadrature is beyond the float range")
     return results
 
 
@@ -346,7 +349,8 @@ def integral_J(r: int, p: float) -> QuadratureResult:
 def identity_lhs(which: str, a: float, p: float, r: int) -> QuadratureResult:
     """The normalized scaled transform whose exact value is a^p: the kernel at
     scale a divided by the kernel at scale 1.  The two quadratures run in
-    lockstep, and the result has converged when both have."""
+    lockstep, and the result has converged when both have.  When a^p or the
+    kernel at scale a is beyond the float range, it raises ValueError."""
     if which not in ("id1", "id2"):
         raise ValueError("which must be 'id1' or 'id2'")
     if not 0 <= a < math.inf:
@@ -356,7 +360,13 @@ def identity_lhs(which: str, a: float, p: float, r: int) -> QuadratureResult:
     if a == 0:
         (norm,) = _quadratures(kind, r, p, (1.0,))
         return QuadratureResult(0.0, 0.0, norm.node_count, norm.converged)
-    norm, num = _quadratures(kind, r, p, (1.0, float(a)))
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # _doubling raises
+            a ** p  # the target: OverflowError beyond the float range
+            norm, num = _quadratures(kind, r, p, (1.0, float(a)))
+    except OverflowError:
+        raise ValueError(f"a^p or the transform at scale a is beyond the float "
+                         f"range at a={a!r}, p={p!r}") from None
     value = num.value / norm.value
     rel = (num.estimated_error / max(abs(num.value), 1e-300)
            + norm.estimated_error / max(abs(norm.value), 1e-300))

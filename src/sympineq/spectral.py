@@ -19,8 +19,6 @@ __all__ = [
     "IntMatrix",
     "as_int_matrix",
     "gram",
-    "det_I_plus_tA",
-    "f_from_matrix",
     "SpectralSummary",
     "spectral_summary",
 ]
@@ -79,18 +77,6 @@ def _elementary(am: IntMatrix) -> list[int]:
     return coeffs
 
 
-def det_I_plus_tA(a: Iterable[Sequence[int]]) -> list[Fraction]:
-    """Coefficients of det(I + tA), computed by the Faddeev-LeVerrier
-    recurrence in exact integer arithmetic.
-
-    Coefficient k is the k-th elementary symmetric function of the spectrum
-    of A.
-    """
-    am = as_int_matrix(a)
-    _require_square(am)
-    return [Fraction(c) for c in _elementary(am)]
-
-
 def _power_sums(e: Sequence[int], top: int) -> list[int]:
     # Newton's identities:
     # p_m = sum_{i=1}^{m-1} (-1)^{i-1} e_i p_{m-i} + (-1)^{m-1} m e_m,
@@ -120,24 +106,8 @@ def _template_cumulants(r: int, top: int) -> list[int]:
     return kappa
 
 
-def f_from_matrix(a: Iterable[Sequence[int]], r: int) -> list[Fraction]:
-    """Coefficients of ``det(sum_{j<=r} A^j t^j / j!)`` up to degree n*r.
-
-    Triangularizing A over C shows that this determinant is
-    ``F(t) = prod_i g(lambda_i t)`` over the eigenvalues, with
-    ``g(s) = sum_{j<=r} s^j / j!``, for every square A.  So
-    ``log F(t) = sum_m kappa_m p_m t^m / m!``, where p_m are the power sums
-    of the spectrum (Newton's identities from det(I + tA)) and kappa_m the
-    cumulants of g; the integers ``G_k = k! F_k`` follow from
-    ``G_k = sum_j C(k-1, j-1) kappa_j p_j G_{k-j}``.  With the spectrum
-    nonnegative, coefficient k is the order-r family value F_{k,r} of the
-    eigenvalues.
-    """
-    return list(spectral_summary(a, (r,)).f_coeffs[r])
-
-
 def _f_table(p: Sequence[int], r: int, deg: int) -> tuple[Fraction, ...]:
-    # the exp step of f_from_matrix, from the power sums p_0..p_deg or more
+    # the exp step of spectral_summary, from the power sums p_0..p_deg or more
     c = [kj * pj for kj, pj in zip(_template_cumulants(r, deg), p)]
     g = [1]
     for k in range(1, deg + 1):
@@ -157,7 +127,20 @@ class SpectralSummary:
 
 def spectral_summary(a: Iterable[Sequence[int]], rs: Sequence[int] = (1,),
                      assume_psd: bool = False) -> SpectralSummary:
-    """Bundle det(I + tA) coefficients with family tables for each order in rs.
+    """The coefficients of det(I + tA), by the Faddeev-LeVerrier recurrence
+    in exact integer arithmetic, and for each order r in rs those of
+    ``det(sum_{j<=r} A^j t^j / j!)`` up to degree n*r.
+
+    Coefficient k of det(I + tA) is the k-th elementary symmetric function
+    of the spectrum of A.  Triangularizing A over C shows that the order-r
+    determinant is ``F(t) = prod_i g(lambda_i t)`` over the eigenvalues, with
+    ``g(s) = sum_{j<=r} s^j / j!``, for every square A.  So
+    ``log F(t) = sum_m kappa_m p_m t^m / m!``, where p_m are the power sums
+    of the spectrum (Newton's identities from det(I + tA)) and kappa_m the
+    cumulants of g; the integers ``G_k = k! F_k`` follow from
+    ``G_k = sum_j C(k-1, j-1) kappa_j p_j G_{k-j}``.  With the spectrum
+    nonnegative, coefficient k is the order-r family value F_{k,r} of the
+    eigenvalues.
 
     The characteristic coefficients and the power sums up to degree
     n * max(rs) are computed once and shared by every order, so asking for

@@ -25,6 +25,7 @@ __all__ = [
     "GridPoint",
     "ConclusionReport",
     "verify_conclusions",
+    "grid_spectrum",
     "FullReport",
     "full_report",
 ]
@@ -149,21 +150,35 @@ def verify_conclusions(x: RationalVector, y: RationalVector, r: int,
     if sums_equal is None:
         sums_equal = x.total() == y.total()
 
-    low = []
-    for i in range(grid_points):
-        p = i / (grid_points - 1)
-        nx, ny = lp_mean(x, p), lp_mean(y, p)
-        margin = ny - nx
-        low.append(GridPoint(p, nx, ny, margin, margin >= -tol))
-    high = []
-    for i in range(grid_points):
-        p = 1.0 + i * r / (grid_points - 1)
-        nx, ny = lp_mean(x, p), lp_mean(y, p)
-        margin = nx - ny
-        high.append(GridPoint(p, nx, ny, margin,
-                              (margin >= -tol) if sums_equal else None))
+    low, high = [], []
+    for grid, start, width, asserted in ((low, 0.0, 1, True),
+                                         (high, 1.0, r, sums_equal)):
+        for i in range(grid_points):
+            p = start + i * width / (grid_points - 1)
+            nx, ny = lp_mean(x, p), lp_mean(y, p)
+            margin = ny - nx if grid is low else nx - ny
+            grid.append(GridPoint(p, nx, ny, margin,
+                                  (margin >= -tol) if asserted else None))
     return ConclusionReport(r=r, tol=tol, sums_equal=sums_equal,
                             low_grid=tuple(low), high_grid=tuple(high))
+
+
+def grid_spectrum(matrix: Sequence[Sequence[int]],
+                  e_coeffs: Sequence[Fraction]) -> RationalVector:
+    """The float spectrum of a PSD matrix, for the (tolerance-based) lp-mean
+    grids only; exact quantities never go through here.  e_coeffs are those
+    of det(I + tA) (``spectral_summary``)."""
+    import numpy as np
+
+    eig = np.linalg.eigvalsh(np.array(matrix, dtype=float))  # ascending
+    values = [max(0.0, float(v)) for v in eig]
+    n = len(values)
+    # a zero eigenvalue comes back as +-1e-16 noise, and positive noise would
+    # reach the p -> 0 means; e_k of a PSD matrix is nonzero exactly for
+    # k <= rank, so the top nonzero coefficient says how many are zero
+    rank = max(k for k, c in enumerate(e_coeffs) if c)
+    values[:n - rank] = [0.0] * (n - rank)
+    return RationalVector(values)
 
 
 @dataclass(frozen=True)

@@ -15,8 +15,8 @@ from sympineq.families import f_kr_all, g_kr, gbar_kr, m_kr
 from sympineq.majorize import majorizes, t_transform_pair
 from sympineq.mellin import identity_check, integral_I
 from sympineq.oracles import f_from_matrix_oracle, oracle_value
-from sympineq.spectral import det_I_plus_tA, f_from_matrix, gram
-from sympineq.theorem1 import check_hypotheses, verify_conclusions
+from sympineq.spectral import gram, spectral_summary
+from sympineq.theorem1 import check_hypotheses, grid_spectrum, verify_conclusions
 from sympineq.vectors import RationalVector
 
 from conftest import SAMPLE_Q, SAMPLE_R, m_kr_from_gbar, random_rational_vector
@@ -44,14 +44,14 @@ def criterion(number: int, label: str, budget_seconds: float):
 
 def test_criterion_01_spectral_reproduction():
     with criterion(1, "exact determinant coefficients for both Gram matrices", 1.0):
-        assert det_I_plus_tA(gram(SAMPLE_Q)) == [1, 9, 16, 9, 1]
-        assert det_I_plus_tA(gram(SAMPLE_R)) == [1, 9, 20, 9, 1]
+        assert list(spectral_summary(gram(SAMPLE_Q)).e_coeffs) == [1, 9, 16, 9, 1]
+        assert list(spectral_summary(gram(SAMPLE_R)).e_coeffs) == [1, 9, 20, 9, 1]
 
 
 def test_criterion_02_f_table_reproduction():
     with criterion(2, "exact order-2 family tables via the matrix route", 5.0):
-        fx = f_from_matrix(gram(SAMPLE_Q), 2)
-        fy = f_from_matrix(gram(SAMPLE_R), 2)
+        fx = list(spectral_summary(gram(SAMPLE_Q), (2,)).f_coeffs[2])
+        fy = list(spectral_summary(gram(SAMPLE_R), (2,)).f_coeffs[2])
         assert tuple(math.factorial(k) * fx[k] for k in range(2, 9)) == X_TABLE
         assert tuple(math.factorial(k) * fy[k] for k in range(2, 9)) == Y_TABLE
         # route agreement with the independent node-evaluation and
@@ -61,10 +61,10 @@ def test_criterion_02_f_table_reproduction():
         assert fy == f_from_matrix_oracle(gram(SAMPLE_R), 2)
         diag = ((4, 0, 0, 0), (0, 2, 0, 0), (0, 0, 1, 0), (0, 0, 0, 2))
         vector = RationalVector([4, 2, 1, 2])
-        assert f_from_matrix(diag, 2) == f_from_matrix_oracle(diag, 2) == \
-            f_kr_all(vector, 2)
+        assert list(spectral_summary(diag, (2,)).f_coeffs[2]) == \
+            f_from_matrix_oracle(diag, 2) == f_kr_all(vector, 2)
         two_by_two = ((2, 1), (1, 2))  # spectrum {1, 3}
-        assert f_from_matrix(two_by_two, 2) == \
+        assert list(spectral_summary(two_by_two, (2,)).f_coeffs[2]) == \
             f_from_matrix_oracle(two_by_two, 2) == \
             f_kr_all(RationalVector([1, 3]), 2)
 
@@ -73,8 +73,8 @@ def test_criterion_03_order_three_failure_witness():
     with criterion(3, "order-3 hypotheses fail exactly at k = 10", 5.0):
         from sympineq.theorem1 import check_hypotheses_coeffs
 
-        fx = f_from_matrix(gram(SAMPLE_Q), 3)
-        fy = f_from_matrix(gram(SAMPLE_R), 3)
+        fx = spectral_summary(gram(SAMPLE_Q), (3,)).f_coeffs[3]
+        fy = spectral_summary(gram(SAMPLE_R), (3,)).f_coeffs[3]
         report = check_hypotheses_coeffs(fx, fy, 3, 4)
         assert not report.all_pass
         failures = [c for c in report.checks if not c.ok]
@@ -87,18 +87,13 @@ def test_criterion_03_order_three_failure_witness():
 
 def test_criterion_04_conclusion_grids():
     with criterion(4, "conclusion grids pass over [0,1] and [1,3] at 1e-9", 1.0):
-        import numpy as np
-
         from sympineq.theorem1 import check_hypotheses_coeffs
 
         mx, my = gram(SAMPLE_Q), gram(SAMPLE_R)
-        hyp = check_hypotheses_coeffs(f_from_matrix(mx, 2), f_from_matrix(my, 2),
-                                      2, 4)
+        sx, sy = spectral_summary(mx, (2,)), spectral_summary(my, (2,))
+        hyp = check_hypotheses_coeffs(sx.f_coeffs[2], sy.f_coeffs[2], 2, 4)
         assert hyp.all_pass and hyp.sums_equal
-        x = RationalVector([max(0.0, float(v))
-                            for v in np.linalg.eigvalsh(np.array(mx, float))])
-        y = RationalVector([max(0.0, float(v))
-                            for v in np.linalg.eigvalsh(np.array(my, float))])
+        x, y = grid_spectrum(mx, sx.e_coeffs), grid_spectrum(my, sy.e_coeffs)
         con = verify_conclusions(x, y, 2, grid_points=101, tol=1e-9,
                                  sums_equal=hyp.sums_equal)
         assert con.low_all_pass

@@ -290,6 +290,20 @@ class TestTheorem1:
                          "1", "--r", "2", "--r", "3")
         assert code == 0 and len(calls) == 1
 
+    def test_gram_pair_checks_its_spectral_coefficients(self, capsys, files,
+                                                         monkeypatch):
+        # a Gram product is PSD, so a negative det(I + tA) coefficient is a
+        # fault; the theorem1 route checks it as spectral --q does
+        elementary = spectral._elementary
+        monkeypatch.setattr(spectral, "_elementary",
+                            lambda am: elementary(am)[:-1] + [-1])
+        for argv in (("theorem1", "--qx", files["q.json"], "--qy",
+                      files["r.json"], "--r", "2"),
+                     ("spectral", "--q", files["q.json"])):
+            code, out, err = run(capsys, *argv)
+            assert code == 2 and out == ""
+            assert err.startswith("error: negative spectral coefficient")
+
 
 class TestMajorize:
     def test_holds(self, capsys, files):
@@ -383,6 +397,9 @@ class TestSpectral:
         assert code == 2 and "error:" in err
 
 
+BEYOND = "a^p or the transform at scale a is beyond the float range at "
+
+
 class TestMellinValidate:
     def test_identity_passes(self, capsys):
         code, report, _ = run_json(capsys, "mellin-validate", "--which", "id1",
@@ -414,6 +431,22 @@ class TestMellinValidate:
         code, _, _ = run(capsys, "mellin-validate", "--which", which, "--r", "2",
                          "--p", p, "--a", "2")
         assert code == 0 and len(calls) == 1
+
+    @pytest.mark.parametrize("argv, message", [
+        ("id1 --r 169 --p 0.5 --a 2", None),
+        ("id2 --r 169 --p 1.5 --a 2", None),
+        ("id2 --r 170 --p 1.5 --a 2", "r must be an integer with 1 <= r <= 169"),
+        ("id1 --r 200 --p 0.5 --a 2", "r must be an integer with 1 <= r <= 169"),
+        ("id2 --r 2 --p 1.5 --a 1e205", None),
+        ("id2 --r 2 --p 2.9 --a 1e110", BEYOND + "a=1e+110, p=2.9"),
+        ("id2 --r 2 --p 1.5 --a 1e206", BEYOND + "a=1e+206, p=1.5"),
+        ("id2 --r 2 --p 1.5 --a 1e300", BEYOND + "a=1e+300, p=1.5")])
+    def test_float_range_bounds(self, capsys, argv, message):
+        code, out, err = run(capsys, "mellin-validate", "--which", *argv.split())
+        if message is None:
+            assert code == 0 and json.loads(out)["pass"] and err == ""
+        else:
+            assert (code, out, err) == (2, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
     def test_tolerance_must_be_positive_and_finite(self, capsys, tol):

@@ -69,6 +69,26 @@ class TestDelta:
             delta_r(1.0, True)
 
 
+class TestOrderBound:
+    """(r+1)! must be a float, in delta_r and in the J window; 170! is one
+    and 171! is not, so r = 169 is the largest order."""
+
+    def test_largest_order(self):
+        # 200 - log P_169(200), by mpmath at 40 digits
+        assert delta_r(200.0, 169) == pytest.approx(4.283749356168701, rel=1e-12)
+        for got in (integral_I(169, 0.5), integral_J(169, 1.5)):
+            assert got.converged and got.value > 0
+
+    @pytest.mark.parametrize("call", [lambda r: delta_r(1.0, r),
+                                      lambda r: integral_I(r, 0.5),
+                                      lambda r: integral_J(r, 1.5)],
+                             ids=["delta_r", "integral_I", "integral_J"])
+    def test_orders_past_169_are_rejected(self, call):
+        for r in (170, 200):
+            with pytest.raises(ValueError, match=r"1 <= r <= 169"):
+                call(r)
+
+
 def whole_array_delta_small(s: np.ndarray, r: int) -> np.ndarray:
     # the gap series stopped for all nodes at once, when the largest term
     # falls below 1e-22 of the largest sum: the reference for the per-node
@@ -372,6 +392,17 @@ class TestIdentities:
         errors = [identity_check("id1", a, 0.5, 2)
                   for a in (0.25, 0.5, 1.0, 2.0, 4.0)]
         assert max(errors) - min(errors) < 1e-5
+
+    @pytest.mark.parametrize("which, a, p", [("id2", 1e110, 2.9),
+                                             ("id2", 1e206, 1.5),
+                                             ("id2", 1e300, 1.5)])
+    def test_targets_beyond_the_float_range(self, which, a, p):
+        with pytest.raises(ValueError, match="beyond the float range"):
+            identity_lhs(which, a, p, 2)
+
+    def test_the_largest_target_in_range(self):
+        # a^p = 3.2e307, near the top of the float range
+        assert identity_check("id2", 1e205, 1.5, 2) < 1e-6
 
     def test_which_validation(self):
         with pytest.raises(ValueError):

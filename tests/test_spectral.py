@@ -8,8 +8,7 @@ import pytest
 from sympineq.families import f_kr_all
 from sympineq.oracles import f_from_matrix_oracle
 from sympineq.series import product_over_vector, taylor_template
-from sympineq.spectral import (as_int_matrix, det_I_plus_tA, f_from_matrix,
-                               gram, spectral_summary)
+from sympineq.spectral import as_int_matrix, gram, spectral_summary
 from sympineq.vectors import RationalVector
 
 from conftest import SAMPLE_Q, SAMPLE_R
@@ -35,17 +34,17 @@ class TestGram:
 
 class TestDetIPlusT:
     def test_interval_gram(self, matrix_x):
-        assert det_I_plus_tA(matrix_x) == [1, 9, 16, 9, 1]
+        assert list(spectral_summary(matrix_x).e_coeffs) == [1, 9, 16, 9, 1]
 
     def test_flipped_gram(self, matrix_y):
-        assert det_I_plus_tA(matrix_y) == [1, 9, 20, 9, 1]
+        assert list(spectral_summary(matrix_y).e_coeffs) == [1, 9, 20, 9, 1]
 
     def test_diagonal(self):
-        assert det_I_plus_tA(((3, 0), (0, 5))) == [1, 8, 15]
+        assert list(spectral_summary(((3, 0), (0, 5))).e_coeffs) == [1, 8, 15]
 
     def test_integer_spectrum_cross_check(self):
         # [[2,1],[1,2]] has spectrum {1, 3}
-        coeffs = det_I_plus_tA(((2, 1), (1, 2)))
+        coeffs = list(spectral_summary(((2, 1), (1, 2))).e_coeffs)
         assert coeffs == f_kr_all(RationalVector([1, 3]), 1)
 
     def test_psd_gram_coefficients_are_nonnegative(self):
@@ -54,43 +53,44 @@ class TestDetIPlusT:
             rows = rnd.randint(1, 4)
             cols = rnd.randint(1, 4)
             q = [[rnd.randint(-3, 3) for _ in range(cols)] for _ in range(rows)]
-            for c in det_I_plus_tA(gram(q)):
+            for c in spectral_summary(gram(q)).e_coeffs:
                 assert c >= 0
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
-            det_I_plus_tA(((1, 2, 3), (4, 5, 6)))
+            spectral_summary(((1, 2, 3), (4, 5, 6)))
 
 
 class TestFFromMatrix:
     def test_interval_gram_order_two_table(self, matrix_x):
-        table = f_from_matrix(matrix_x, 2)
+        table = spectral_summary(matrix_x, (2,)).f_coeffs[2]
         assert [math.factorial(k) * table[k] for k in range(2, 9)] == \
             [81, 405, 1524, 4050, 7290, 5670, 2520]
 
     def test_flipped_gram_order_two_table(self, matrix_y):
-        table = f_from_matrix(matrix_y, 2)
+        table = spectral_summary(matrix_y, (2,)).f_coeffs[2]
         assert [math.factorial(k) * table[k] for k in range(2, 9)] == \
             [81, 513, 2388, 5130, 7290, 5670, 2520]
 
     def test_order_three_crossover(self, matrix_x, matrix_y):
-        fx = f_from_matrix(matrix_x, 3)
-        fy = f_from_matrix(matrix_y, 3)
+        fx = spectral_summary(matrix_x, (3,)).f_coeffs[3]
+        fy = spectral_summary(matrix_y, (3,)).f_coeffs[3]
         assert math.factorial(10) * fx[10] == 1226400
         assert math.factorial(10) * fy[10] == 1192800
         assert fx[10] > fy[10]
 
     def test_order_one_matches_determinant_coefficients(self, matrix_x):
-        assert f_from_matrix(matrix_x, 1) == det_I_plus_tA(matrix_x)
+        summary = spectral_summary(matrix_x, (1,))
+        assert summary.f_coeffs[1] == summary.e_coeffs
 
     def test_diagonal_matches_vector_route(self):
         d = ((4, 0, 0, 0), (0, 2, 0, 0), (0, 0, 1, 0), (0, 0, 0, 2))
         v = RationalVector([4, 2, 1, 2])
         for r in (1, 2, 3):
-            assert f_from_matrix(d, r) == f_kr_all(v, r)
+            assert list(spectral_summary(d, (r,)).f_coeffs[r]) == f_kr_all(v, r)
 
     def test_leading_coefficients(self, matrix_y):
-        table = f_from_matrix(matrix_y, 2)
+        table = spectral_summary(matrix_y, (2,)).f_coeffs[2]
         assert table[0] == 1
         assert table[1] == 9  # the trace
 
@@ -100,7 +100,8 @@ class TestFFromMatrix:
         sym = [[base[i][j] + base[j][i] for j in range(4)] for i in range(4)]
         perm = [2, 0, 3, 1]
         permuted = [[sym[perm[i]][perm[j]] for j in range(4)] for i in range(4)]
-        assert f_from_matrix(sym, 2) == f_from_matrix(permuted, 2)
+        assert (spectral_summary(sym, (2,)).f_coeffs[2]
+                == spectral_summary(permuted, (2,)).f_coeffs[2])
 
     def test_float_eigenvalue_cross_check(self, matrix_x):
         # the numeric spectrum, pushed back through the exact vector route,
@@ -108,7 +109,8 @@ class TestFFromMatrix:
         eig = np.linalg.eigvalsh(np.array(matrix_x, dtype=float))
         v = RationalVector([max(0.0, float(t)) for t in eig])
         got = product_over_vector(v, taylor_template(1))
-        for approx, exact in zip(got.coeffs, det_I_plus_tA(matrix_x)):
+        exact_coeffs = spectral_summary(matrix_x).e_coeffs
+        for approx, exact in zip(got.coeffs, exact_coeffs):
             assert float(approx) == pytest.approx(float(exact), abs=1e-9)
 
 
@@ -134,7 +136,7 @@ class TestOracleAgreement:
 
     def _agree(self, a):
         for r in (1, 2, 3):
-            table = f_from_matrix(a, r)
+            table = list(spectral_summary(a, (r,)).f_coeffs[r])
             assert table == f_from_matrix_oracle(a, r)
             assert len(table) == len(a) * r + 1
 
@@ -173,7 +175,7 @@ class TestOracleAgreement:
             rank = _exact_rank(a)
             assert 1 <= rank < n
             for r in (1, 2, 3):
-                table = f_from_matrix(a, r)
+                table = list(spectral_summary(a, (r,)).f_coeffs[r])
                 assert table == f_from_matrix_oracle(a, r)
                 assert table[r * rank] != 0
                 assert all(c == 0 for c in table[r * rank + 1:])

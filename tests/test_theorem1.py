@@ -4,8 +4,9 @@ import pytest
 
 from sympineq.families import f_kr_all
 from sympineq.majorize import t_transform_pair
+from sympineq.spectral import gram, spectral_summary
 from sympineq.theorem1 import (check_hypotheses, check_hypotheses_coeffs,
-                               full_report, verify_conclusions)
+                               full_report, grid_spectrum, verify_conclusions)
 from sympineq.vectors import RationalVector
 
 from conftest import random_rational_vector
@@ -149,3 +150,20 @@ class TestFullReport:
         assert rep.certified_r is None
         assert rep.conclusions is None
         assert not rep.passed
+
+
+class TestGridSpectrum:
+    def test_eigenvalues_of_a_diagonal_gram(self):
+        a = gram([[0, 0, 0], [0, 2, 0], [0, 0, 3]])
+        spectrum = grid_spectrum(a, spectral_summary(a).e_coeffs)
+        assert spectrum.entries == (0, 4, 9)
+
+    def test_the_null_space_reads_exactly_zero(self):
+        # rank 2 of 4: the top nonzero coefficient of det(I + tA) is e_2, so
+        # the two smallest eigenvalues are zeroed, noise or not
+        a = gram([[1, 2, 0], [2, 4, 0], [0, 1, 1], [0, 2, 2]])
+        e = spectral_summary(a).e_coeffs
+        assert [k for k, c in enumerate(e) if c] == [0, 1, 2]
+        entries = grid_spectrum(a, e).entries
+        assert entries[:2] == (0, 0) and min(entries[2:]) > 0
+        assert float(sum(entries)) == pytest.approx(float(e[1]))
