@@ -8,7 +8,8 @@ numerically and shows the divergence at the interval edges.
 
 import math
 
-from sympineq import delta_r, identity_check, identity_lhs, integral_I, integral_J
+from sympineq.mellin import (delta_r, identity_check, identity_lhs, integral_I,
+                             integral_J)
 
 # The order-1 kernel has a closed form: pi / (p sin(pi p)).
 for p in (0.25, 0.5, 0.75):

@@ -2,8 +2,6 @@
 inequality verifiers, with an exact Gram-matrix pipeline and numerical
 validation of the underlying Mellin identities."""
 
-import importlib
-
 from .vectors import RationalVector, lp_mean, partial_sums_desc, to_fraction
 from .series import (Catalyst, SeriesTemplate, TruncatedSeries, catalyst_product,
                      padded_taylor_template, product_over_vector, taylor_template,
@@ -19,18 +17,6 @@ from .spectral import SpectralSummary, gram, spectral_summary
 
 __version__ = "0.1.0"
 
-# Names imported on first access (PEP 562): mellin loads numpy, and the
-# oracles serve only the tests and demos, so the exact paths load neither.
-_LAZY = {
-    **dict.fromkeys(("QuadratureResult", "delta_r", "identity_check",
-                     "identity_lhs", "integral_I", "integral_J"), "mellin"),
-    **dict.fromkeys(("CompositionStream", "IndexSet", "OracleSizeError",
-                     "enumerate_compositions", "f_from_matrix_oracle",
-                     "f_kr_oracle", "h_s", "is_schur_concave_index_set",
-                     "majorizes_int", "max_part_index_set",
-                     "min_support_index_set", "oracle_value"), "oracles"),
-}
-
 __all__ = [
     "RationalVector", "lp_mean", "partial_sums_desc", "to_fraction",
     "Catalyst", "SeriesTemplate", "TruncatedSeries", "catalyst_product",
@@ -43,18 +29,4 @@ __all__ = [
     "ConclusionReport", "FullReport", "HypothesisReport", "check_hypotheses",
     "check_hypotheses_coeffs", "full_report", "verify_conclusions",
     "SpectralSummary", "gram", "spectral_summary",
-    *_LAZY,
 ]
-
-
-def __getattr__(name: str):
-    module = _LAZY.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f".{module}", __name__), name)
-    globals()[name] = value
-    return value
-
-
-def __dir__() -> list[str]:
-    return sorted({*globals(), *_LAZY})

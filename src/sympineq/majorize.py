@@ -7,7 +7,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import ClassVar, Optional, Sequence, Union
 
 from . import families, series
 from .vectors import (RationalLike, RationalVector, log_of_fraction, lp_mean,
@@ -128,8 +128,8 @@ class Theorem2Report:
     distinct_var_violation: Optional[CellViolation]  # G_{k,r}(x) > G_{k,r}(y)
     subset_power_violation: Optional[CellViolation]  # M_{k,r}(x) < M_{k,r}(y)
     cells_checked: int
-    note: str = ("polynomial families checked only for k <= k_max; "
-                 "the characterization quantifies over all k")
+    note: ClassVar[str] = ("polynomial families checked only for k <= k_max; "
+                           "the characterization quantifies over all k")
 
     @property
     def majorization_holds(self) -> bool:

@@ -43,7 +43,6 @@ __all__ = [
 ]
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
-_LOG4 = math.log(4.0)
 _BLOCK_PANELS = 2048  # panels per integrand call: bounds the temporaries
 _ABS_FLOOR = 1e-14  # a doubling that moves a pass by at most this ends it
 _MEMO_SIZE = 512
@@ -85,23 +84,40 @@ def _log_pr_from_logs(s_log: np.ndarray, r: int) -> np.ndarray:
     return out
 
 
+def _series_top(r: int) -> float:
+    """The largest s whose gap comes from the remainder series.  Past s = r + 1
+    the gap exceeds log 2 (the median of the order-(r+1) gamma law is below
+    r + 1), so the direct difference loses only about log2(s) bits."""
+    return max(4.0, r + 1.0)
+
+
 def _delta_small(s: np.ndarray, r: int) -> np.ndarray:
-    """The gap ``s - log P_r(s)`` for a nonempty array of s <= 4, via -log1p
-    of the scaled exponential remainder; immune to the cancellation that
-    kills the direct difference when the gap is O(s^(r+1)).
+    """The gap ``s - log P_r(s)`` for a nonempty array of s <= _series_top(r),
+    via -log1p of the scaled exponential remainder; immune to the
+    cancellation that kills the direct difference when the gap is
+    O(s^(r+1)).  Above s = 4 the first term, where s^(r+1) could overflow,
+    is taken in log space.
 
     Each node leaves the remainder series once its own term is at most
-    1e-22 of its own sum: with s <= 4 every later term is smaller still and
-    below half an ulp of the sum, so adding it changes nothing.  Each value
-    therefore depends on its node alone.  Nodes in ascending s converge
-    in ascending order, so the loop runs over a shrinking suffix; in any
-    other order the converged nodes behind the first unconverged one keep
-    adding terms that leave them unchanged.
+    1e-22 of its own sum: with s <= r + 1 < j every later term is smaller
+    still and their sum stays below half an ulp of the sum, so adding them
+    changes nothing.  Each value therefore depends on its node alone.  Nodes
+    in ascending s converge in ascending order, so the loop runs over a
+    shrinking suffix; in any other order the converged nodes behind the first
+    unconverged one keep adding terms that leave them unchanged.  Past
+    j = r + 1 the terms fall like exp(-(j - r - 1)^2 / (2 s)), which sets the
+    loop bound.
     """
-    term = s ** (r + 1) / math.factorial(r + 1)
+    if s.max() <= 4.0:
+        term = s ** (r + 1) / math.factorial(r + 1)
+    else:
+        small = s <= 4.0
+        term = np.empty_like(s)
+        term[small] = s[small] ** (r + 1) / math.factorial(r + 1)
+        term[~small] = np.exp((r + 1) * np.log(s[~small]) - math.lgamma(r + 2))
     rem = term.copy()
     lo = 0  # nodes before lo have converged
-    for j in range(r + 2, r + 64):
+    for j in range(r + 2, r + 64 + math.ceil(12 * math.sqrt(r + 1))):
         t, total = term[lo:], rem[lo:]
         t *= s[lo:]
         t /= j
@@ -122,7 +138,7 @@ def delta_r(s: float, r: int) -> float:
     if not 0 <= s < math.inf:
         raise ValueError("need a finite s >= 0")
     arr = np.array([s], dtype=float)
-    if arr[0] <= 4.0:
+    if arr[0] <= _series_top(r):
         gap = _delta_small(arr, r)
     else:
         gap = arr - _log_pr_from_logs(np.log(arr), r)
@@ -152,11 +168,11 @@ def _i_integrand(u: np.ndarray, log_a: np.ndarray, p: float,
 def _j_integrand(u: np.ndarray, log_a: np.ndarray, p: float,
                  r: int) -> np.ndarray:
     """The J integrand at nodes u of scales e^log_a, one scale per node, in
-    ascending s_log = u + log_a; they split at s = 4 into a prefix on the gap
-    series and a suffix on the log form."""
+    ascending s_log = u + log_a; they split at s = _series_top(r) into a
+    prefix on the gap series and a suffix on the log form."""
     s_log = u + log_a
     out = np.empty_like(u)
-    cut = int(np.searchsorted(s_log, _LOG4, side="right"))
+    cut = int(np.searchsorted(s_log, math.log(_series_top(r)), side="right"))
     if cut:
         gap = _delta_small(np.exp(s_log[:cut]), r)
         out[:cut] = _times_decay(gap, u[:cut], p)

@@ -18,11 +18,9 @@ from .vectors import RationalVector
 
 __all__ = [
     "OracleSizeError",
-    "CompositionStream",
     "enumerate_compositions",
     "composition_count",
     "oracle_value",
-    "f_kr_oracle",
     "majorizes_int",
     "IndexSet",
     "max_part_index_set",
@@ -39,80 +37,34 @@ MAX_COMPOSITIONS = 200_000
 MAX_SUBSETS = 10 ** 6
 MAX_INTERPOLATION_DEGREE = 48
 
-CONSTRAINTS = ("none", "max_le_r", "nonzero_ge_r", "distinct_lt_r")
-
 
 class OracleSizeError(ValueError):
     """A brute-force enumeration would exceed the size guards."""
-
-
-@dataclass(frozen=True)
-class CompositionStream:
-    """Lexicographic stream of compositions of k into n nonnegative parts.
-
-    Constraints: "max_le_r" keeps every part <= r, "nonzero_ge_r" keeps
-    compositions with at least r nonzero parts, "distinct_lt_r" keeps those
-    with fewer than r nonzero parts (a nonzero part is a used variable).
-    """
-
-    n: int
-    k: int
-    constraint: str = "none"
-    r: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if self.constraint not in CONSTRAINTS:
-            raise ValueError(f"unknown constraint {self.constraint!r}")
-        if self.constraint != "none" and self.r is None:
-            raise ValueError("constrained streams need the order parameter r")
-        if self.n < 1 or self.k < 0:
-            raise ValueError("need n >= 1 and k >= 0")
 
 
 def composition_count(n: int, k: int) -> int:
     return comb(n + k - 1, k)
 
 
-def _check_budget(n: int, k: int) -> None:
+def enumerate_compositions(n: int, k: int) -> Iterator[tuple[int, ...]]:
+    """Every composition of k into n nonnegative parts exactly once, in
+    lexicographic order."""
+    if n < 1 or k < 0:
+        raise ValueError("need n >= 1 and k >= 0")
     count = composition_count(n, k)
     if count > MAX_COMPOSITIONS:
         raise OracleSizeError(
             f"{count} compositions of {k} into {n} parts exceeds the "
             f"oracle budget of {MAX_COMPOSITIONS}")
 
-
-def enumerate_compositions(stream: CompositionStream) -> Iterator[tuple[int, ...]]:
-    """Every admitted composition exactly once, in lexicographic order."""
-    _check_budget(stream.n, stream.k)
-    cap = stream.r if stream.constraint == "max_le_r" else stream.k
-
     def rec(parts_left: int, total_left: int, prefix: tuple[int, ...]):
         if parts_left == 1:
-            if total_left <= cap:
-                yield prefix + (total_left,)
+            yield prefix + (total_left,)
             return
-        for v in range(min(cap, total_left) + 1):
+        for v in range(total_left + 1):
             yield from rec(parts_left - 1, total_left - v, prefix + (v,))
 
-    for composition in rec(stream.n, stream.k, ()):
-        if stream.constraint == "nonzero_ge_r":
-            if sum(1 for v in composition if v) < stream.r:
-                continue
-        elif stream.constraint == "distinct_lt_r":
-            if sum(1 for v in composition if v) >= stream.r:
-                continue
-        yield composition
-
-
-def _sum_over_compositions(x: RationalVector, stream: CompositionStream) -> Fraction:
-    total = Fraction(0)
-    for composition in enumerate_compositions(stream):
-        term = Fraction(1)
-        for xi, power in zip(x.entries, composition):
-            if power:
-                term *= xi ** power / factorial(power)
-        total += term
-    return total
+    return rec(n, k, ())
 
 
 def oracle_value(family: str, x: RationalVector, k: int, r: int) -> Fraction:
@@ -124,11 +76,12 @@ def oracle_value(family: str, x: RationalVector, k: int, r: int) -> Fraction:
     """
     n = len(x)
     if family == "F":
-        return _sum_over_compositions(x, CompositionStream(n, k, "max_le_r", r))
+        return h_s(x, max_part_index_set(n, k, r))
     if family == "G":
-        return _sum_over_compositions(x, CompositionStream(n, k, "nonzero_ge_r", r))
+        return h_s(x, min_support_index_set(n, k, r))
     if family == "Gbar":
-        return _sum_over_compositions(x, CompositionStream(n, k, "distinct_lt_r", r))
+        support = min_support_index_set(n, k, r).membership
+        return h_s(x, IndexSet(n, k, lambda p: not support(p)))
     if family == "M":
         if r > n:
             return Fraction(0)
@@ -143,11 +96,6 @@ def oracle_value(family: str, x: RationalVector, k: int, r: int) -> Fraction:
             total += s ** k
         return total
     raise ValueError(f"unknown family {family!r}")
-
-
-def f_kr_oracle(x: RationalVector, r: int, k: int) -> Fraction:
-    """Brute-force F_{k,r} by its defining constrained-composition sum."""
-    return oracle_value("F", x, k, r)
 
 
 def majorizes_int(p: tuple[int, ...], q: tuple[int, ...]) -> bool:
@@ -190,7 +138,7 @@ def h_s(x: RationalVector, idx: IndexSet) -> Fraction:
     if len(x) != idx.n:
         raise ValueError("vector length does not match the index set")
     total = Fraction(0)
-    for p in enumerate_compositions(CompositionStream(idx.n, idx.k)):
+    for p in enumerate_compositions(idx.n, idx.k):
         if idx.membership(p):
             term = Fraction(1)
             for xi, e in zip(x.entries, p):
@@ -208,7 +156,7 @@ def is_schur_concave_index_set(
     majorizes a non-member q.  Raises if the membership predicate is not
     permutation-invariant.
     """
-    comps = list(enumerate_compositions(CompositionStream(idx.n, idx.k)))
+    comps = list(enumerate_compositions(idx.n, idx.k))
     member: dict[tuple[int, ...], bool] = {}
     by_signature: dict[tuple[int, ...], bool] = {}
     for p in comps:

@@ -48,7 +48,6 @@ class HypothesisReport:
     k in [r, n*r], plus the exact total-sum equality flag."""
 
     r: int
-    n: int
     checks: tuple[HypothesisCheck, ...]
     all_pass: bool
     sums_equal: bool
@@ -79,7 +78,7 @@ def check_hypotheses_coeffs(fx: Sequence[Fraction], fy: Sequence[Fraction],
                    for k in range(r, n * r + 1))
     # coefficient 1 is the entry sum for every template order
     sums_equal = fx[1] == fy[1]
-    return HypothesisReport(r=r, n=n, checks=checks,
+    return HypothesisReport(r=r, checks=checks,
                             all_pass=all(c.ok for c in checks),
                             sums_equal=sums_equal)
 

@@ -8,7 +8,7 @@ from sympineq import families, series
 from sympineq.families import (delta_gbar_kr, f_kr_all, g_kr, gbar_kr,
                                gbar_numerators, grad_f_kr, m_kr)
 from sympineq.majorize import t_transform_pair
-from sympineq.oracles import (IndexSet, f_kr_oracle, h_s,
+from sympineq.oracles import (IndexSet, h_s,
                               is_schur_concave_index_set, max_part_index_set,
                               min_support_index_set, oracle_value)
 from sympineq.series import subset_power_table
@@ -44,7 +44,7 @@ class TestFFamily:
             r = rng.randint(1, 3)
             table = f_kr_all(x, r)
             for k in range(min(len(table), 7)):
-                assert table[k] == f_kr_oracle(x, r, k)
+                assert table[k] == oracle_value("F", x, k, r)
 
     def test_low_degree_closed_form(self, rng):
         for _ in range(10):

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import mpmath as mp
 import numpy as np
@@ -34,6 +35,17 @@ def mp_integral(kind: str, r: int, p: float) -> float:
     return float(mp.quad(f, [0, 1, 10, 100, mp.inf]) / p)
 
 
+def mp_gap(s: float, r: int) -> float:
+    # s - log P_r(s) = -log Q(r+1, s), Q the upper regularized incomplete
+    # gamma function: from the lower tail while it is small, and from the
+    # upper tail past 1/2, where 1 minus the lower tail would lose every digit
+    mp.mp.dps = 80
+    lower = mp.gammainc(r + 1, 0, s, regularized=True)
+    if lower <= 0.5:
+        return float(-mp.log1p(-lower))
+    return float(-mp.log(mp.gammainc(r + 1, s, mp.inf, regularized=True)))
+
+
 class TestDelta:
     def test_zero(self):
         assert delta_r(0.0, 1) == 0.0
@@ -56,6 +68,23 @@ class TestDelta:
             for s in (0.0, 1e-8, 1e-3, 0.5, 1.0, 3.9, 4.1, 10.0, 1e3, 1e8):
                 d = delta_r(s, r)
                 assert 0.0 <= d <= s + 1e-15
+
+    @pytest.mark.parametrize("r, s", [(10, 5.0), (20, 5.0), (20, 8.0),
+                                      (40, 10.0), (60, 20.0), (169, 50.0)])
+    def test_small_gaps_at_large_orders(self, r, s):
+        # the gap is about e^-s s^(r+1) / (r+1)!, far below s: a direct
+        # difference s - log P_r(s) returned -8.5e-14 at (169, 50)
+        assert delta_r(s, r) == pytest.approx(mp_gap(s, r), rel=1e-12, abs=0.0)
+
+    def test_against_the_incomplete_gamma_reference(self):
+        # values below the smallest normal float carry fewer than 52 bits,
+        # so there the check is absolute at that float
+        for r in (1, 2, 3, 5, 8, 20, 40, 60, 100, 169):
+            for s in np.geomspace(1e-3, 3 * r + 30, 120):
+                got = delta_r(float(s), r)
+                assert got >= 0.0
+                assert got == pytest.approx(mp_gap(float(s), r), rel=1e-12,
+                                            abs=sys.float_info.min)
 
     def test_input_validation(self):
         with pytest.raises(ValueError):

@@ -2,14 +2,17 @@ from fractions import Fraction
 
 import pytest
 
-from sympineq.oracles import (CompositionStream, OracleSizeError,
-                              composition_count, enumerate_compositions,
-                              f_from_matrix_oracle, majorizes_int, oracle_value)
+from sympineq.oracles import (OracleSizeError, composition_count,
+                              enumerate_compositions, f_from_matrix_oracle,
+                              majorizes_int, max_part_index_set,
+                              min_support_index_set, oracle_value)
 from sympineq.vectors import RationalVector
 
 
-def comps(n, k, constraint="none", r=None):
-    return list(enumerate_compositions(CompositionStream(n, k, constraint, r)))
+def comps(n, k, idx=None):
+    # the members of an index set, in the enumerator's lexicographic order
+    return [p for p in enumerate_compositions(n, k)
+            if idx is None or idx.membership(p)]
 
 
 class TestEnumeration:
@@ -17,10 +20,10 @@ class TestEnumeration:
         assert comps(2, 2) == [(0, 2), (1, 1), (2, 0)]
 
     def test_max_part_constraint(self):
-        assert comps(2, 2, "max_le_r", 1) == [(1, 1)]
+        assert comps(2, 2, max_part_index_set(2, 2, 1)) == [(1, 1)]
 
     def test_support_constraint(self):
-        assert comps(3, 3, "nonzero_ge_r", 3) == [(1, 1, 1)]
+        assert comps(3, 3, min_support_index_set(3, 3, 3)) == [(1, 1, 1)]
 
     def test_counts_match_closed_form(self):
         for n in range(1, 7):
@@ -46,11 +49,17 @@ class TestEnumeration:
         for n in range(1, 6):
             for k in range(7):
                 for r in range(1, 4):
-                    assert len(comps(n, k, "max_le_r", r)) == gf_count(n, k, r)
+                    assert len(comps(n, k, max_part_index_set(n, k, r))) == \
+                        gf_count(n, k, r)
 
     def test_budget_guard(self):
         with pytest.raises(OracleSizeError):
             comps(6, 30)
+
+    def test_rejects_empty_and_negative(self):
+        for n, k in ((0, 1), (2, -1)):
+            with pytest.raises(ValueError, match="need n >= 1 and k >= 0"):
+                enumerate_compositions(n, k)
 
 
 class TestOracleValues:
@@ -59,6 +68,12 @@ class TestOracleValues:
 
     def test_min_support_family(self):
         assert oracle_value("G", RationalVector([1, 1]), 2, 2) == 1
+
+    def test_family_sums_share_the_budget_guard(self):
+        # C(35, 30) compositions, whatever the cap on the parts
+        for family in ("F", "G", "Gbar"):
+            with pytest.raises(OracleSizeError):
+                oracle_value(family, RationalVector([1] * 6), 30, 2)
 
     def test_subset_power_family(self):
         assert oracle_value("M", RationalVector([1, 2, 3]), 2, 2) == 50
