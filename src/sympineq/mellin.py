@@ -92,11 +92,11 @@ def _series_top(r: int) -> float:
 
 
 def _delta_small(s: np.ndarray, r: int) -> np.ndarray:
-    """The gap ``s - log P_r(s)`` for a nonempty array of s <= _series_top(r),
-    via -log1p of the scaled exponential remainder; immune to the
-    cancellation that kills the direct difference when the gap is
-    O(s^(r+1)).  Above s = 4 the first term, where s^(r+1) could overflow,
-    is taken in log space.
+    """The gap ``s - log P_r(s)`` for a nonempty array of s <= _series_top(r)
+    whose nodes above 4 come last (both callers pass ascending s), via
+    -log1p of the scaled exponential remainder; immune to the cancellation
+    that kills the direct difference when the gap is O(s^(r+1)).  Above
+    s = 4 the first term, where s^(r+1) could overflow, is taken in log space.
 
     Each node leaves the remainder series once its own term is at most
     1e-22 of its own sum: with s <= r + 1 < j every later term is smaller
@@ -108,13 +108,10 @@ def _delta_small(s: np.ndarray, r: int) -> np.ndarray:
     j = r + 1 the terms fall like exp(-(j - r - 1)^2 / (2 s)), which sets the
     loop bound.
     """
-    if s.max() <= 4.0:
-        term = s ** (r + 1) / math.factorial(r + 1)
-    else:
-        small = s <= 4.0
-        term = np.empty_like(s)
-        term[small] = s[small] ** (r + 1) / math.factorial(r + 1)
-        term[~small] = np.exp((r + 1) * np.log(s[~small]) - math.lgamma(r + 2))
+    k = int(np.searchsorted(s, 4.0, side="right"))
+    term = np.empty_like(s)
+    np.divide(s[:k] ** (r + 1), math.factorial(r + 1), out=term[:k])
+    np.exp((r + 1) * np.log(s[k:]) - math.lgamma(r + 2), out=term[k:])
     rem = term.copy()
     lo = 0  # nodes before lo have converged
     for j in range(r + 2, r + 64 + math.ceil(12 * math.sqrt(r + 1))):

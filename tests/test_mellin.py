@@ -25,25 +25,25 @@ def closed_form_J1(p: float) -> float:
 def mp_integral(kind: str, r: int, p: float) -> float:
     # independent route: integrate by parts first, which leaves integrands
     # free of the near-zero cancellation of the direct kernels
-    mp.mp.dps = 30
     poly = lambda s: sum(s ** j / mp.factorial(j) for j in range(r + 1))
     dpoly = lambda s: sum(s ** j / mp.factorial(j) for j in range(r))
     if kind == "I":
         f = lambda s: dpoly(s) / poly(s) * s ** (-p)
     else:
         f = lambda s: s ** (r - p) / (mp.factorial(r) * poly(s))
-    return float(mp.quad(f, [0, 1, 10, 100, mp.inf]) / p)
+    with mp.workdps(30):
+        return float(mp.quad(f, [0, 1, 10, 100, mp.inf]) / p)
 
 
 def mp_gap(s: float, r: int) -> float:
     # s - log P_r(s) = -log Q(r+1, s), Q the upper regularized incomplete
     # gamma function: from the lower tail while it is small, and from the
     # upper tail past 1/2, where 1 minus the lower tail would lose every digit
-    mp.mp.dps = 80
-    lower = mp.gammainc(r + 1, 0, s, regularized=True)
-    if lower <= 0.5:
-        return float(-mp.log1p(-lower))
-    return float(-mp.log(mp.gammainc(r + 1, s, mp.inf, regularized=True)))
+    with mp.workdps(80):
+        lower = mp.gammainc(r + 1, 0, s, regularized=True)
+        if lower <= 0.5:
+            return float(-mp.log1p(-lower))
+        return float(-mp.log(mp.gammainc(r + 1, s, mp.inf, regularized=True)))
 
 
 class TestDelta:
