@@ -8,9 +8,8 @@ product over the tensor vector, so one integer kernel computes both.
 
 from fractions import Fraction
 
-from sympineq import (Catalyst, catalyst_product, check_hypotheses,
-                      padded_taylor_template, product_over_vector,
-                      taylor_template, tensor)
+from sympineq import (Catalyst, check_hypotheses, padded_taylor_template,
+                      product_over_vector, taylor_template, tensor)
 from sympineq.vectors import RationalVector
 
 x = RationalVector([1, 2])
@@ -28,7 +27,7 @@ print("x tensor c =", tensor(x, c))
 tpl = taylor_template(1)
 d = len(x) * len(c)
 by_hand = [Fraction(1), Fraction(9, 2), Fraction(7), Fraction(9, 2), Fraction(1)]
-cx = catalyst_product(x, c, tpl, d)
+cx = product_over_vector(tensor(x, c), tpl, d)
 print("\ncoefficients:", [str(v) for v in cx.coeffs])
 print("match the hand expansion:", list(cx.coeffs) == by_hand)
 
@@ -36,7 +35,7 @@ print("match the hand expansion:", list(cx.coeffs) == by_hand)
 # reduces to the plain hypotheses.
 y = RationalVector([Fraction(3, 2), Fraction(3, 2)])
 plain = check_hypotheses(x, y, 1)
-cy = catalyst_product(y, c, tpl, d)
+cy = product_over_vector(tensor(y, c), tpl, d)
 print("\nplain order-1 hypotheses pass:", plain.all_pass)
 print("catalyst-extended comparisons pass:",
       all(a <= b for a, b in zip(cx.coeffs, cy.coeffs)))

@@ -3,10 +3,10 @@ inequality verifiers, with an exact Gram-matrix pipeline and numerical
 validation of the underlying Mellin identities."""
 
 from .vectors import RationalVector, lp_mean, partial_sums_desc, to_fraction
-from .series import (Catalyst, SeriesTemplate, TruncatedSeries, catalyst_product,
+from .series import (Catalyst, SeriesTemplate, TruncatedSeries,
                      padded_taylor_template, product_over_vector, taylor_template,
                      tensor)
-from .families import (f_kr_all, g_kr, gbar_kr, delta_gbar_kr, grad_f_kr, m_kr)
+from .families import (f_kr_all, g_kr, gbar_kr, grad_f_kr, m_kr)
 from .majorize import (MajorizationVerdict, Theorem2Report, majorizes,
                        psi_compare, psi_sum, s_r_limit_estimate,
                        schur_ostrowski_sample, t_transform_pair, theorem2_scan)
@@ -19,10 +19,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "RationalVector", "lp_mean", "partial_sums_desc", "to_fraction",
-    "Catalyst", "SeriesTemplate", "TruncatedSeries", "catalyst_product",
-    "padded_taylor_template", "product_over_vector", "taylor_template",
-    "tensor",
-    "f_kr_all", "g_kr", "gbar_kr", "delta_gbar_kr", "grad_f_kr", "m_kr",
+    "Catalyst", "SeriesTemplate", "TruncatedSeries", "padded_taylor_template",
+    "product_over_vector", "taylor_template", "tensor",
+    "f_kr_all", "g_kr", "gbar_kr", "grad_f_kr", "m_kr",
     "MajorizationVerdict", "Theorem2Report", "majorizes", "psi_compare",
     "psi_sum", "s_r_limit_estimate", "schur_ostrowski_sample",
     "t_transform_pair", "theorem2_scan",

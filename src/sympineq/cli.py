@@ -18,9 +18,9 @@ import sys
 from fractions import Fraction
 from typing import Any, Callable, Optional, Sequence
 
+from . import series
 from .families import f_kr_all
 from .majorize import majorizes, psi_compare, theorem2_scan
-from .series import Catalyst, catalyst_product, taylor_template, tensor
 from .spectral import as_int_matrix, gram, spectral_summary
 from .theorem1 import (DEFAULT_GRID_POINTS, DEFAULT_TOL, ConclusionReport,
                        HypothesisReport, check_hypotheses,
@@ -387,14 +387,15 @@ def cmd_mellin_validate(args: argparse.Namespace) -> tuple[int, dict[str, Any]]:
 def cmd_catalyst(args: argparse.Namespace) -> tuple[int, dict[str, Any]]:
     x = load_vector(args.x)
     c_vec = load_vector(args.c)
-    catalyst = Catalyst(c_vec.entries)
-    tpl = taylor_template(args.r)
-    cx = catalyst_product(x, catalyst, tpl, args.degree)
+    catalyst = series.Catalyst(c_vec.entries)
+    tpl = series.taylor_template(args.r)
+    tx = series.tensor(x, catalyst)
+    cx = series.product_over_vector(tx, tpl, args.degree)
     report: dict[str, Any] = {
         "command": "catalyst",
         "r": args.r,
         "degree_bound": cx.degree_bound,
-        "tensor_x": list(map(str, tensor(x, catalyst).entries)),
+        "tensor_x": list(map(str, tx.entries)),
         "x_coeffs": list(map(str, cx.coeffs)),
     }
     code = 0
@@ -402,7 +403,8 @@ def cmd_catalyst(args: argparse.Namespace) -> tuple[int, dict[str, Any]]:
         y = load_vector(args.y)
         if len(y) != len(x):
             raise ValueError("vectors must have equal length")
-        cy = catalyst_product(y, catalyst, tpl, cx.degree_bound)
+        cy = series.product_over_vector(series.tensor(y, catalyst), tpl,
+                                        cx.degree_bound)
         rows = [{"k": k, "cx": str(a), "cy": str(b), "pass": a <= b}
                 for k, (a, b) in enumerate(zip(cx.coeffs, cy.coeffs))]
         report["y_coeffs"] = list(map(str, cy.coeffs))

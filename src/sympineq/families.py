@@ -5,14 +5,15 @@ All families act on nonnegative rational vectors:
 - ``E_k``       elementary symmetric polynomials, ``f_kr_all(x, 1)[k]``,
 - ``F_{k,r}``   terms of ``(sum x)^k / k!`` with every exponent at most r,
 - ``G_{k,r}``   terms with at least r distinct variables (``Gbar`` is the
-                complement, ``DeltaGbar`` the exactly-r slice),
+                complement; the exactly-r slice ``DeltaGbar_{k,r}`` is the
+                difference ``Gbar_{k,r+1} - Gbar_{k,r}``),
 - ``M_{k,r}``   k-th powers of all r-element subset sums.
 
 The generic family ``H_S`` over an index set of exponent tuples is a
 brute-force enumeration and lives with the oracles.
 
-E, F, G, Gbar, DeltaGbar and M are coefficients of per-entry products that
-the integer kernels in ``series`` compute, so each costs time polynomial in n:
+E, F, G, Gbar and M are coefficients of per-entry products that the integer
+kernels in ``series`` compute, so each costs time polynomial in n:
 
 - F: ``prod_i A(x_i t)`` with ``A = taylor_template(r)``; E is r = 1, where
   ``A = 1 + s``,
@@ -20,19 +21,21 @@ the integer kernels in ``series`` compute, so each costs time polynomial in n:
   and ``e^{s t}`` over it gives ``s^k / k!``,
 - DeltaGbar_{k,m} = ``[u^m t^k] prod_i (1 + u (e^{x_i t} - 1))``: each entry
   contributes either nothing or a nonempty power of itself, so u counts the
-  distinct variables.  The factor is ``(1 - u) + u e^{x_i t}``, so G, Gbar
-  and DeltaGbar are binomial transforms of the M rows of one table.
+  distinct variables.  The factor is ``(1 - u) + u e^{x_i t}``, so G and
+  Gbar are binomial transforms of the M rows of one table.
 
 The F gradient and the G and M partials take their entry-dependent part from
-the family at x with one entry left out, computed once per distinct entry.
+the family at x with entry i left out.  That value comes by division: the
+product at x, divided by entry i's factor, is the product without it, so one
+product (or table) at x gives every partial.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from math import comb, factorial
 from operator import mul
-from typing import Callable
 
 from .series import (SubsetPowerTable, product_over_vector, subset_power_table,
                      taylor_template)
@@ -42,12 +45,10 @@ __all__ = [
     "f_kr_all",
     "g_kr",
     "gbar_kr",
-    "delta_gbar_kr",
     "gbar_numerators",
     "g_cell",
     "m_kr",
     "m_cell",
-    "leave_one_out",
     "grad_f_kr",
 ]
 
@@ -91,17 +92,6 @@ def gbar_kr(x: RationalVector, k: int, r: int) -> Fraction:
     return Fraction(gbar_numerators(table, r)[k], factorial(k) * table.denominator ** k)
 
 
-def delta_gbar_kr(x: RationalVector, k: int, r: int) -> Fraction:
-    """Terms using exactly r distinct variables: Gbar_{k,r+1} - Gbar_{k,r},
-    both read from one table with the rows below r + 1."""
-    if k < 0 or r < 1:
-        raise ValueError("need k >= 0 and r >= 1")
-    table = subset_power_table(x, k, min(r, k))
-    upper = gbar_numerators(table, min(r + 1, k + 1))[k]
-    lower = gbar_numerators(table, min(r, k + 1))[k]
-    return Fraction(upper - lower, factorial(k) * table.denominator ** k)
-
-
 def g_kr(x: RationalVector, k: int, r: int) -> Fraction:
     """Terms of ``(sum x)^k / k!`` using at least r distinct variables."""
     gbar = gbar_kr(x, k, r)
@@ -121,25 +111,16 @@ def m_kr(x: RationalVector, k: int, r: int) -> Fraction:
     return m_cell(subset_power_table(x, k, r), k, r)
 
 
-def leave_one_out(x: RationalVector,
-                  value: Callable[[RationalVector], Fraction]) -> list[Fraction]:
-    """``value(x without entry i)`` for each i, computed once per distinct
-    entry: leaving out equal entries leaves the same multiset, and every
-    family here is symmetric."""
-    by_entry: dict[Fraction, Fraction] = {}
-    for i, e in enumerate(x.entries):
-        if e not in by_entry:
-            by_entry[e] = value(RationalVector(x.entries[:i] + x.entries[i + 1:]))
-    return [by_entry[e] for e in x.entries]
-
-
 def grad_f_kr(x: RationalVector, r: int, k: int) -> tuple[Fraction, ...]:
-    """Exact gradient of F_{k,r}.
+    """Exact gradient of F_{k,r}, from one product.
 
     The template ``T_r`` satisfies ``T_r'(s) = T_r(s) - s^r / r!``, so
-    ``dF_{k,r}/dx_i = F_{k-1,r}(x) - x_i^r / r! * F_{k-1-r,r}(x without i)``.
-    The first term is shared by every i; the second vanishes for k <= r,
-    and otherwise takes one kernel product per distinct entry."""
+    ``dF_{k,r}/dx_i = F_{k-1,r}(x) - x_i^r / r! * F_{d,r}(x without i)`` with
+    d = k - 1 - r.  The first term is shared by every i; the second vanishes
+    for k <= r.  Leaving x_i out divides the product by ``T_r(x_i t)``, so
+    with ``1 / T_r(s) = sum_m b_m s^m``, ``F_{d,r}(x without i) = sum_m b_m
+    x_i^m F_{d-m,r}(x)``: a polynomial in x_i with coefficients from the
+    product at x."""
     n = len(x)
     if r < 1:
         raise ValueError("need r >= 1")
@@ -148,10 +129,13 @@ def grad_f_kr(x: RationalVector, r: int, k: int) -> tuple[Fraction, ...]:
     if k == 0:
         return tuple(Fraction(0) for _ in range(n))
     tpl = taylor_template(r)
-    shared = product_over_vector(x, tpl, degree_bound=k - 1).coeffs[k - 1]
+    f = product_over_vector(x, tpl, degree_bound=k - 1).coeffs
     if k <= r:  # n = 1 always ends here, as k <= n r
-        return (shared,) * n
-    rest = leave_one_out(
-        x, lambda others: product_over_vector(others, tpl, k - 1 - r).coeffs[-1])
-    a_r = tpl.base_coeffs[r]
-    return tuple(shared - a_r * xi ** r * f for xi, f in zip(x.entries, rest))
+        return (f[k - 1],) * n
+    d, a = k - 1 - r, tpl.base_coeffs
+    b = [Fraction(1)]
+    for m in range(1, d + 1):
+        b.append(-sum(a[j] * b[m - j] for j in range(1, min(m, r) + 1)))
+    horner = [a[r] * bm * f[d - m] for m, bm in enumerate(b)][::-1]  # x_i^d first
+    return tuple(f[k - 1] - xi ** r * reduce(lambda v, c: v * xi + c, horner, 0)
+                 for xi in x.entries)

@@ -5,13 +5,12 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import ClassVar, Optional, Sequence, Union
 
 from . import families, series
-from .vectors import (RationalLike, RationalVector, log_of_fraction, lp_mean,
-                      partial_sums_desc, to_fraction)
+from .vectors import RationalVector, log_of_fraction, partial_sums_desc
 
 __all__ = [
     "MajorizationVerdict",
@@ -75,8 +74,11 @@ def schur_ostrowski_sample(family: str, x: RationalVector, k: int,
     quotient, from family values at x with entry i left out:
 
     - ``dG_{k,r}/dx_i = E_1^(k-1)/(k-1)! - Gbar_{k-1,r}(x)
-      + DeltaGbar_{k-1,r-1}(x without i)``,
-    - ``dM_{k,r}/dx_i = k M_{k-1,r}(x) - k M_{k-1,r}(x without i)``.
+      + DeltaGbar_{k-1,r-1}(x without i)``, and ``DeltaGbar_{k,m} = G_{k,m} -
+      G_{k,m+1}``,
+    - ``dM_{k,r}/dx_i = k M_{k-1,r}(x) - k M_{k-1,r}(x without i)``,
+
+    both read off one subset-power table at x with entry i's factor divided out.
 
     Nonnegative quotients certify the concave direction for F and G; M runs
     in the convex direction (quotients negated before the test).  A point
@@ -92,14 +94,14 @@ def schur_ostrowski_sample(family: str, x: RationalVector, k: int,
         return SchurSampleVerdict(family, k, r, True, 0, None, None)
     if family == "F" and k <= n * r:
         grad: Sequence[Fraction] = families.grad_f_kr(x, r, k)
-    elif family == "G" and k >= 1 and r >= 2:
-        grad = families.leave_one_out(
-            x, lambda rest: families.delta_gbar_kr(rest, k - 1, r - 1))
-    elif family == "M" and k >= 2:
-        grad = families.leave_one_out(
-            x, lambda rest: -k * families.m_kr(rest, k - 1, r))
-    else:  # G_{k,1}, G_{0,r}, M_{1,r} and M_{0,r} depend on the sum alone,
-        # and F_{k,r} vanishes for k > n r
+    elif family == "G" and 2 <= r <= k or family == "M" and k >= 2:
+        table = series.subset_power_table(x, k - 1, r - 1 if family == "G" else r)
+        rest = {e: series.without_entry(table, e) for e in set(x.entries)}
+        grad = [families.g_cell(rest[e], k - 1, r - 1)
+                - families.g_cell(rest[e], k - 1, r) if family == "G"
+                else -k * families.m_cell(rest[e], k - 1, r) for e in x.entries]
+    else:  # G_{k,1}, M_{1,r} and M_{0,r} depend on the sum alone, G_{k,r}
+        # vanishes for r > k, and F_{k,r} for k > n r
         grad = [Fraction(0)] * n
     direction = -1 if family == "M" else 1
     quotients = {(i, j): direction * (grad[i] - grad[j]) / (x[j] - x[i])
@@ -242,20 +244,18 @@ def psi_compare(x: RationalVector, y: RationalVector,
     return rows
 
 
-def t_transform_pair(rng: random.Random, n: int, max_numerator: int = 40,
-                     denominator_bound: int = 8,
-                     max_transforms: int = 3) -> tuple[RationalVector, RationalVector]:
-    """A random exact pair with x majorizing y, built by Robin Hood transfers:
-    repeatedly move part of the gap between two entries from the larger to the
-    smaller.  Majorization holds by construction, no rejection needed."""
+def t_transform_pair(rng: random.Random, n: int,
+                     max_numerator: int = 40) -> tuple[RationalVector, RationalVector]:
+    """A random exact pair with x majorizing y, built by one to three Robin
+    Hood transfers: each moves part of the gap between two entries from the
+    larger to the smaller.  x has denominators at most 8; no rejection needed."""
     if n < 1:
         raise ValueError("need n >= 1")
-    x = RationalVector(Fraction(rng.randint(0, max_numerator),
-                                rng.randint(1, denominator_bound))
+    x = RationalVector(Fraction(rng.randint(0, max_numerator), rng.randint(1, 8))
                        for _ in range(n))
     ys = list(x.entries)
     if n >= 2:
-        for _ in range(rng.randint(1, max_transforms)):
+        for _ in range(rng.randint(1, 3)):
             i, j = rng.sample(range(n), 2)
             if ys[i] == ys[j]:
                 continue

@@ -44,7 +44,6 @@ __all__ = [
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _BLOCK_PANELS = 2048  # panels per integrand call: bounds the temporaries
-_ABS_FLOOR = 1e-14  # a doubling that moves a pass by at most this ends it
 _MEMO_SIZE = 512
 
 
@@ -283,7 +282,7 @@ def _doubling(integrand, p: float, r: int, windows, rel_tol: float,
     for rounds in range(2, max_rounds + 1):
         for i in active:
             err = abs(value[i] - prev[i])
-            ok = err <= max(rel_tol * abs(value[i]), _ABS_FLOOR)
+            ok = err <= rel_tol * abs(value[i])
             if ok or rounds == max_rounds:
                 results[i] = (value[i], err, nodes[i], ok)
         active = [i for i in active if results[i] is None]
@@ -305,11 +304,11 @@ def _lockstep(kind: str, r: int, p: float,
               scales: list[float]) -> list[QuadratureResult]:
     """The quadratures of one kernel at several scales, run side by side:
     pass 1 finds each rough magnitude, pass 2 refines on the window sized
-    from it."""
+    from it, with both tails and the doubling test held to 1e-10 of it."""
     integrand = _i_integrand if kind == "I" else _j_integrand
     rough = _doubling(integrand, p, r, [(*_window(kind, r, p, a, 1e-6), math.log(a))
                                         for a in scales], 1e-6, 6)
-    epss = [max(1e-13, abs(value) * 1e-10) for value, _, _, _ in rough]
+    epss = [abs(value) * 1e-10 for value, _, _, _ in rough]
     fine = _doubling(integrand, p, r, [(*_window(kind, r, p, a, eps), math.log(a))
                                        for a, eps in zip(scales, epss)], 1e-10, 9)
     return [QuadratureResult(value, err + 2.0 * eps, n0 + n1, ok0 and ok1)

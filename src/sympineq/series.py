@@ -5,11 +5,12 @@ the entries written ``x_i = v_i / L``; ``Fraction`` appears only on read-back.
 ``product_over_vector`` computes ``prod_i A(x_i t)`` for a base template (E,
 F, and the catalysts as the product over the tensor vector), and
 ``subset_power_table`` computes ``prod_i (1 + u e^{x_i t})`` in exponential
-generating function form (M, and by a binomial transform G, Gbar and
-DeltaGbar).  The coefficient lists are dense because these products are
-dense by construction.  ``product_over_vector`` multiplies each factor into
-its row in one whole-row pass per template degree, so its inner loops run in
-C over ``map``.
+generating function form (M, and by a binomial transform G and Gbar);
+``without_entry`` divides one entry's factor back out of such a table.  The
+coefficient lists are dense because these products are dense by
+construction.  ``product_over_vector`` multiplies each factor into its row in
+one whole-row pass per template degree, so its inner loops run in C over
+``map``.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, repeat
 from math import factorial, lcm
-from operator import add, mul
-from typing import Mapping, Optional
+from operator import add, mul, sub
+from typing import Mapping, Optional, Sequence
 
 from .vectors import RationalLike, RationalVector, to_fraction
 
@@ -31,8 +32,8 @@ __all__ = [
     "padded_taylor_template",
     "SubsetPowerTable",
     "subset_power_table",
+    "without_entry",
     "product_over_vector",
-    "catalyst_product",
     "tensor",
 ]
 
@@ -82,15 +83,13 @@ def padded_taylor_template(r: int, extras: Mapping[int, RationalLike]) -> Series
     growth condition on the resulting entire function is the caller's
     responsibility.
     """
-    if r < 1:
-        raise ValueError("template order must be >= 1")
+    base = taylor_template(r)
     if not extras:
-        return taylor_template(r)
-    top = max(extras)
+        return base
     if min(extras) <= r:
         raise ValueError("padding starts above the template order")
-    coeffs = [Fraction(1, factorial(j)) for j in range(r + 1)]
-    for j in range(r + 1, top + 1):
+    coeffs = list(base.base_coeffs)
+    for j in range(r + 1, max(extras) + 1):
         a = to_fraction(extras.get(j, 0))
         if not 0 <= a < 1:
             raise ValueError("padding coefficients must lie in [0, 1)")
@@ -195,14 +194,24 @@ class SubsetPowerTable:
         return self.rows[r][k]
 
 
+def _times_exp(row: Sequence[int], v: int, k_max: int) -> list[int]:
+    """A copy of the EGF row times ``e^{v t}`` up to t^k_max:
+    ``sum_j C(k, j) v^j row[k - j]`` is the product of the steps
+    ``row[k] += v row[k-1]`` over k >= m for m = 1..k_max, so no binomials."""
+    row = list(row)
+    for m in range(1, k_max + 1):
+        for k in range(k_max, m - 1, -1):  # reads only old entries
+            row[k] += v * row[k - 1]
+    return row
+
+
 def subset_power_table(x: RationalVector, k_max: int, r_max: int,
                        denominator: Optional[int] = None) -> SubsetPowerTable:
     """The rows r <= min(n, r_max) of ``prod_i (1 + u e^{x_i t})`` in EGF
     form, for k <= k_max, over ``denominator`` (default: the entries' lcm).
 
-    Then ``e^{x_i t}`` has the EGF coefficients ``v_i^k``, and multiplying a
-    row by it, ``sum_j C(k, j) v^j row[k - j]``, is the product of the steps
-    ``row[k] += v row[k-1]`` over k >= m for m = 1..k_max: no binomials.
+    Then ``e^{x_i t}`` has the EGF coefficients ``v_i^k``, and taking in
+    entry i adds ``e^{v_i t}`` times row r - 1 to row r.
     """
     if k_max < 0 or r_max < 0:
         raise ValueError("degree bounds must be nonnegative")
@@ -212,24 +221,30 @@ def subset_power_table(x: RationalVector, k_max: int, r_max: int,
     for i, v in enumerate(nums):
         # r descending: row r adds row r - 1 before that row takes entry i
         for r in range(min(i + 1, top), 1, -1):
-            grown = list(rows[r - 1])
-            for m in range(1, k_max + 1):
-                for k in range(k_max, m - 1, -1):  # reads only old entries
-                    grown[k] += v * grown[k - 1]
-            rows[r] = list(map(add, rows[r], grown))
+            rows[r] = list(map(add, rows[r], _times_exp(rows[r - 1], v, k_max)))
         if top:  # row 0 is 1, so row 1 adds e^{v t} itself
             rows[1] = list(map(add, rows[1],
                                accumulate(repeat(v, k_max), mul, initial=1)))
     return SubsetPowerTable(tuple(map(tuple, rows)), len(nums), den, sum(nums))
 
 
+def without_entry(table: SubsetPowerTable, e: RationalLike) -> SubsetPowerTable:
+    """The table of x with one entry e of x left out, over the same
+    denominator: dividing ``prod_i (1 + u e^{x_i t})`` by ``1 + u e^{e t}``
+    makes each row the row of x less ``e^{e t}`` times the row below it in
+    the result, exact in ints."""
+    v = to_fraction(e) * table.denominator
+    if v.denominator != 1 or table.n == 0:
+        raise ValueError(f"no entry {e} over 1/{table.denominator} to leave out")
+    rows = [table.rows[0]]
+    for r in range(1, min(len(table.rows), table.n)):  # row n of n - 1 entries is 0
+        rows.append(tuple(map(sub, table.rows[r],
+                              _times_exp(rows[-1], v.numerator, table.k_max))))
+    return SubsetPowerTable(tuple(rows), table.n - 1, table.denominator,
+                            table.total - v.numerator)
+
+
 def tensor(x: RationalVector, c: Catalyst) -> RationalVector:
-    """All products x_i * c_j in row-major order."""
+    """All products x_i * c_j in row-major order: the catalyst comparison of
+    x is ``product_over_vector`` over this vector."""
     return RationalVector(xi * cj for xi in x.entries for cj in c.entries)
-
-
-def catalyst_product(x: RationalVector, c: Catalyst, tpl: SeriesTemplate,
-                     degree_bound: Optional[int] = None) -> TruncatedSeries:
-    """Exact coefficients of ``prod_i prod_j tpl(c_j x_i t)``: the template
-    product over ``tensor(x, c)``, with the default bound n * len(c) * deg(tpl)."""
-    return product_over_vector(tensor(x, c), tpl, degree_bound)

@@ -1,4 +1,6 @@
+import ast
 import importlib
+import inspect
 import pkgutil
 
 import pytest
@@ -21,6 +23,21 @@ def test_every_export_resolves(name):
     module = importlib.import_module(name)
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert missing == []
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_import_is_used(name):
+    # a name bound by an import is used when the module reads it or lists it
+    # in __all__; attribute chains count by their first name
+    module = importlib.import_module(name)
+    tree = ast.parse(inspect.getsource(module))
+    imported = {(alias.asname or alias.name).split(".")[0]
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__"
+                for alias in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert sorted(imported - used - set(getattr(module, "__all__", ()))) == []
 
 
 def test_import_loads_neither_mellin_nor_oracles():

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sympineq import families, series
-from sympineq.families import (delta_gbar_kr, f_kr_all, g_kr, gbar_kr,
-                               gbar_numerators, grad_f_kr, m_kr)
+from sympineq.families import (f_kr_all, g_kr, gbar_kr, gbar_numerators,
+                               grad_f_kr, m_kr)
 from sympineq.majorize import t_transform_pair
 from sympineq.oracles import (IndexSet, h_s,
                               is_schur_concave_index_set, max_part_index_set,
@@ -115,8 +115,7 @@ class TestGFamily:
             n = rng.randint(1, 5)
             x = random_rational_vector(rng, n)
             k, r = rng.randint(0, 6), rng.randint(1, n)
-            delta = delta_gbar_kr(x, k, r)
-            assert delta == gbar_kr(x, k, r + 1) - gbar_kr(x, k, r)
+            delta = gbar_kr(x, k, r + 1) - gbar_kr(x, k, r)
             assert delta == (oracle_value("Gbar", x, k, r + 1)
                              - oracle_value("Gbar", x, k, r))
             assert delta >= 0
@@ -301,7 +300,7 @@ class TestGradients:
             assert sum(xi * g for xi, g in zip(x.entries, grad)) == \
                 k * f_kr_all(x, r)[k]
 
-    def test_one_product_per_distinct_entry(self, monkeypatch):
+    def test_one_product_per_call(self, monkeypatch):
         built = []
 
         def counting(*args, **kwargs):
@@ -310,15 +309,27 @@ class TestGradients:
 
         monkeypatch.setattr(families, "product_over_vector", counting)
         distinct, repeated = vec(*range(1, 7)), vec(1, 1, 2, 2, 2, 5)
-        for x, count in ((distinct, 6), (repeated, 3)):
-            for k in range(1, 4):  # k <= r: one product shared by every i
+        for x in (distinct, repeated):
+            for k in (1, 3, 4, 9, 18):  # k <= r shares one value; k > r divides
                 built.clear()
                 grad_f_kr(x, 3, k)
                 assert len(built) == 1
-            for k in (4, 9, 18):  # one more per distinct leave-one-out vector
-                built.clear()
-                grad_f_kr(x, 3, k)
-                assert len(built) == 1 + count
+
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_division_against_products_without_the_entry(self, rng, r):
+        # F_{k-1-r,r}(x without i), here from a product over the other n - 1
+        # entries, against the gradient that divides it out of the one product
+        x = random_rational_vector(rng, 40, max_numerator=20,
+                                   denominator_bound=6)
+        tpl = series.taylor_template(r)
+        for k in sorted({r + 1, 20, 40}):
+            shared = f_kr_all(x, r)[k - 1]
+            expected = tuple(
+                shared - xi ** r / math.factorial(r) * series.product_over_vector(
+                    RationalVector(x.entries[:i] + x.entries[i + 1:]), tpl,
+                    k - 1 - r).coeffs[-1]
+                for i, xi in enumerate(x.entries))
+            assert grad_f_kr(x, r, k) == expected
 
 
 @settings(max_examples=40)
@@ -347,7 +358,7 @@ class TestLargeN:
                 assert g_kr(x, k, r) + gbar_kr(x, k, r) == \
                     e1 ** k / math.factorial(k)
             for m in range(k + 1, k + 3):
-                assert delta_gbar_kr(x, k, m) == 0
+                assert gbar_kr(x, k, m + 1) == gbar_kr(x, k, m)
             assert m_kr(x, k, n) == e1 ** k
             assert m_kr(x, k, 1) == sum(e ** k for e in x.entries)
 

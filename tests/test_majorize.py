@@ -5,7 +5,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from sympineq import families, series
+from sympineq import series
+from sympineq.families import gbar_kr, m_kr
 from sympineq.majorize import (majorizes, psi_compare, psi_sum, psi_value,
                                s_r_limit_estimate, schur_ostrowski_sample,
                                t_transform_pair, theorem2_scan)
@@ -166,25 +167,46 @@ class TestSchurOstrowski:
         assert verdict.ok and verdict.pairs_checked == 6
         assert verdict.worst_quotient == worst > 0
 
-    def test_one_table_per_distinct_entry(self, monkeypatch):
-        built = []
+    def test_one_table_per_sample(self, monkeypatch):
+        built, build = [], series.subset_power_table
 
         def counting(*args, **kwargs):
             built.append(args)
-            return series.subset_power_table(*args, **kwargs)
+            return build(*args, **kwargs)
 
-        monkeypatch.setattr(families, "subset_power_table", counting)
-        distinct = RationalVector(range(1, 13))
-        for family in ("G", "M"):
-            built.clear()
-            assert schur_ostrowski_sample(family, distinct, k=8, r=3).ok
-            assert len(built) == 12  # one per leave-one-out vector
-        repeated = vec(1, 1, 2, 2, 2, 5)
-        for family in ("G", "M"):
-            built.clear()
-            verdict = schur_ostrowski_sample(family, repeated, k=8, r=3)
-            assert verdict.ok and verdict.pairs_checked == 11
-            assert len(built) == 3
+        monkeypatch.setattr(series, "subset_power_table", counting)
+        distinct, repeated = RationalVector(range(1, 13)), vec(1, 1, 2, 2, 2, 5)
+        for x, pairs in ((distinct, 66), (repeated, 11)):
+            for family in ("G", "M"):
+                built.clear()
+                verdict = schur_ostrowski_sample(family, x, k=8, r=3)
+                assert verdict.ok and verdict.pairs_checked == pairs
+                assert len(built) == 1
+
+    def test_division_against_tables_without_the_entry(self, rng):
+        # the partials from families at x without entry i, each on its own
+        # table over the other n - 1 entries, against the division route
+        x = random_rational_vector(rng, 22, max_numerator=12,
+                                   denominator_bound=4)
+        x = RationalVector(x.entries + (x[5], 0))  # a repeated and a zero entry
+        rests = [RationalVector(x.entries[:i] + x.entries[i + 1:])
+                 for i in range(len(x))]
+        for k in range(11):
+            for r in range(1, 5):
+                grads = {"G": [Fraction(0)] * len(x), "M": [Fraction(0)] * len(x)}
+                if k >= 1 and r >= 2:
+                    grads["G"] = [gbar_kr(rest, k - 1, r) - gbar_kr(rest, k - 1, r - 1)
+                                  for rest in rests]
+                if k >= 2:
+                    grads["M"] = [-k * m_kr(rest, k - 1, r) for rest in rests]
+                for family, grad in grads.items():
+                    quotients, worst = _min_quotient(
+                        x, grad, -1 if family == "M" else 1)
+                    verdict = schur_ostrowski_sample(family, x, k, r)
+                    assert verdict.worst_quotient == worst
+                    assert quotients[verdict.worst_pair] == worst
+                    assert min(quotients, key=quotients.__getitem__) == \
+                        verdict.worst_pair
 
     def test_unknown_family(self):
         with pytest.raises(ValueError):

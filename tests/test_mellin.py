@@ -35,6 +35,16 @@ def mp_integral(kind: str, r: int, p: float) -> float:
         return float(mp.quad(f, [0, 1, 10, 100, mp.inf]) / p)
 
 
+def mp_integral_j_dense(r: int, p: float) -> float:
+    # the integrated-by-parts J kernel with a breakpoint every 4 up to 2r:
+    # at large r it peaks near s = r - p, and sparse breakpoints let
+    # mp.quad miss part of the peak
+    with mp.workdps(20):
+        coeffs = [mp.factorial(r) / mp.factorial(j) for j in range(r, -1, -1)]
+        f = lambda s: s ** (r - p) / mp.polyval(coeffs, s)
+        return float(mp.quad(f, list(range(0, 2 * r + 1, 4)) + [mp.inf]) / p)
+
+
 def mp_gap(s: float, r: int) -> float:
     # s - log P_r(s) = -log Q(r+1, s), Q the upper regularized incomplete
     # gamma function: from the lower tail while it is small, and from the
@@ -384,6 +394,16 @@ class TestIntegralJ:
     def test_against_high_precision_quadrature(self):
         got = integral_J(2, 2.0)
         assert got.value == pytest.approx(mp_integral("J", 2, 2.0), rel=1e-6)
+
+    @pytest.mark.parametrize("r, p", [(20, 10.0), (60, 30.0), (100, 50.0),
+                                      (169, 100.0)])
+    def test_tiny_kernels_at_large_orders(self, r, p):
+        # values from 1.6e-13 down to 4e-209: the error bar is relative to
+        # the value, and it bounds the true error
+        got = integral_J(r, p)
+        assert got.converged
+        assert abs(got.value - mp_integral_j_dense(r, p)) <= got.estimated_error
+        assert got.estimated_error <= 1e-9 * got.value
 
     def test_blow_up_towards_the_upper_endpoint(self):
         for r in (1, 2, 3):

@@ -6,9 +6,9 @@ from hypothesis import example, given, strategies as st
 from sympineq.families import f_kr_all
 from sympineq.oracles import oracle_value
 from sympineq.series import (Catalyst, SeriesTemplate, TruncatedSeries,
-                             catalyst_product, padded_taylor_template,
-                             product_over_vector, subset_power_table,
-                             taylor_template, tensor)
+                             padded_taylor_template, product_over_vector,
+                             subset_power_table, taylor_template, tensor,
+                             without_entry)
 from sympineq.vectors import RationalVector
 
 
@@ -103,7 +103,7 @@ class TestKernelEdgeCases:
         want = cauchy_reference(products, tpl.base_coeffs, top)
         x = RationalVector(values)
         for d in range(top + 1):
-            assert catalyst_product(x, c, tpl, d).coeffs == want[:d + 1]
+            assert product_over_vector(tensor(x, c), tpl, d).coeffs == want[:d + 1]
 
 
 class TestCatalyst:
@@ -114,19 +114,19 @@ class TestCatalyst:
     def test_trivial_catalyst_matches_plain_product(self):
         x = RationalVector([1, 2, 3])
         tpl = taylor_template(2)
-        assert (catalyst_product(x, Catalyst((Fraction(1),)), tpl, 6)
+        assert (product_over_vector(tensor(x, Catalyst((Fraction(1),))), tpl, 6)
                 == product_over_vector(x, tpl, 6))
 
     def test_two_entry_catalyst(self):
         x = RationalVector([2])
         c = Catalyst((Fraction(1), Fraction(1, 2)))
-        got = catalyst_product(x, c, taylor_template(1), 2)
+        got = product_over_vector(tensor(x, c), taylor_template(1), 2)
         assert got == series(1, 3, 2)  # (1 + 2t)(1 + t)
 
     def test_doubled_vector(self):
         x = RationalVector([1, 2])
         c = Catalyst((Fraction(1), Fraction(1)))
-        got = catalyst_product(x, c, taylor_template(1), 4)
+        got = product_over_vector(tensor(x, c), taylor_template(1), 4)
         assert got == series(1, 6, 13, 12, 4)
 
     def test_tensor_examples(self):
@@ -147,10 +147,10 @@ class TestCatalyst:
         tail = data.draw(st.lists(entries, max_size=6 // len(x) - 1))
         x, c = RationalVector(x), Catalyst(tuple([Fraction(1)] + tail))
         tpl = taylor_template(r)
-        assert (catalyst_product(x, c, tpl).degree_bound
+        assert (product_over_vector(tensor(x, c), tpl).degree_bound
                 == len(x) * len(c) * r)
         d = min(8, len(x) * len(c) * r)
-        got = catalyst_product(x, c, tpl, d)
+        got = product_over_vector(tensor(x, c), tpl, d)
         assert got.coeffs == tuple(oracle_value("F", tensor(x, c), k, r)
                                    for k in range(d + 1))
 
@@ -168,8 +168,8 @@ class TestCatalyst:
                       for m in range(d + 1)]
             acc = [sum((acc[i] * factor[k - i] for i in range(k + 1)),
                        Fraction(0)) for k in range(d + 1)]
-        assert tuple(acc) == catalyst_product(x, c, taylor_template(1),
-                                              d).coeffs
+        assert tuple(acc) == product_over_vector(tensor(x, c), taylor_template(1),
+                                                 d).coeffs
 
 
 class TestProductTable:
@@ -218,6 +218,34 @@ class TestProductTable:
                 assert shared.entry(r, k) == 2 ** k * own.entry(r, k)
         with pytest.raises(ValueError):
             subset_power_table(x, 3, 2, 4)
+
+
+class TestWithoutEntry:
+    def test_small_example(self):
+        # over x = (1, 2), leaving 2 out leaves x = (1): row 1 is 1^k
+        tab = without_entry(subset_power_table(RationalVector([1, 2]), 2, 2), 2)
+        assert tab.rows == ((1, 0, 0), (1, 1, 1))
+        assert (tab.n, tab.denominator, tab.total) == (1, 1, 1)
+        # and then 1: the empty product, with no entry left to take out
+        empty = without_entry(tab, 1)
+        assert (empty.rows, empty.n, empty.total) == (((1, 0, 0),), 0, 0)
+        with pytest.raises(ValueError):
+            without_entry(empty, 0)
+
+    @given(st.lists(entries_with_zeros, min_size=2, max_size=6),
+           st.integers(0, 6), st.integers(0, 7), st.data())
+    def test_equals_the_table_without_the_entry(self, values, k_max, r_max, data):
+        i = data.draw(st.integers(0, len(values) - 1))
+        x = RationalVector(values)
+        table = subset_power_table(x, k_max, r_max)
+        rest = RationalVector(values[:i] + values[i + 1:])
+        assert without_entry(table, values[i]) == subset_power_table(
+            rest, k_max, r_max, table.denominator)
+
+    def test_entry_off_the_denominator(self):
+        table = subset_power_table(RationalVector([Fraction(1, 2), 1]), 3, 2)
+        with pytest.raises(ValueError):
+            without_entry(table, Fraction(1, 3))
 
 
 class TestPaddedTemplate:
