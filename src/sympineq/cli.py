@@ -183,18 +183,27 @@ def _print_text(report: dict[str, Any], indent: int = 0) -> None:
             print(f"{pad}{key}: {value}")
 
 
+def _times_text(q: Fraction, f: int) -> str:
+    # str(q * f) for a reduced q and an int f: the numerator of q shares no
+    # factor with its denominator, so only gcd(f, denominator) cancels
+    g = math.gcd(f, q.denominator)
+    num, den = q.numerator * (f // g), q.denominator // g
+    return str(num) if den == 1 else f"{num}/{den}"
+
+
 def _hypothesis_json(rep: HypothesisReport) -> dict[str, Any]:
+    checks = []
+    kfact = math.factorial(rep.r)  # the checks run over k = r, r + 1, ...
+    for c in rep.checks:
+        checks.append({"k": c.k, "fx": str(c.fx), "fy": str(c.fy),
+                       "kfact_fx": _times_text(c.fx, kfact),
+                       "kfact_fy": _times_text(c.fy, kfact), "pass": c.ok})
+        kfact *= c.k + 1
     return {
         "r": rep.r,
         "all_pass": rep.all_pass,
         "sums_equal": rep.sums_equal,
-        "checks": [
-            {"k": c.k, "fx": str(c.fx), "fy": str(c.fy),
-             "kfact_fx": str(c.fx * math.factorial(c.k)),
-             "kfact_fy": str(c.fy * math.factorial(c.k)),
-             "pass": c.ok}
-            for c in rep.checks
-        ],
+        "checks": checks,
     }
 
 
@@ -217,7 +226,7 @@ def _conclusion_json(rep: ConclusionReport) -> dict[str, Any]:
 def _f_row(k: int, value: Fraction) -> dict[str, Any]:
     # one row of an F table: F_k and k! F_k
     return {"k": k, "value": str(value),
-            "kfact_value": str(value * math.factorial(k))}
+            "kfact_value": _times_text(value, math.factorial(k))}
 
 
 def cmd_norms(args: argparse.Namespace) -> tuple[int, dict[str, Any]]:

@@ -120,10 +120,9 @@ def _over_denominator(x: RationalVector,
                       den: Optional[int] = None) -> tuple[int, list[int]]:
     """``den`` (default: the entries' lcm) and the integers ``v_i = x_i den``."""
     den = lcm(*(e.denominator for e in x.entries)) if den is None else den
-    scaled = [e * den for e in x.entries]
-    if any(v.denominator != 1 for v in scaled):
+    if any(den % e.denominator for e in x.entries):
         raise ValueError(f"the entries are not all multiples of 1/{den}")
-    return den, [v.numerator for v in scaled]
+    return den, [e.numerator * (den // e.denominator) for e in x.entries]
 
 
 def product_over_vector(x: RationalVector, tpl: SeriesTemplate,

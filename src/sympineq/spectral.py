@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from itertools import accumulate
+from operator import add, mul
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -92,28 +93,23 @@ def _power_sums(e: Sequence[int], top: int) -> list[int]:
     return p
 
 
-def _template_cumulants(r: int, top: int) -> list[int]:
+def _f_table(p: Sequence[int], r: int, deg: int) -> tuple[Fraction, ...]:
+    # the exp step of spectral_summary, from the power sums p_0..p_deg or more.
     # g(s) = sum_{j<=r} s^j / j! is the exponential generating function of
     # the moments mu_j = 1 for j <= r and 0 beyond, so log g(s) =
     # sum_m kappa_m s^m / m! with the integer cumulants
-    # kappa_m = mu_m - sum_{j<m} C(m-1, j-1) kappa_j mu_{m-j}
-    kappa = [0]
-    for m in range(1, top + 1):
-        acc = 1 if m <= r else 0
-        for j in range(max(1, m - r), m):
-            acc -= comb(m - 1, j - 1) * kappa[j]
-        kappa.append(acc)
-    return kappa
-
-
-def _f_table(p: Sequence[int], r: int, deg: int) -> tuple[Fraction, ...]:
-    # the exp step of spectral_summary, from the power sums p_0..p_deg or more
-    c = [kj * pj for kj, pj in zip(_template_cumulants(r, deg), p)]
-    g = [1]
+    # kappa_m = mu_m - sum_{j<m} C(m-1, j-1) kappa_j mu_{m-j}; at k = m both
+    # that sum and the one for G_k read the Pascal row C(k-1, j-1), j = 1..k,
+    # which is carried along k
+    kappa, c, g = [], [], [1]  # kappa_j and c_j = kappa_j p_j from j = 1
+    row = [1]
     for k in range(1, deg + 1):
-        g.append(sum(comb(k - 1, j - 1) * c[j] * g[k - j]
-                     for j in range(1, k + 1)))
-    return tuple(Fraction(gk, factorial(k)) for k, gk in enumerate(g))
+        lo = max(0, k - 1 - r)  # mu_{k-j} = 0 for j < k - r
+        kappa.append((k <= r) - sum(map(mul, row[lo:k - 1], kappa[lo:])))
+        c.append(kappa[-1] * p[k])
+        g.append(sum(map(mul, row, map(mul, c, reversed(g)))))
+        row = [1, *map(add, row, row[1:]), 1]
+    return tuple(map(Fraction, g, accumulate(range(1, deg + 1), mul, initial=1)))
 
 
 @dataclass(frozen=True)

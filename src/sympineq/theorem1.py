@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .families import f_kr_all
 from .vectors import RationalVector, lp_mean
@@ -34,8 +34,7 @@ DEFAULT_GRID_POINTS = 101
 DEFAULT_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class HypothesisCheck:
+class HypothesisCheck(NamedTuple):
     k: int
     fx: Fraction
     fy: Fraction
@@ -74,8 +73,10 @@ def check_hypotheses_coeffs(fx: Sequence[Fraction], fy: Sequence[Fraction],
         raise ValueError("need r >= 1")
     if len(fx) != n * r + 1 or len(fy) != n * r + 1:
         raise ValueError(f"coefficient tables must have length {n * r + 1}")
-    checks = tuple(HypothesisCheck(k, fx[k], fy[k], fx[k] <= fy[k])
-                   for k in range(r, n * r + 1))
+    # a <= b over positive denominators, without Fraction's dispatch
+    checks = tuple(HypothesisCheck(k, a, b, a.numerator * b.denominator
+                                   <= b.numerator * a.denominator)
+                   for k, a, b in zip(range(r, n * r + 1), fx[r:], fy[r:]))
     # coefficient 1 is the entry sum for every template order
     sums_equal = fx[1] == fy[1]
     return HypothesisReport(r=r, checks=checks,
@@ -83,8 +84,7 @@ def check_hypotheses_coeffs(fx: Sequence[Fraction], fy: Sequence[Fraction],
                             sums_equal=sums_equal)
 
 
-@dataclass(frozen=True)
-class GridPoint:
+class GridPoint(NamedTuple):
     p: float
     x_mean: float
     y_mean: float

@@ -13,6 +13,7 @@ import json
 import math
 import sys
 from fractions import Fraction
+from itertools import repeat
 from typing import Iterable, Iterator, Union
 
 RationalLike = Union[Fraction, int, float, str]
@@ -125,43 +126,37 @@ def lp_mean(x: RationalVector, p: Union[int, float, Fraction]) -> float:
     power dominates: the largest for p > 0, the smallest for p < 0.
     A mean beyond the float range raises ValueError, which names p.
     """
+    entries = x.entries
     try:
-        return _lp_mean(x, p)
+        pf = float(p)
+        if not 0.0 < pf < math.inf:  # finite p > 0, the common case, skips this
+            if math.isinf(pf):
+                return float(max(entries) if pf > 0 else min(entries))
+            if 0 in entries:
+                return 0.0
+            if pf == 0.0:
+                return math.exp(math.fsum(map(log_of_fraction, entries)) / len(entries))
+        try:
+            floats = x.to_floats()
+            mean_pow = math.fsum(map(pow, floats, repeat(pf))) / len(floats)
+            if mean_pow >= _MIN_NORMAL:
+                return mean_pow ** (1 / pf)
+        except (OverflowError, ZeroDivisionError):  # a power left the float range
+            pass
+        m = max(entries) if pf > 0 else min(entries)
+        if m == 0:
+            return 0.0
+        # each (e / m)^p lies in [0, 1]: raise the ratio that is at most 1 to |p|
+        ratios = [e / m if pf > 0 else m / e for e in entries]
+        mean_pow = math.fsum([float(q) ** abs(pf) for q in ratios]) / len(entries)
+        scale = mean_pow ** (1.0 / pf)
+        try:
+            return float(m) * scale
+        except OverflowError:  # m is beyond the float range; the mean may not be
+            e = m.numerator.bit_length() - m.denominator.bit_length()
+            return math.ldexp(float(m / 2 ** e) * scale, e)
     except OverflowError:
         raise ValueError(f"the lp mean at p={p} is beyond the float range") from None
-
-
-def _lp_mean(x: RationalVector, p: Union[int, float, Fraction]) -> float:
-    entries = x.entries
-    n = len(entries)
-    if isinstance(p, float) and math.isinf(p):
-        chosen = max(entries) if p > 0 else min(entries)
-        return float(chosen)
-    pf = float(p)
-    if pf == 0.0:
-        if any(e == 0 for e in entries):
-            return 0.0
-        return math.exp(math.fsum(log_of_fraction(e) for e in entries) / n)
-    if pf < 0 and any(e == 0 for e in entries):
-        return 0.0
-    try:
-        mean_pow = math.fsum([f ** pf for f in x.to_floats()]) / n
-        if mean_pow >= _MIN_NORMAL:
-            return mean_pow ** (1.0 / pf)
-    except (OverflowError, ZeroDivisionError):  # a power left the float range
-        pass
-    m = max(entries) if pf > 0 else min(entries)
-    if m == 0:
-        return 0.0
-    # each (e / m)^p lies in [0, 1]: raise the ratio that is at most 1 to |p|
-    ratios = [e / m if pf > 0 else m / e for e in entries]
-    mean_pow = math.fsum([float(q) ** abs(pf) for q in ratios]) / n
-    scale = mean_pow ** (1.0 / pf)
-    try:
-        return float(m) * scale
-    except OverflowError:  # m is beyond the float range; the mean may not be
-        e = m.numerator.bit_length() - m.denominator.bit_length()
-        return math.ldexp(float(m / 2 ** e) * scale, e)
 
 
 def partial_sums_desc(x: RationalVector) -> tuple[Fraction, ...]:

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, strategies as st
 
-from sympineq import cli, families, series, spectral
+from sympineq import cli, families, series, spectral, theorem1
 from sympineq.cli import emit, main
 from sympineq.majorize import t_transform_pair
 from sympineq.vectors import RationalVector
@@ -56,6 +56,20 @@ def run_json(capsys, *argv):
     return code, json.loads(out), err
 
 
+@pytest.fixture
+def lp_mean_calls(monkeypatch):
+    """The exponents of every lp mean taken through the module globals
+    ``sympineq.theorem1.lp_mean`` and ``sympineq.cli.lp_mean``, which the
+    benchmark's tracer wraps to count them."""
+    calls = []
+    for module in (theorem1, cli):
+        def counting(x, p, original=module.lp_mean):
+            calls.append(p)
+            return original(x, p)
+        monkeypatch.setattr(module, "lp_mean", counting)
+    return calls
+
+
 @contextlib.contextmanager
 def int_max_str_digits(limit):
     old = sys.get_int_max_str_digits()
@@ -86,6 +100,15 @@ class TestNorms:
         code, out, err = run(capsys, "norms", "--x", str(path))
         assert (code, out) == (2, "")
         assert err == "error: the lp mean at p=0.5 is beyond the float range\n"
+
+    def test_one_lp_mean_per_exponent(self, capsys, files, lp_mean_calls):
+        code, _, _ = run_json(capsys, "norms", "--x", files["x.json"])
+        assert code == 0 and len(lp_mean_calls) == 8
+        lp_mean_calls.clear()
+        code, report, _ = run_json(capsys, "norms", "--x", files["x.json"],
+                                   "--p", "0.5", "--p=-inf", "--p", "3")
+        assert code == 0 and lp_mean_calls == [0.5, -math.inf, 3.0]
+        assert [row["p"] for row in report["means"]] == lp_mean_calls
 
     def test_nan_exponent_is_a_usage_error(self, capsys, files):
         code, out, err = run(capsys, "norms", "--x", files["x.json"],
@@ -149,7 +172,29 @@ class TestFkr:
         capsys.readouterr()
 
 
+class TestFactorialScaledText:
+    # the kfact_* fields of the ledgers and F tables
+    @given(st.one_of(st.just(0), st.integers(2 ** 300, 2 ** 400)), st.booleans(),
+           st.one_of(st.integers(1, 2 ** 350),
+                     st.integers(0, 60).map(math.factorial)),
+           st.integers(0, 80))
+    def test_equals_the_fraction_product(self, numerator, negative, denominator, k):
+        q = Fraction(-numerator if negative else numerator, denominator)
+        f = math.factorial(k)
+        assert cli._times_text(q, f) == str(q * f)
+
+
 class TestTheorem1:
+    @pytest.mark.parametrize("grid_points", [3, 11, 101])
+    def test_four_lp_means_per_grid_point(self, capsys, files, lp_mean_calls,
+                                          grid_points):
+        # x and y on the low grid and on the high grid
+        code, report, _ = run_json(capsys, "theorem1", "--x", files["a.json"],
+                                   "--y", files["b.json"], "--r", "2",
+                                   "--grid-points", str(grid_points))
+        assert code == 0 and report["certified_r"] == 2
+        assert len(lp_mean_calls) == 4 * grid_points
+
     def test_entries_whose_powers_overflow(self, capsys, tmp_path):
         # 1e200 ** p overflows a float for p > 1.54 on the high grid
         (tmp_path / "x.json").write_text('["1e200", "3e199", "1"]')

@@ -1,12 +1,14 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from sympineq.families import f_kr_all
 from sympineq.majorize import t_transform_pair
 from sympineq.spectral import gram, spectral_summary
-from sympineq.theorem1 import (check_hypotheses, check_hypotheses_coeffs,
-                               full_report, grid_spectrum, verify_conclusions)
+from sympineq.theorem1 import (GridPoint, HypothesisCheck, check_hypotheses,
+                               check_hypotheses_coeffs, full_report,
+                               grid_spectrum, verify_conclusions)
 from sympineq.vectors import RationalVector
 
 from conftest import random_rational_vector
@@ -71,6 +73,50 @@ class TestHypotheses:
     def test_bad_table_length(self):
         with pytest.raises(ValueError):
             check_hypotheses_coeffs([Fraction(1)], [Fraction(1)], 1, 2)
+
+
+# coefficients over 1/6 and over 1/35, with the small integers both share
+sixths = st.one_of(st.integers(-12, 12).map(lambda v: Fraction(v, 6)),
+                   st.integers(-2, 2).map(Fraction))
+thirty_fifths = st.one_of(st.integers(-70, 70).map(lambda v: Fraction(v, 35)),
+                          st.integers(-2, 2).map(Fraction))
+
+
+class TestIntegerLedger:
+    def test_mixed_denominators(self):
+        # k = 2..6 for n = 3, r = 2: x above y, equal at 7, equal at 0, x
+        # below y, zero below 1/35
+        fx = [Fraction(v, 6) for v in (6, 1, 8, 42, 0, 1, 0)]
+        fy = [Fraction(v, 35) for v in (35, 6, 41, 245, 0, 6, 1)]
+        rep = check_hypotheses_coeffs(fx, fy, 2, 3)
+        assert [c.ok for c in rep.checks] == [False, True, True, True, True]
+        assert [c.ok for c in rep.checks] == [a <= b for a, b in zip(fx[2:], fy[2:])]
+        assert rep.first_failure().k == 2
+        assert rep.sums_equal is False
+
+    @given(st.integers(1, 3), st.integers(1, 4), st.data())
+    def test_verdicts_are_the_fraction_comparisons(self, r, n, data):
+        size = n * r + 1
+        fx = data.draw(st.lists(sixths, min_size=size, max_size=size))
+        fy = data.draw(st.lists(thirty_fifths, min_size=size, max_size=size))
+        rep = check_hypotheses_coeffs(fx, fy, r, n)
+        assert rep.checks == tuple((k, fx[k], fy[k], fx[k] <= fy[k])
+                                   for k in range(r, size))
+        assert rep.all_pass == all(a <= b for a, b in zip(fx[r:], fy[r:]))
+        assert rep.sums_equal == (fx[1] == fy[1])
+
+
+class TestRecords:
+    def test_field_names_and_order(self):
+        assert HypothesisCheck._fields == ("k", "fx", "fy", "ok")
+        assert GridPoint._fields == ("p", "x_mean", "y_mean", "margin", "ok")
+
+    def test_fields_cannot_be_assigned(self):
+        check = check_hypotheses(vec(3, 1), vec(2, 2), 1).checks[0]
+        point = verify_conclusions(vec(3, 1), vec(2, 2), 1, grid_points=3).low_grid[0]
+        for record, field in ((check, "ok"), (point, "margin")):
+            with pytest.raises(AttributeError):
+                setattr(record, field, None)
 
 
 class TestConclusions:

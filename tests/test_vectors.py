@@ -1,10 +1,11 @@
 import json
 import math
+import sys
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from sympineq.vectors import (RationalVector, log_of_fraction, lp_mean,
                               partial_sums_desc, to_fraction)
@@ -191,6 +192,42 @@ class TestFloatCache:
         assert x == fresh and fresh == x
         assert hash(x) == hash(fresh)
         assert {fresh: "kept"}[x] == "kept"
+
+
+# the positive exponents of the theorem1 grids at the default 101 points,
+# r = 1..3, computed as verify_conclusions computes them
+GRID_EXPONENTS = sorted({start + i * width / 100
+                         for start, widths in ((0.0, (1,)), (1.0, (1, 2, 3)))
+                         for width in widths for i in range(101)} - {0.0})
+# zero entries, mixed denominators, and at times one entry 1e300, whose
+# powers above p = 1.03 leave the float range
+lp_vectors = st.tuples(float_cache_vectors, st.booleans()).map(
+    lambda t: t[0] + [Fraction(10 ** 300)] if t[1] else t[0])
+
+
+def inline_mean_pow(values, p):
+    """The mean of the powers as every lp mean at p > 0 once took it inline."""
+    floats = [float(e) for e in values]
+    try:
+        return math.fsum([f ** p for f in floats]) / len(floats)
+    except OverflowError:
+        return math.inf
+
+
+class TestPositiveExponentBits:
+    @given(lp_vectors, st.one_of(st.sampled_from(GRID_EXPONENTS),
+                                 st.floats(min_value=1e-3, max_value=100)))
+    @example([Fraction(0), Fraction(1, 3), Fraction(10 ** 300)], 2.0)
+    @example([Fraction(0), Fraction(1, 10 ** 4)], 100.0)
+    @example([Fraction(0)], 0.5)
+    def test_the_inline_formula_while_its_mean_is_normal(self, values, p):
+        x = RationalVector(values)
+        mean_pow = inline_mean_pow(values, p)
+        if sys.float_info.min <= mean_pow < math.inf:
+            assert lp_mean(x, p).hex() == (mean_pow ** (1 / p)).hex()
+        else:  # the rescaling by the largest entry
+            want = mp_lp_mean(x.entries, p)
+            assert lp_mean(x, p) == pytest.approx(want, rel=1e-12, abs=0)
 
 
 class TestPartialSums:
