@@ -6,10 +6,10 @@ from .vectors import RationalVector, lp_mean, partial_sums_desc, to_fraction
 from .series import (Catalyst, SeriesTemplate, TruncatedSeries,
                      padded_taylor_template, product_over_vector, taylor_template,
                      tensor)
-from .families import (f_kr_all, g_kr, gbar_kr, grad_f_kr, m_kr)
+from .families import f_kr_all, g_kr, gbar_kr, m_kr
 from .majorize import (MajorizationVerdict, Theorem2Report, majorizes,
                        psi_compare, psi_sum, s_r_limit_estimate,
-                       schur_ostrowski_sample, t_transform_pair, theorem2_scan)
+                       t_transform_pair, theorem2_scan)
 from .theorem1 import (ConclusionReport, FullReport, HypothesisReport,
                        check_hypotheses, check_hypotheses_coeffs, full_report,
                        verify_conclusions)
@@ -21,10 +21,9 @@ __all__ = [
     "RationalVector", "lp_mean", "partial_sums_desc", "to_fraction",
     "Catalyst", "SeriesTemplate", "TruncatedSeries", "padded_taylor_template",
     "product_over_vector", "taylor_template", "tensor",
-    "f_kr_all", "g_kr", "gbar_kr", "grad_f_kr", "m_kr",
+    "f_kr_all", "g_kr", "gbar_kr", "m_kr",
     "MajorizationVerdict", "Theorem2Report", "majorizes", "psi_compare",
-    "psi_sum", "s_r_limit_estimate", "schur_ostrowski_sample",
-    "t_transform_pair", "theorem2_scan",
+    "psi_sum", "s_r_limit_estimate", "t_transform_pair", "theorem2_scan",
     "ConclusionReport", "FullReport", "HypothesisReport", "check_hypotheses",
     "check_hypotheses_coeffs", "full_report", "verify_conclusions",
     "SpectralSummary", "gram", "spectral_summary",

@@ -1,4 +1,5 @@
-"""The named symmetric-polynomial families: fast exact evaluators and gradients.
+"""The named symmetric-polynomial families: fast exact evaluators, and the
+proof of their Schur directions.
 
 All families act on nonnegative rational vectors:
 
@@ -24,16 +25,34 @@ kernels in ``series`` compute, so each costs time polynomial in n:
   distinct variables.  The factor is ``(1 - u) + u e^{x_i t}``, so G and
   Gbar are binomial transforms of the M rows of one table.
 
-The F gradient and the G and M partials take their entry-dependent part from
-the family at x with entry i left out.  That value comes by division: the
-product at x, divided by entry i's factor, is the product without it, so one
-product (or table) at x gives every partial.
+F and G are Schur-concave and M is Schur-convex, for every n, k and r.  By
+the Schur-Ostrowski criterion (Marshall, Olkin & Arnold, *Inequalities:
+Theory of Majorization*, 2nd ed., 2011, ch. 3.A) it is enough that, for any
+two entries a and b, the difference of the partials ``d_a - d_b`` divided by
+``b - a`` be nonnegative for F and G, and divided by ``a - b`` for M.  Each
+generating function above writes that quotient as a polynomial in the
+entries with nonnegative coefficients.  Write ``h_m(a, b) = sum_{i<=m} a^i
+b^(m-i)``, with ``h_m = 0`` for m < 0:
+
+- F: the template satisfies ``T_r' = T_r - s^r / r!``, so with ``R =
+  prod_{l != a,b} T_r(x_l t)``, ``(d_a F_{k,r} - d_b F_{k,r}) / (b - a) =
+  [t^k] t^(r+1) / r! R(t) sum_{j<r} t^j / j! (ab)^j h_{r-j-1}(a, b)``.
+- G: ``d_a - d_b`` turns the factors of a and b into ``u (1 - u) t (e^{at} -
+  e^{bt})``, so the sum over the rows m >= r telescopes to one row: with
+  ``R_m = [u^m] prod_{l != a,b} (1 + u (e^{x_l t} - 1))`` and ``R_{-1} = 0``,
+  ``d_a G_{k,r} - d_b G_{k,r} = -[t^k] t (e^{at} - e^{bt}) R_{r-2}(t)``, and
+  ``(e^{at} - e^{bt}) / (a - b) = sum_m h_{m-1}(a, b) t^m / m!``.
+- M: the r-subsets that hold both a and b cancel, so ``(d_a M_{k,r} -
+  d_b M_{k,r}) / (a - b) = k sum_T h_{k-2}(a + s_T, b + s_T)`` over the
+  (r-1)-subsets T of the other entries, with s_T the sum of T.
+
+``tests/test_families.py`` checks the three identities exactly, against
+partials of the brute-force oracles.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
 from math import comb, factorial
 from operator import mul
 
@@ -49,7 +68,6 @@ __all__ = [
     "g_cell",
     "m_kr",
     "m_cell",
-    "grad_f_kr",
 ]
 
 
@@ -109,33 +127,3 @@ def m_kr(x: RationalVector, k: int, r: int) -> Fraction:
     if k < 1 or r < 1:
         raise ValueError("need k, r >= 1")
     return m_cell(subset_power_table(x, k, r), k, r)
-
-
-def grad_f_kr(x: RationalVector, r: int, k: int) -> tuple[Fraction, ...]:
-    """Exact gradient of F_{k,r}, from one product.
-
-    The template ``T_r`` satisfies ``T_r'(s) = T_r(s) - s^r / r!``, so
-    ``dF_{k,r}/dx_i = F_{k-1,r}(x) - x_i^r / r! * F_{d,r}(x without i)`` with
-    d = k - 1 - r.  The first term is shared by every i; the second vanishes
-    for k <= r.  Leaving x_i out divides the product by ``T_r(x_i t)``, so
-    with ``1 / T_r(s) = sum_m b_m s^m``, ``F_{d,r}(x without i) = sum_m b_m
-    x_i^m F_{d-m,r}(x)``: a polynomial in x_i with coefficients from the
-    product at x."""
-    n = len(x)
-    if r < 1:
-        raise ValueError("need r >= 1")
-    if not 0 <= k <= n * r:
-        raise ValueError(f"need 0 <= k <= {n * r}")
-    if k == 0:
-        return tuple(Fraction(0) for _ in range(n))
-    tpl = taylor_template(r)
-    f = product_over_vector(x, tpl, degree_bound=k - 1).coeffs
-    if k <= r:  # n = 1 always ends here, as k <= n r
-        return (f[k - 1],) * n
-    d, a = k - 1 - r, tpl.base_coeffs
-    b = [Fraction(1)]
-    for m in range(1, d + 1):
-        b.append(-sum(a[j] * b[m - j] for j in range(1, min(m, r) + 1)))
-    horner = [a[r] * bm * f[d - m] for m, bm in enumerate(b)][::-1]  # x_i^d first
-    return tuple(f[k - 1] - xi ** r * reduce(lambda v, c: v * xi + c, horner, 0)
-                 for xi in x.entries)

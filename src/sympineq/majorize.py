@@ -1,5 +1,5 @@
-"""The majorization order, Schur-direction sampling, and the equivalence scan
-between the distinct-variable and subset-power families."""
+"""The majorization order and the equivalence scan between the
+distinct-variable and subset-power families."""
 
 from __future__ import annotations
 
@@ -15,8 +15,6 @@ from .vectors import RationalVector, log_of_fraction, partial_sums_desc
 __all__ = [
     "MajorizationVerdict",
     "majorizes",
-    "SchurSampleVerdict",
-    "schur_ostrowski_sample",
     "CellViolation",
     "Theorem2Report",
     "theorem2_scan",
@@ -51,64 +49,6 @@ def majorizes(x: RationalVector, y: RationalVector) -> MajorizationVerdict:
             break
     return MajorizationVerdict(holds=sum_equal and first is None,
                                sum_equal=sum_equal, first_violation=first)
-
-
-@dataclass(frozen=True)
-class SchurSampleVerdict:
-    family: str
-    k: int
-    r: int
-    ok: bool
-    pairs_checked: int
-    worst_pair: Optional[tuple[int, int]]
-    worst_quotient: Optional[Fraction]
-
-
-def schur_ostrowski_sample(family: str, x: RationalVector, k: int,
-                           r: int) -> SchurSampleVerdict:
-    """Differential monotonicity probe at a single point, in exact rationals.
-
-    Evaluates ``(dPhi/dx_i - dPhi/dx_j) / (x_j - x_i)`` over all index pairs
-    with distinct entries.  F takes its exact gradient from ``grad_f_kr``.  G
-    and M take their partials, up to a term shared by every i that cancels in the
-    quotient, from family values at x with entry i left out:
-
-    - ``dG_{k,r}/dx_i = E_1^(k-1)/(k-1)! - Gbar_{k-1,r}(x)
-      + DeltaGbar_{k-1,r-1}(x without i)``, and ``DeltaGbar_{k,m} = G_{k,m} -
-      G_{k,m+1}``,
-    - ``dM_{k,r}/dx_i = k M_{k-1,r}(x) - k M_{k-1,r}(x without i)``,
-
-    both read off one subset-power table at x with entry i's factor divided out.
-
-    Nonnegative quotients certify the concave direction for F and G; M runs
-    in the convex direction (quotients negated before the test).  A point
-    with all entries equal passes vacuously.
-    """
-    if family not in ("F", "G", "M"):
-        raise ValueError("family must be F, G, or M")
-    if k < 0 or r < 1:
-        raise ValueError("need k >= 0 and r >= 1")
-    n = len(x)
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if x[i] != x[j]]
-    if not pairs:
-        return SchurSampleVerdict(family, k, r, True, 0, None, None)
-    if family == "F" and k <= n * r:
-        grad: Sequence[Fraction] = families.grad_f_kr(x, r, k)
-    elif family == "G" and 2 <= r <= k or family == "M" and k >= 2:
-        table = series.subset_power_table(x, k - 1, r - 1 if family == "G" else r)
-        rest = {e: series.without_entry(table, e) for e in set(x.entries)}
-        grad = [families.g_cell(rest[e], k - 1, r - 1)
-                - families.g_cell(rest[e], k - 1, r) if family == "G"
-                else -k * families.m_cell(rest[e], k - 1, r) for e in x.entries]
-    else:  # G_{k,1}, M_{1,r} and M_{0,r} depend on the sum alone, G_{k,r}
-        # vanishes for r > k, and F_{k,r} for k > n r
-        grad = [Fraction(0)] * n
-    direction = -1 if family == "M" else 1
-    quotients = {(i, j): direction * (grad[i] - grad[j]) / (x[j] - x[i])
-                 for i, j in pairs}
-    worst = min(quotients, key=quotients.__getitem__)  # first of the minima
-    return SchurSampleVerdict(family, k, r, quotients[worst] >= 0, len(pairs),
-                              worst, quotients[worst])
 
 
 @dataclass(frozen=True)

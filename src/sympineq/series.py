@@ -5,8 +5,7 @@ the entries written ``x_i = v_i / L``; ``Fraction`` appears only on read-back.
 ``product_over_vector`` computes ``prod_i A(x_i t)`` for a base template (E,
 F, and the catalysts as the product over the tensor vector), and
 ``subset_power_table`` computes ``prod_i (1 + u e^{x_i t})`` in exponential
-generating function form (M, and by a binomial transform G and Gbar);
-``without_entry`` divides one entry's factor back out of such a table.  The
+generating function form (M, and by a binomial transform G and Gbar).  The
 coefficient lists are dense because these products are dense by
 construction.  ``product_over_vector`` multiplies each factor into its row in
 one whole-row pass per template degree, so its inner loops run in C over
@@ -19,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, repeat
 from math import factorial, lcm
-from operator import add, mul, sub
+from operator import add, mul
 from typing import Mapping, Optional, Sequence
 
 from .vectors import RationalLike, RationalVector, to_fraction
@@ -32,7 +31,6 @@ __all__ = [
     "padded_taylor_template",
     "SubsetPowerTable",
     "subset_power_table",
-    "without_entry",
     "product_over_vector",
     "tensor",
 ]
@@ -225,22 +223,6 @@ def subset_power_table(x: RationalVector, k_max: int, r_max: int,
             rows[1] = list(map(add, rows[1],
                                accumulate(repeat(v, k_max), mul, initial=1)))
     return SubsetPowerTable(tuple(map(tuple, rows)), len(nums), den, sum(nums))
-
-
-def without_entry(table: SubsetPowerTable, e: RationalLike) -> SubsetPowerTable:
-    """The table of x with one entry e of x left out, over the same
-    denominator: dividing ``prod_i (1 + u e^{x_i t})`` by ``1 + u e^{e t}``
-    makes each row the row of x less ``e^{e t}`` times the row below it in
-    the result, exact in ints."""
-    v = to_fraction(e) * table.denominator
-    if v.denominator != 1 or table.n == 0:
-        raise ValueError(f"no entry {e} over 1/{table.denominator} to leave out")
-    rows = [table.rows[0]]
-    for r in range(1, min(len(table.rows), table.n)):  # row n of n - 1 entries is 0
-        rows.append(tuple(map(sub, table.rows[r],
-                              _times_exp(rows[-1], v.numerator, table.k_max))))
-    return SubsetPowerTable(tuple(rows), table.n - 1, table.denominator,
-                            table.total - v.numerator)
 
 
 def tensor(x: RationalVector, c: Catalyst) -> RationalVector:

@@ -1,12 +1,11 @@
 import math
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sympineq import families, series
-from sympineq.families import (f_kr_all, g_kr, gbar_kr, gbar_numerators,
-                               grad_f_kr, m_kr)
+from sympineq.families import f_kr_all, g_kr, gbar_kr, gbar_numerators, m_kr
 from sympineq.majorize import t_transform_pair
 from sympineq.oracles import (IndexSet, h_s,
                               is_schur_concave_index_set, max_part_index_set,
@@ -219,117 +218,86 @@ class TestSchurConcaveIndexSets:
             is_schur_concave_index_set(idx)
 
 
-class TestGradients:
-    def test_order_two_values_at_ones(self):
-        x = vec(1, 1)
-        assert grad_f_kr(x, 2, 2) == (2, 2)
-        assert grad_f_kr(x, 2, 3) == (Fraction(3, 2), Fraction(3, 2))
+def _oracle_partial(family, x, k, r, i):
+    # Newton forward differences at unit steps along coordinate i: exact,
+    # since t -> Phi(x + t e_i) is a polynomial of degree at most k
+    values = [oracle_value(family, RationalVector(
+        x.entries[:i] + (x[i] + t,) + x.entries[i + 1:]), k, r)
+        for t in range(k + 1)]
+    slope = Fraction(0)
+    for m in range(1, k + 1):
+        diff = sum((-1) ** (m - j) * math.comb(m, j) * values[j]
+                   for j in range(m + 1))
+        slope += Fraction((-1) ** (m + 1), m) * diff
+    return slope
 
-    def test_elementary_gradient(self):
-        assert grad_f_kr(vec(1, 2, 3), 1, 2) == (5, 4, 3)
 
-    def test_degree_zero_and_one(self):
-        x = vec(2, 3, 5)
-        assert grad_f_kr(x, 2, 0) == (0, 0, 0)
-        assert grad_f_kr(x, 2, 1) == (1, 1, 1)
+def _h(m, a, b):
+    # sum_{i<=m} a^i b^(m-i), and 0 for m < 0
+    return sum((a ** i * b ** (m - i) for i in range(m + 1)), Fraction(0))
 
-    def test_against_central_differences(self, rng):
-        h = 1e-4
 
-        def value(xs, i, v, k, r):
-            moved = list(xs)
-            moved[i] = v
-            return float(f_kr_all(RationalVector(moved), r)[k])
+def _times(p, q):
+    # product of two coefficient lists in t, cut at the length of p
+    out = [Fraction(0)] * len(p)
+    for i, c in enumerate(p):
+        for j, d in enumerate(q[:len(p) - i]):
+            out[i + j] += c * d
+    return out
 
-        for _ in range(15):
-            n = rng.randint(1, 4)
-            x = random_rational_vector(rng, n, max_numerator=9,
-                                       denominator_bound=3)
-            r = rng.randint(1, 3)
-            k = rng.randint(1, n * r)
-            grad = grad_f_kr(x, r, k)
-            xs = x.to_floats()
-            for i in range(n):
-                step = h * max(1.0, abs(xs[i]))
-                if xs[i] - step < 0:
-                    # second-order one-sided stencil at the orthant boundary
-                    f0 = value(xs, i, xs[i], k, r)
-                    f1 = value(xs, i, xs[i] + step, k, r)
-                    f2 = value(xs, i, xs[i] + 2 * step, k, r)
-                    fd = (-3 * f0 + 4 * f1 - f2) / (2 * step)
-                else:
-                    fd = (value(xs, i, xs[i] + step, k, r)
-                          - value(xs, i, xs[i] - step, k, r)) / (2 * step)
-                assert float(grad[i]) == pytest.approx(
-                    fd, rel=1e-6, abs=1e-6 * max(1.0, abs(fd)))
 
-    def test_out_of_range_k(self):
-        with pytest.raises(ValueError):
-            grad_f_kr(vec(1, 1), 2, 5)
+def _schur_ostrowski_quotient(family, a, b, rest, k, r):
+    """The right-hand side of the family's identity in the ``families``
+    docstring, for the entries a and b and the other entries ``rest``:
+    ``(d_a - d_b) / (b - a)`` for F and G, ``/ (a - b)`` for M."""
+    if family == "M":
+        return k * sum(_h(k - 2, a + sum(t), b + sum(t))
+                       for t in combinations(rest, r - 1))
+    one = [Fraction(1)] + [Fraction(0)] * k
+    if family == "F":
+        # [t^k] t^(r+1) / r! R(t) sum_{j<r} t^j / j! (ab)^j h_{r-j-1}(a, b)
+        product = _times(one, [(a * b) ** j / math.factorial(j)
+                               * _h(r - j - 1, a, b) for j in range(r)])
+        for x in rest:
+            product = _times(product, [x ** j / math.factorial(j)
+                                       for j in range(r + 1)])
+        return product[k - r - 1] / math.factorial(r) if k > r else Fraction(0)
+    if r < 2 or k < 1:  # R_{-1} = 0, and G_{0,r} is a constant
+        return Fraction(0)
+    # G: [t^(k-1)] of (e^(at) - e^(bt)) / (a - b) R_{r-2}(t), where
+    # R_m = [u^m] prod (1 + u (e^(x t) - 1)) over the other entries
+    rows = [one] + [[Fraction(0)] * (k + 1) for _ in range(r - 2)]
+    for x in rest:
+        grown = [Fraction(0)] + [x ** m / math.factorial(m)
+                                 for m in range(1, k + 1)]
+        for m in range(r - 2, 0, -1):
+            rows[m] = [u + v for u, v in zip(rows[m], _times(rows[m - 1], grown))]
+    quotient = [_h(m - 1, a, b) / math.factorial(m) for m in range(k + 1)]
+    return _times(quotient, rows[r - 2])[k - 1]
 
-    def test_matches_oracle_identity(self, rng):
-        # T_r'(s) = T_r(s) - s^r / r!, so
-        # dF_{k,r}/dx_i = F_{k-1,r}(x) - x_i^r / r! * F_{k-1-r,r}(x without i),
-        # with every F from the brute-force composition sum
-        def f(entries, k, r):
-            if k < 0:
-                return 0
-            if not entries:  # the empty product is 1
-                return Fraction(int(k == 0))
-            return oracle_value("F", RationalVector(entries), k, r)
 
-        for _ in range(40):
-            n = rng.randint(1, 4)
-            x = random_rational_vector(rng, n, max_numerator=9,
-                                       denominator_bound=4)
-            r = rng.randint(1, 3)
-            for k in range(1, min(n * r, 8) + 1):
-                expected = tuple(
-                    f(x.entries, k - 1, r) - xi ** r / math.factorial(r)
-                    * f(x.entries[:i] + x.entries[i + 1:], k - 1 - r, r)
-                    for i, xi in enumerate(x.entries))
-                assert grad_f_kr(x, r, k) == expected
-
-    @pytest.mark.parametrize("r", [1, 2, 3])
-    def test_euler_identity_at_forty(self, rng, r):
-        # F_{k,r} is homogeneous of degree k: sum_i x_i dF/dx_i = k F
-        x = random_rational_vector(rng, 40, max_numerator=20,
-                                   denominator_bound=6)
-        for k in (1, 7, 40):
-            grad = grad_f_kr(x, r, k)
-            assert sum(xi * g for xi, g in zip(x.entries, grad)) == \
-                k * f_kr_all(x, r)[k]
-
-    def test_one_product_per_call(self, monkeypatch):
-        built = []
-
-        def counting(*args, **kwargs):
-            built.append(args)
-            return series.product_over_vector(*args, **kwargs)
-
-        monkeypatch.setattr(families, "product_over_vector", counting)
-        distinct, repeated = vec(*range(1, 7)), vec(1, 1, 2, 2, 2, 5)
-        for x in (distinct, repeated):
-            for k in (1, 3, 4, 9, 18):  # k <= r shares one value; k > r divides
-                built.clear()
-                grad_f_kr(x, 3, k)
-                assert len(built) == 1
-
-    @pytest.mark.parametrize("r", [1, 2, 3])
-    def test_division_against_products_without_the_entry(self, rng, r):
-        # F_{k-1-r,r}(x without i), here from a product over the other n - 1
-        # entries, against the gradient that divides it out of the one product
-        x = random_rational_vector(rng, 40, max_numerator=20,
-                                   denominator_bound=6)
-        tpl = series.taylor_template(r)
-        for k in sorted({r + 1, 20, 40}):
-            shared = f_kr_all(x, r)[k - 1]
-            expected = tuple(
-                shared - xi ** r / math.factorial(r) * series.product_over_vector(
-                    RationalVector(x.entries[:i] + x.entries[i + 1:]), tpl,
-                    k - 1 - r).coeffs[-1]
-                for i, xi in enumerate(x.entries))
-            assert grad_f_kr(x, r, k) == expected
+@pytest.mark.parametrize("family", ["F", "G", "M"])
+def test_schur_ostrowski_identity(rng, family):
+    # the factorizations in the families docstring, exactly, against the
+    # oracle's partials at every pair of entries; a nonnegative quotient is
+    # the proved direction: F and G Schur-concave, M Schur-convex
+    points = [vec(0, 2), vec(0, 1, 1, 3)]
+    points += [random_rational_vector(rng, n, max_numerator=9,
+                                      denominator_bound=4) for n in (3, 4, 5)]
+    head = random_rational_vector(rng, 4, max_numerator=9, denominator_bound=4)
+    points.append(RationalVector(head.entries + (0, head[0])))
+    for x in points:
+        for r in range(1, 4):
+            for k in range(5):
+                partial = [_oracle_partial(family, x, k, r, i)
+                           for i in range(len(x))]
+                for i, j in combinations(range(len(x)), 2):
+                    a, b = x[i], x[j]
+                    rest = x.entries[:i] + x.entries[i + 1:j] + x.entries[j + 1:]
+                    quotient = _schur_ostrowski_quotient(family, a, b, rest, k, r)
+                    divisor = a - b if family == "M" else b - a
+                    assert partial[i] - partial[j] == divisor * quotient
+                    assert quotient >= 0
 
 
 @settings(max_examples=40)
@@ -367,5 +335,6 @@ class TestLargeN:
         for _ in range(3):
             x, y = t_transform_pair(rng, n, max_numerator=12)
             for k, r in [(2, 1), (3, 2), (5, 3), (6, 6), (4, n - 1)]:
+                assert f_kr_all(x, r)[k] <= f_kr_all(y, r)[k]
                 assert g_kr(x, k, r) <= g_kr(y, k, r)
                 assert m_kr(x, k, r) >= m_kr(y, k, r)

@@ -5,11 +5,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from sympineq import series
-from sympineq.families import gbar_kr, m_kr
 from sympineq.majorize import (majorizes, psi_compare, psi_sum, psi_value,
-                               s_r_limit_estimate, schur_ostrowski_sample,
-                               t_transform_pair, theorem2_scan)
+                               s_r_limit_estimate, t_transform_pair,
+                               theorem2_scan)
 from sympineq.oracles import oracle_value
 from sympineq.vectors import RationalVector, partial_sums_desc
 
@@ -76,141 +74,6 @@ def t_transform_pair_from(rng, start):
             ys[i] -= delta
             ys[j] += delta
     return RationalVector(ys)
-
-
-def _oracle_partial(family, x, k, r, i):
-    # Newton forward differences at unit steps along coordinate i: exact,
-    # since t -> Phi(x + t e_i) is a polynomial of degree at most k
-    values = [oracle_value(family, RationalVector(
-        x.entries[:i] + (x[i] + t,) + x.entries[i + 1:]), k, r)
-        for t in range(k + 1)]
-    slope = Fraction(0)
-    for m in range(1, k + 1):
-        diff = sum((-1) ** (m - j) * math.comb(m, j) * values[j]
-                   for j in range(m + 1))
-        slope += Fraction((-1) ** (m + 1), m) * diff
-    return slope
-
-
-def _min_quotient(x, grad, direction):
-    quotients = {(i, j): direction * (grad[i] - grad[j]) / (x[j] - x[i])
-                 for i in range(len(x)) for j in range(i + 1, len(x))
-                 if x[i] != x[j]}
-    return quotients, min(quotients.values(), default=None)
-
-
-class TestSchurOstrowski:
-    def test_elementary_gradient_quotient(self):
-        verdict = schur_ostrowski_sample("F", vec(1, 2, 3), k=2, r=1)
-        assert verdict.ok
-        assert verdict.pairs_checked == 3
-
-    def test_subset_power_runs_convex(self):
-        verdict = schur_ostrowski_sample("M", vec(1, 2), k=2, r=1)
-        assert verdict.ok
-        # raw quotient is -2; stored signed in the certifying direction
-        assert verdict.worst_quotient == 2
-
-    def test_degenerate_point_passes_vacuously(self):
-        verdict = schur_ostrowski_sample("F", vec(2, 2, 2), k=3, r=2)
-        assert verdict.ok and verdict.pairs_checked == 0
-
-    def test_exact_sweep_order_two(self, rng):
-        for _ in range(60):
-            x = random_rational_vector(rng, 3, max_numerator=30,
-                                       denominator_bound=3)
-            verdict = schur_ostrowski_sample("F", x, k=4, r=2)
-            assert verdict.ok
-
-    def test_g_and_m_sweeps(self, rng):
-        for _ in range(10):
-            x = random_rational_vector(rng, 3, max_numerator=9,
-                                       denominator_bound=2)
-            assert schur_ostrowski_sample("G", x, k=3, r=2).ok
-            assert schur_ostrowski_sample("M", x, k=3, r=2).ok
-
-    def test_quotients_match_oracle_derivatives(self):
-        rng = random.Random(905)
-        points = [vec(0, 0, 1, 3), vec(0, 2)]
-        points += [random_rational_vector(rng, rng.randint(2, 4),
-                                          max_numerator=4, denominator_bound=3)
-                   for _ in range(8)]
-        for x in points:
-            for family in ("F", "G", "M"):
-                direction = -1 if family == "M" else 1
-                for r in range(1, 4):
-                    for k in range(6):
-                        verdict = schur_ostrowski_sample(family, x, k, r)
-                        grad = [_oracle_partial(family, x, k, r, i)
-                                for i in range(len(x))]
-                        quotients, worst = _min_quotient(x, grad, direction)
-                        assert verdict.pairs_checked == len(quotients)
-                        assert verdict.worst_quotient == worst
-                        assert verdict.ok == (worst is None or worst >= 0)
-                        if worst is not None:
-                            assert quotients[verdict.worst_pair] == worst
-
-    @pytest.mark.parametrize("family", ["G", "M"])
-    def test_large_degree_quotients_are_exact(self, family):
-        # at r = 2 the partials have closed forms, up to a term shared by
-        # every i: dG_{k,2}/dx_i = -x_i^(k-1)/(k-1)! and
-        # dM_{k,2}/dx_i = k sum_{j != i} (x_i + x_j)^(k-1)
-        x, k = vec(1000, 999, 3, 1), 120
-        if family == "G":
-            grad = [-e ** (k - 1) / math.factorial(k - 1) for e in x]
-        else:
-            grad = [k * sum((x[i] + x[j]) ** (k - 1)
-                            for j in range(len(x)) if j != i)
-                    for i in range(len(x))]
-        _, worst = _min_quotient(x, grad, -1 if family == "M" else 1)
-        verdict = schur_ostrowski_sample(family, x, k=k, r=2)
-        assert verdict.ok and verdict.pairs_checked == 6
-        assert verdict.worst_quotient == worst > 0
-
-    def test_one_table_per_sample(self, monkeypatch):
-        built, build = [], series.subset_power_table
-
-        def counting(*args, **kwargs):
-            built.append(args)
-            return build(*args, **kwargs)
-
-        monkeypatch.setattr(series, "subset_power_table", counting)
-        distinct, repeated = RationalVector(range(1, 13)), vec(1, 1, 2, 2, 2, 5)
-        for x, pairs in ((distinct, 66), (repeated, 11)):
-            for family in ("G", "M"):
-                built.clear()
-                verdict = schur_ostrowski_sample(family, x, k=8, r=3)
-                assert verdict.ok and verdict.pairs_checked == pairs
-                assert len(built) == 1
-
-    def test_division_against_tables_without_the_entry(self, rng):
-        # the partials from families at x without entry i, each on its own
-        # table over the other n - 1 entries, against the division route
-        x = random_rational_vector(rng, 22, max_numerator=12,
-                                   denominator_bound=4)
-        x = RationalVector(x.entries + (x[5], 0))  # a repeated and a zero entry
-        rests = [RationalVector(x.entries[:i] + x.entries[i + 1:])
-                 for i in range(len(x))]
-        for k in range(11):
-            for r in range(1, 5):
-                grads = {"G": [Fraction(0)] * len(x), "M": [Fraction(0)] * len(x)}
-                if k >= 1 and r >= 2:
-                    grads["G"] = [gbar_kr(rest, k - 1, r) - gbar_kr(rest, k - 1, r - 1)
-                                  for rest in rests]
-                if k >= 2:
-                    grads["M"] = [-k * m_kr(rest, k - 1, r) for rest in rests]
-                for family, grad in grads.items():
-                    quotients, worst = _min_quotient(
-                        x, grad, -1 if family == "M" else 1)
-                    verdict = schur_ostrowski_sample(family, x, k, r)
-                    assert verdict.worst_quotient == worst
-                    assert quotients[verdict.worst_pair] == worst
-                    assert min(quotients, key=quotients.__getitem__) == \
-                        verdict.worst_pair
-
-    def test_unknown_family(self):
-        with pytest.raises(ValueError):
-            schur_ostrowski_sample("E", vec(1, 2), 1, 1)
 
 
 class TestTheorem2Scan:

@@ -7,8 +7,7 @@ from sympineq.families import f_kr_all
 from sympineq.oracles import oracle_value
 from sympineq.series import (Catalyst, SeriesTemplate, TruncatedSeries,
                              padded_taylor_template, product_over_vector,
-                             subset_power_table, taylor_template, tensor,
-                             without_entry)
+                             subset_power_table, taylor_template, tensor)
 from sympineq.vectors import RationalVector
 
 
@@ -218,34 +217,6 @@ class TestProductTable:
                 assert shared.entry(r, k) == 2 ** k * own.entry(r, k)
         with pytest.raises(ValueError):
             subset_power_table(x, 3, 2, 4)
-
-
-class TestWithoutEntry:
-    def test_small_example(self):
-        # over x = (1, 2), leaving 2 out leaves x = (1): row 1 is 1^k
-        tab = without_entry(subset_power_table(RationalVector([1, 2]), 2, 2), 2)
-        assert tab.rows == ((1, 0, 0), (1, 1, 1))
-        assert (tab.n, tab.denominator, tab.total) == (1, 1, 1)
-        # and then 1: the empty product, with no entry left to take out
-        empty = without_entry(tab, 1)
-        assert (empty.rows, empty.n, empty.total) == (((1, 0, 0),), 0, 0)
-        with pytest.raises(ValueError):
-            without_entry(empty, 0)
-
-    @given(st.lists(entries_with_zeros, min_size=2, max_size=6),
-           st.integers(0, 6), st.integers(0, 7), st.data())
-    def test_equals_the_table_without_the_entry(self, values, k_max, r_max, data):
-        i = data.draw(st.integers(0, len(values) - 1))
-        x = RationalVector(values)
-        table = subset_power_table(x, k_max, r_max)
-        rest = RationalVector(values[:i] + values[i + 1:])
-        assert without_entry(table, values[i]) == subset_power_table(
-            rest, k_max, r_max, table.denominator)
-
-    def test_entry_off_the_denominator(self):
-        table = subset_power_table(RationalVector([Fraction(1, 2), 1]), 3, 2)
-        with pytest.raises(ValueError):
-            without_entry(table, Fraction(1, 3))
 
 
 class TestPaddedTemplate:
