@@ -374,7 +374,8 @@ def cmd_mellin_validate(args: argparse.Namespace) -> tuple[int, dict[str, Any]]:
     error = identity_check(args.which, args.a, args.p, args.r)
     base = (integral_I(args.r, args.p) if args.which == "id1"
             else integral_J(args.r, args.p))
-    ok = error <= args.tol
+    # an unconverged quadrature's error bar is no bound, so it never passes
+    ok = error <= args.tol and lhs.converged
     report = {
         "command": "mellin-validate",
         "which": args.which,

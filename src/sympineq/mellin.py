@@ -7,6 +7,14 @@ call from analytic tail bounds so the truncation error stays far below the
 quadrature tolerance; inside a window a composite Gauss-Legendre rule is
 refined by panel doubling until stable.
 
+Near the ends of the intervals the windows reach far below the normal
+floats, so the low-s prefix of each integrand is taken in log space: for I
+below s = tiny, where log P_r(s) = s to the last bit, and for J below the s
+where s^(r+1)/(r+1)!, the first term of the gap series, is subnormal.  The
+linear values there drop to 0 where the integrand decays only like
+e^((1-p)u) or e^((r+1-p)u), and panel doubling cannot converge across that
+step.  Every node above those thresholds takes the linear path.
+
 An identity check needs the same kernel at scales 1 and a, so one
 panel-doubling loop refines the windows of all its scales side by side, each
 window's panels and rounds held in plain lists: one call answers rounds 0 and
@@ -16,9 +24,10 @@ are joined, sorted by ``s_log = u + log a`` and given to one integrand call;
 larger rounds run block by block, one grid at a time, bounding temporaries.
 
 No grouping changes a bit of the result.  Every integrand value depends on
-its node alone: the gap series of the J kernel stops at each node once that
-node has converged, not when the whole array has.  And each round is summed
-in one dot product of its own values with its own weights.
+its node alone: the gap series of the J kernel, and the ratio series of its
+log-space prefix, stop at each node once that node has converged, not when
+the whole array has.  And each round is summed in one dot product of its own
+values with its own weights.
 
 This module is validation equipment: it exists to test the integral
 identities numerically and to catch transcription errors.  It certifies
@@ -45,6 +54,7 @@ __all__ = [
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _BLOCK_PANELS = 2048  # panels per integrand call: bounds the temporaries
 _MEMO_SIZE = 512
+_LOG_TINY = math.log(np.finfo(float).tiny)  # below it exp(s_log) is subnormal
 
 
 @dataclass(frozen=True)
@@ -61,25 +71,26 @@ class QuadratureResult:
 
 def _log_pr_from_logs(s_log: np.ndarray, r: int) -> np.ndarray:
     """log of the order-r exponential truncation at s = exp(s_log), stable for
-    any magnitude of s."""
+    any magnitude of s, for ascending s_log (all callers pass it so).  The
+    arithmetic runs in place: fewer temporaries mean fewer page faults."""
     out = np.empty_like(s_log)
-    cut = (250.0 / r) * math.log(10.0)  # beyond this s**r would overflow
-    hi = s_log > cut
-    lo = ~hi
-    if lo.any():
-        s = np.exp(s_log[lo])
-        poly = np.zeros_like(s)  # P_r(s) - 1 via Horner, all terms positive
-        for j in range(r, 0, -1):
-            poly = (poly + 1.0) * s / j
-        out[lo] = np.log1p(poly)
-    if hi.any():
-        sl = s_log[hi]
+    # past this s**r would overflow
+    cut = int(np.searchsorted(s_log, (250.0 / r) * math.log(10.0), side="right"))
+    s = np.exp(s_log[:cut])
+    poly = np.zeros_like(s)  # P_r(s) - 1 via Horner, all terms positive
+    for j in range(r, 0, -1):
+        poly += 1.0
+        poly *= s
+        poly /= j
+    np.log1p(poly, out=out[:cut])
+    if cut < s_log.size:
+        sl = s_log[cut:]
         corr = np.zeros_like(sl)
         c = 1.0
         for m in range(1, r + 1):
             c *= r - m + 1  # r! / (r-m)!
             corr += c * np.exp(-m * sl)
-        out[hi] = r * sl - math.lgamma(r + 1) + np.log1p(corr)
+        out[cut:] = r * sl - math.lgamma(r + 1) + np.log1p(corr)
     return out
 
 
@@ -100,7 +111,9 @@ def _delta_small(s: np.ndarray, r: int) -> np.ndarray:
     Each node leaves the remainder series once its own term is at most
     1e-22 of its own sum: with s <= r + 1 < j every later term is smaller
     still and their sum stays below half an ulp of the sum, so adding them
-    changes nothing.  Each value therefore depends on its node alone.  Nodes
+    changes nothing.  Each value therefore depends on its node alone, and the
+    stop is tested only at the first step and then every 4th: the steps in
+    between leave the nodes that had already converged unchanged.  Nodes
     in ascending s converge in ascending order, so the loop runs over a
     shrinking suffix; in any other order the converged nodes behind the first
     unconverged one keep adding terms that leave them unchanged.  Past
@@ -118,6 +131,8 @@ def _delta_small(s: np.ndarray, r: int) -> np.ndarray:
         t *= s[lo:]
         t /= j
         total += t
+        if (j - r - 2) % 4:
+            continue
         done = t <= 1e-22 * total
         first_open = int(done.argmin())
         if done[first_open]:
@@ -149,34 +164,79 @@ def _validate_r(r: int) -> None:
 
 def _times_decay(val: np.ndarray, u: np.ndarray, p: float) -> np.ndarray:
     # val * exp(-p u) in log space: extreme windows cannot overflow
-    out = np.zeros_like(val)
     pos = val > 0
+    if pos.all():
+        out = np.log(val)
+        out -= p * u
+        return np.exp(out, out=out)
+    out = np.zeros_like(val)
     if pos.any():
         out[pos] = np.exp(np.log(val[pos]) - p * u[pos])
     return out
 
 
+def _log_gap_tail(s_log: np.ndarray, r: int) -> np.ndarray:
+    """log of the gap ``s - log P_r(s)`` at s = exp(s_log) for nodes below
+    _j_tail_top(r).  The gap is -log1p(-q) with q = e^-s rem, rem the
+    exponential remainder sum_{j>r} s^j / j!; there q is at most about the
+    smallest normal float, so the gap is q itself.  Its log is the log of
+    the first term s^(r+1)/(r+1)!, minus s, plus the log of the ratio
+    rem / term = sum_j s^j (r+1)! / (r+1+j)!.  That ratio is at least 1 and
+    s < 1 there, so once every term is below half an ulp of 1 the later ones
+    change no node: each value depends on its node alone."""
+    s = np.exp(s_log)
+    term, ratio = np.ones_like(s), np.ones_like(s)
+    j = r + 2
+    while term.max() >= 2.0 ** -53:
+        term *= s
+        term /= j
+        ratio += term
+        j += 1
+    return (r + 1) * s_log - math.lgamma(r + 2) - s + np.log(ratio)
+
+
+def _j_tail_top(r: int) -> float:
+    """The s_log below which s^(r+1)/(r+1)!, the first term of the gap
+    series, is subnormal: s ~ 1e-154 at r = 1, s ~ 0.99 at r = 169."""
+    return (_LOG_TINY + math.lgamma(r + 2)) / (r + 1)
+
+
 def _i_integrand(u: np.ndarray, log_a: np.ndarray, p: float,
                  r: int) -> np.ndarray:
-    return _times_decay(_log_pr_from_logs(u + log_a, r), u, p)
+    """The I integrand at nodes u of scales e^log_a, one scale per node, in
+    ascending s_log = u + log_a.  Below s = tiny, where s itself is
+    subnormal, log P_r(s) = s to the last bit, so that prefix is taken in
+    log space."""
+    s_log = u + log_a
+    out = np.empty_like(u)
+    tail = int(np.searchsorted(s_log, _LOG_TINY))
+    np.exp(s_log[:tail] - p * u[:tail], out=out[:tail])
+    out[tail:] = _times_decay(_log_pr_from_logs(s_log[tail:], r), u[tail:], p)
+    return out
 
 
 def _j_integrand(u: np.ndarray, log_a: np.ndarray, p: float,
                  r: int) -> np.ndarray:
     """The J integrand at nodes u of scales e^log_a, one scale per node, in
-    ascending s_log = u + log_a; they split at s = _series_top(r) into a
-    prefix on the gap series and a suffix on the log form."""
+    ascending s_log = u + log_a.  They split into a prefix in log space below
+    _j_tail_top(r), then the gap series up to s = _series_top(r), then a
+    suffix on the log form."""
     s_log = u + log_a
     out = np.empty_like(u)
+    tail = int(np.searchsorted(s_log, _j_tail_top(r)))
     cut = int(np.searchsorted(s_log, math.log(_series_top(r)), side="right"))
-    if cut:
-        gap = _delta_small(np.exp(s_log[:cut]), r)
-        out[:cut] = _times_decay(gap, u[:cut], p)
+    if tail:
+        np.exp(_log_gap_tail(s_log[:tail], r) - p * u[:tail], out=out[:tail])
+    if tail < cut:
+        gap = _delta_small(np.exp(s_log[tail:cut]), r)
+        out[tail:cut] = _times_decay(gap, u[tail:cut], p)
     if cut < u.size:
         ub = u[cut:]
         # (s - log P_r(s)) e^{-pu} split into two separately-safe terms
-        linear = np.exp(log_a[cut:] + (1.0 - p) * ub)
-        out[cut:] = linear - _times_decay(_log_pr_from_logs(s_log[cut:], r), ub, p)
+        linear = (1.0 - p) * ub
+        linear += log_a[cut:]
+        decayed = _times_decay(_log_pr_from_logs(s_log[cut:], r), ub, p)
+        np.subtract(np.exp(linear, out=linear), decayed, out=out[cut:])
     return out
 
 
@@ -213,7 +273,11 @@ def _panel_grid(lo: float, hi: float, log_a: float,
                 panels: int) -> tuple[np.ndarray, np.ndarray, float]:
     """The grid (mid, half, log_a): midpoints and half-widths of `panels`
     equal panels on the window [lo, hi] of scale e^log_a."""
-    edges = np.linspace(lo, hi, panels + 1)
+    # the operations of np.linspace(lo, hi, panels + 1), without its overhead
+    edges = np.arange(panels + 1.0)
+    edges *= (hi - lo) / panels
+    edges += lo
+    edges[-1] = hi
     return 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1]), log_a
 
 
@@ -226,9 +290,11 @@ def _node_values(integrand, p: float, r: int, grids) -> np.ndarray:
     if len(pts) == 1:  # the nodes of one grid ascend already
         return integrand(pts[0], log_a, p, r)
     u = np.concatenate(pts)
+    del pts  # each unsorted array goes as soon as it is used up
     order = np.argsort(u + log_a, kind="stable")
+    u, log_a = u[order], log_a[order]
     vals = np.empty_like(u)
-    vals[order] = integrand(u[order], log_a[order], p, r)
+    vals[order] = integrand(u, log_a, p, r)
     return vals
 
 

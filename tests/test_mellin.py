@@ -1,3 +1,5 @@
+import contextlib
+import json
 import math
 import sys
 
@@ -45,15 +47,30 @@ def mp_integral_j_dense(r: int, p: float) -> float:
         return float(mp.quad(f, list(range(0, 2 * r + 1, 4)) + [mp.inf]) / p)
 
 
-def mp_gap(s: float, r: int) -> float:
+def mp_gap_80(s, r: int):
     # s - log P_r(s) = -log Q(r+1, s), Q the upper regularized incomplete
     # gamma function: from the lower tail while it is small, and from the
     # upper tail past 1/2, where 1 minus the lower tail would lose every digit
     with mp.workdps(80):
         lower = mp.gammainc(r + 1, 0, s, regularized=True)
         if lower <= 0.5:
-            return float(-mp.log1p(-lower))
-        return float(-mp.log(mp.gammainc(r + 1, s, mp.inf, regularized=True)))
+            return -mp.log1p(-lower)
+        return -mp.log(mp.gammainc(r + 1, s, mp.inf, regularized=True))
+
+
+def mp_gap(s: float, r: int) -> float:
+    return float(mp_gap_80(s, r))
+
+
+def root_sum_closed_form(kind: str, r: int, p: float) -> float:
+    # P_r(s) = prod_j (1 + s/c_j) over c_j = -root_j, none of them on the
+    # cut, so each factor's transform is pi/(p sin pi p) c_j^(-p), with the
+    # opposite sign for J; independent of the quadrature in mellin.py
+    with mp.workdps(30):
+        roots = mp.polyroots([1 / mp.factorial(j) for j in range(r, -1, -1)])
+        total = mp.re(mp.fsum((-root) ** (-p) for root in roots))
+        value = mp.pi / (p * mp.sin(mp.pi * p)) * total
+        return float(value if kind == "I" else -value)
 
 
 class TestDelta:
@@ -216,16 +233,18 @@ class TestPerNodeStop:
 # (which, r, p, a) -> identity_lhs (value, estimated_error, node_count) and
 # the normalizer's, as float.hex, from the one-quadrature-at-a-time driver
 # that the lockstep driver replaced: the four fixed end-of-interval requests
-# of the mellin-validate benchmark workload, a = 0, a = 1 and interior points
+# of the mellin-validate benchmark workload, a = 0, a = 1 and interior points.
+# The windows of the rows at p = 0.98 and 1.98 reach below the normal floats,
+# so their bits come from the log-space prefixes of the integrands.
 GOLDEN = [
     ("id1", 1, 0.02, 2.5, "0x1.04bc12a189b9cp+0", "0x1.bff078a1e6f95p-32", 62784,
      "0x1.38b4a981cea0fp+11", "0x1.0c9cd690e36b8p-21", 31392),
     ("id2", 1, 1.02, 2.5, "0x1.45eb1749ec285p+1", "0x1.17f6324d8c618p-30", 50880,
      "0x1.886a3e2063fc9p+5", "0x1.5114f8c7c0ea6p-27", 25152),
-    ("id1", 1, 0.98, 2.5, "0x1.3a306be38d9a3p+1", "0x1.0f8de3511a527p-30", 619248,
-     "0x1.986e8b76e3ec5p+5", "0x1.61020b28ad800p-27", 309360),
-    ("id2", 1, 1.98, 2.5, "0x1.88bc86de9b94fp+2", "0x1.824fb86656340p-24", 5092624,
-     "0x1.941263db9b728p+4", "0x1.73fdf348bac62p-23", 2537568),
+    ("id1", 1, 0.98, 2.5, "0x1.3a306be38d9bap+1", "0x1.0de2fda048abbp-30", 50928,
+     "0x1.986e94410e26ap+5", "0x1.5ed7424b922aap-27", 25200),
+    ("id2", 1, 1.98, 2.5, "0x1.88bc86dc71027p+2", "0x1.515bcda9d656dp-29", 53136,
+     "0x1.944e6e8e624bep+4", "0x1.5b4bf93061404p-28", 26016),
     ("id1", 2, 0.5, 0.0, "0x0.0p+0", "0x0.0p+0", 2256,
      "0x1.3867a08fe2416p+3", "0x1.0c5aaa18f86a9p-29", 2256),
     ("id2", 3, 2.2, 0.0, "0x0.0p+0", "0x0.0p+0", 912,
@@ -262,6 +281,32 @@ def counted_integrands(monkeypatch):
     return sizes
 
 
+class TestIntervalEnds:
+    """Where the kernels blow up, their windows reach far below the normal
+    floats; the quadratures there against the root-sum closed form."""
+
+    @pytest.mark.parametrize("kind, r, p", [
+        (kind, r, round(p, 3)) for r in (1, 2, 3)
+        for kind, p in (("I", 0.98), ("I", 0.99), ("I", 0.999),
+                        ("J", 1.001), ("J", r + 0.98), ("J", r + 0.999))])
+    def test_against_the_root_sum(self, kind, r, p):
+        got = (integral_I if kind == "I" else integral_J)(r, p)
+        assert abs(got.value - root_sum_closed_form(kind, r, p)) \
+            <= got.estimated_error <= 1e-9 * got.value
+
+    def test_j_log_tail_at_the_largest_order(self):
+        # at r = 169 the first term of the gap series is subnormal below
+        # s = 0.99, so s = 0.5 takes the log route; the scale e^700 keeps
+        # the integrand, gap * e^(-p u), in the float range
+        u, log_a, p = math.log(0.5) - 700.0, 700.0, 2.0
+        got = mellin._j_integrand(np.array([u]), np.array([log_a]), p, 169)
+        s = mp.exp(mp.mpf(u) + mp.mpf(log_a))
+        with mp.workdps(80):
+            want = float(mp_gap_80(s, 169) * mp.exp(-p * mp.mpf(u)))
+        assert 0.49 < s < 0.51 and want > 1e200
+        assert got[0] == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
 class TestLockstep:
     @pytest.mark.parametrize("row", GOLDEN, ids=lambda row: "-".join(map(str, row[:4])))
     def test_reproduces_the_golden_bits(self, row):
@@ -269,6 +314,9 @@ class TestLockstep:
         mellin._memo.cache_clear()
         lhs = identity_lhs(which, a, p, r)
         norm = (integral_I if which == "id1" else integral_J)(r, p)
+        if r == 1:  # the bits pinned are within their error bar
+            closed = closed_form_I1(p) if which == "id1" else closed_form_J1(p)
+            assert abs(norm.value - closed) <= norm.estimated_error
         assert bits(lhs) + bits(norm) == row[4:]
 
     @settings(max_examples=30, deadline=None)
@@ -292,10 +340,10 @@ class TestLockstep:
         capsys.readouterr()
 
     def test_no_call_exceeds_one_block(self, monkeypatch):
-        # the far end of id2 runs rounds of 79104 panels per quadrature
+        # this far end of J runs rounds of up to 12076 panels
         sizes = counted_integrands(monkeypatch)
         mellin._memo.cache_clear()
-        identity_lhs("id2", 2.5, 1.98, 1)
+        integral_J(1, 1.999)
         assert max(sizes) == mellin._BLOCK_PANELS * 16
 
     def test_each_quadrature_runs_once_per_request(self, monkeypatch, capsys):
@@ -331,6 +379,27 @@ def drive_doubling(monkeypatch, sums, max_rounds=9):
     return asked, result
 
 
+@contextlib.contextmanager
+def failing_window(monkeypatch, log_a):
+    """Inside the block every panel-doubling pass reports the window of scale
+    e^log_a unconverged, its numbers unchanged; the memo is emptied on entry
+    and on exit, so no result of the block outlives it."""
+    inner = mellin._doubling
+
+    def doubling(integrand, p, r, windows, *args):
+        return [(value, err, nodes, ok and window[2] != log_a)
+                for (value, err, nodes, ok), window
+                in zip(inner(integrand, p, r, windows, *args), windows)]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(mellin, "_doubling", doubling)
+        mellin._memo.cache_clear()
+        try:
+            yield
+        finally:
+            mellin._memo.cache_clear()
+
+
 class TestConverged:
     def test_a_pass_that_settles_at_round_one(self, monkeypatch):
         # 10 panels, then 20: rounds 0 and 1 come in one call
@@ -342,8 +411,11 @@ class TestConverged:
             [[10, 20], [40], [80]], (4.0, 1.0, (10 + 20 + 40 + 80) * 16, False))
 
     @pytest.mark.parametrize("r, p", [(1, 1.98), (3, 3.98)])
-    def test_normalizers_that_run_out_of_rounds(self, r, p):
-        assert not integral_J(r, p).converged
+    def test_normalizers_at_the_upper_end(self, r, p):
+        # their windows reach far below the normal floats
+        got = integral_J(r, p)
+        assert got.converged
+        assert abs(got.value - root_sum_closed_form("J", r, p)) <= got.estimated_error
 
     def test_converged_kernels(self):
         assert integral_I(1, 0.98).converged
@@ -352,10 +424,27 @@ class TestConverged:
         assert identity_lhs("id2", 0.3, 2.7, 3).converged
         assert identity_lhs("id2", 0.0, 1.5, 1).converged
 
-    def test_identity_ands_its_two_quadratures(self):
-        # scale 1 runs out of rounds at p = 1.98, so the ratio cannot pass
-        assert not identity_lhs("id2", 2.5, 1.98, 1).converged
-        assert not identity_lhs("id2", 0.0, 1.98, 1).converged
+    def test_identity_ands_its_two_quadratures(self, monkeypatch):
+        # one window reported unconverged, at scale 1 or at scale a, is
+        # enough to leave the ratio unconverged; at a = 0 only scale 1 runs
+        mellin._memo.cache_clear()
+        assert identity_lhs("id2", 2.5, 1.98, 1).converged
+        for failing, a in ((1.0, 2.5), (2.5, 2.5), (1.0, 0.0)):
+            with failing_window(monkeypatch, math.log(failing)):
+                assert not identity_lhs("id2", a, 1.98, 1).converged
+
+    def test_the_cli_never_passes_an_unconverged_identity(self, monkeypatch,
+                                                          capsys):
+        argv = ["mellin-validate", "--which", "id1", "--r", "2", "--p", "0.5",
+                "--a", "2"]
+        mellin._memo.cache_clear()
+        assert cli_main(argv) == 0
+        passed = json.loads(capsys.readouterr().out)
+        with failing_window(monkeypatch, math.log(2.0)):
+            assert cli_main(argv) == 1
+        failed = json.loads(capsys.readouterr().out)
+        # the same numbers, so only `converged` can have failed it
+        assert failed == {**passed, "pass": False}
 
 
 class TestIntegralI:
