@@ -250,9 +250,12 @@ def _window(kind: str, r: int, p: float, a: float, eps: float) -> tuple[float, f
         alpha = float(r)
         beta = r * log_a + math.log(r + 1)
         hi = max(40.0, -log_a + 1.0)
-        for _ in range(32):
+        for _ in range(32):  # until hi is a fixed point: later passes repeat it
             bound = alpha * hi / p + alpha / p ** 2 + abs(beta) / p
-            hi = max(math.log(max(bound, 1.0) / eps) / p, -log_a + 1.0)
+            step = max(math.log(max(bound, 1.0) / eps) / p, -log_a + 1.0)
+            if step == hi:
+                break
+            hi = step
         hi += 5.0
         # lower: log P_r(s) <= s
         lo = min(math.log(eps * (1.0 - p) / a) / (1.0 - p), -1.0) - 5.0

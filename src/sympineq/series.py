@@ -1,15 +1,21 @@
 """Exact truncated power series in one formal variable and per-entry products.
 
-Two integer kernels multiply out per-entry factors modulo ``t^(D+1)``, with
-the entries written ``x_i = v_i / L``; ``Fraction`` appears only on read-back.
-``product_over_vector`` computes ``prod_i A(x_i t)`` for a base template (E,
-F, and the catalysts as the product over the tensor vector), and
-``subset_power_table`` computes ``prod_i (1 + u e^{x_i t})`` in exponential
-generating function form (M, and by a binomial transform G and Gbar).  The
-coefficient lists are dense because these products are dense by
-construction.  ``product_over_vector`` multiplies each factor into its row in
-one whole-row pass per template degree, so its inner loops run in C over
-``map``.
+Two integer kernels multiply out per-entry factors modulo ``t^(D+1)``;
+``Fraction`` appears only on read-back.  ``product_over_vector`` computes
+``prod_i A(x_i t)`` for a base template (E, F, and the catalysts as the
+product over the tensor vector), and ``subset_power_table`` computes
+``prod_i (1 + u e^{x_i t})`` in exponential generating function form (M, and
+by a binomial transform G and Gbar).  The coefficient lists are dense because
+these products are dense by construction.
+
+``product_over_vector`` multiplies each factor into its row in one whole-row
+pass per template degree, so its inner loops run in C over ``map``.  Each
+product takes the cheaper of two integer scalings by a predicted bit cost
+(``_common_scale``): a common scale ``c L`` of t, which makes every factor's
+constant term 1 and suits one shared or small denominator L at low orders, or
+per-entry denominators, which suit distinct denominators and high orders.
+``subset_power_table`` keeps one common denominator, since its subset sums
+mix the entries.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, repeat
-from math import factorial, lcm
+from math import factorial, gcd, lcm, prod
 from operator import add, mul
 from typing import Mapping, Optional, Sequence
 
@@ -114,13 +120,51 @@ class Catalyst:
         return len(self.entries)
 
 
-def _over_denominator(x: RationalVector,
-                      den: Optional[int] = None) -> tuple[int, list[int]]:
-    """``den`` (default: the entries' lcm) and the integers ``v_i = x_i den``."""
-    den = lcm(*(e.denominator for e in x.entries)) if den is None else den
-    if any(den % e.denominator for e in x.entries):
-        raise ValueError(f"the entries are not all multiples of 1/{den}")
-    return den, [e.numerator * (den // e.denominator) for e in x.entries]
+def _powers(v: int, deg: int) -> list[int]:
+    """``v^0, ..., v^deg``."""
+    return list(accumulate(repeat(v, deg), mul, initial=1))
+
+
+def _template_integers(tpl: SeriesTemplate, t_degree: int) -> list[int]:
+    """``S a_j`` for j <= min(deg tpl, t_degree), where S is the lcm of
+    those coefficients' denominators; the first is S, as a_0 = 1."""
+    af = tpl.base_coeffs[:t_degree + 1]
+    s = lcm(*(c.denominator for c in af))
+    return [c.numerator * (s // c.denominator) for c in af]
+
+
+def _t_scale(ai: Sequence[int]) -> int:
+    """A c with every ``a_j c^j`` an integer, from ``ai = S a_j``; for the
+    exponential template the least one, the product of the primes up to
+    its degree (6 where S is 24 at degree 4)."""
+    s, c = ai[0], 1
+    for j, a in enumerate(ai):
+        c *= s // gcd(s, a * c ** j)
+    return c
+
+
+def _common_scale(dens: Sequence[int], ai: Sequence[int],
+                  t_degree: int) -> Optional[int]:
+    """The lcm L of ``dens``, the nonzero entries' denominators, when
+    ``product_over_vector`` should take the common scale, else None for
+    per-entry denominators; ``ai`` is ``_template_integers``.
+
+    A row entry costs about the bits of its scale in each whole-row pass.
+    The common scale ``(c L)^k`` averages ``top (bits c + bits L) / 2`` bits
+    over the degrees k <= top that the product reaches, in deg passes per
+    factor.  Per-entry denominators carry ``S^n prod_i d_i^deg`` at every k,
+    in deg + 1 passes.  So high orders, where ``c^k`` outgrows ``S^n``, and
+    distinct denominators, whose lcm outgrows them, go per-entry.  The
+    factor 4/5 on the per-entry side is calibrated on timings: it sends
+    vectors over one denominator at orders of 6 or more per-entry.
+    """
+    den = lcm(*dens)
+    deg = len(ai) - 1
+    top = min(t_degree, len(dens) * deg)
+    common = 5 * deg * top * (_t_scale(ai).bit_length() + den.bit_length())
+    per_entry = 8 * (deg + 1) * (len(dens) * ai[0].bit_length()
+                                 + deg * sum(map(int.bit_length, dens)))
+    return den if common <= per_entry else None
 
 
 def product_over_vector(x: RationalVector, tpl: SeriesTemplate,
@@ -130,27 +174,43 @@ def product_over_vector(x: RationalVector, tpl: SeriesTemplate,
     The default bound n * deg(tpl) captures the full polynomial when the
     template is itself a polynomial; callers may truncate lower.
 
-    With ``x_i = v_i / L`` and the template ``sum_j a_j s^j`` scaled by the
-    lcm S of its coefficient denominators, every factor has the integer
-    coefficients ``fa_j = S a_j v_i^j`` at ``(t/L)^j``, so the product runs in
-    Python ints and coefficient k is read back as ``Fraction(row[k], S^n L^k)``.
-    Multiplying the row by a factor is ``fa_0 row`` plus, for each j >= 1,
-    ``fa_j`` times the row shifted up by j: one pass over the whole row per
-    template degree, cut at degree D.  The row only grows to the top degree
-    reached so far.
+    Zero entries are left out, as their factor is 1.  Each other factor
+    gets integer coefficients ``fa_j`` by one of two scalings of the
+    template ``sum_j a_j s^j``, as ``_common_scale`` chooses; S is the lcm
+    of the a_j's denominators and c is ``_t_scale``:
+
+    - common scale: with ``x_i = v_i / L``, ``fa_j = a_j c^j v_i^j`` at
+      ``(t / (c L))^j``, so ``fa_0 = 1`` and coefficient k reads back over
+      ``(c L)^k``;
+    - per-entry denominators: with ``x_i = n_i / d_i``,
+      ``fa_j = S a_j n_i^j d_i^(deg-j)``, and every coefficient reads back
+      over ``S^n prod_i d_i^deg``.
+
+    Multiplying the row by a factor is ``fa_0 row`` (a copy when fa_0 is 1)
+    plus, for each j >= 1, ``fa_j`` times the row shifted up by j: one pass
+    over the whole row per template degree, cut at degree D.  The row only
+    grows to the top degree reached so far.
     """
     t_degree = len(x) * tpl.degree if degree_bound is None else degree_bound
     if t_degree < 0:
         raise ValueError("degree bound must be nonnegative")
-    af = tpl.base_coeffs[:t_degree + 1]
-    s = lcm(*(c.denominator for c in af))
-    ai = [c.numerator * (s // c.denominator) for c in af]
-    den, nums = _over_denominator(x)
-    deg = len(ai) - 1
+    ai = _template_integers(tpl, t_degree)
+    s, deg = ai[0], len(ai) - 1
+    entries = [(e.numerator, e.denominator) for e in x.entries if e.numerator]
+    dens = [d for _, d in entries]
+    den = _common_scale(dens, ai, t_degree)
+    if den is not None:
+        c = _t_scale(ai)
+        bi = [a * c ** j // s for j, a in enumerate(ai)]  # a_j c^j
+        factors = [list(map(mul, bi, _powers(n * (den // d), deg)))
+                   for n, d in entries]
+    else:
+        factors = [list(map(mul, map(mul, ai, _powers(n, deg)),
+                            _powers(d, deg)[::-1]))
+                   for n, d in entries]
     row = [1]  # up to the top degree so far, at most t_degree
-    for v in nums:
-        fa = list(map(mul, ai, accumulate(repeat(v, deg), mul, initial=1)))
-        grown = list(map(mul, repeat(fa[0]), row))
+    for fa in factors:
+        grown = list(row) if fa[0] == 1 else list(map(mul, repeat(fa[0]), row))
         grown += [0] * (min(len(row) + deg, t_degree + 1) - len(row))
         for j in range(1, deg + 1):  # grown[j:] += fa_j row, cut at t_degree
             if fa[j]:
@@ -158,9 +218,11 @@ def product_over_vector(x: RationalVector, tpl: SeriesTemplate,
                                             map(mul, repeat(fa[j]), row))
         row = grown
     row += [0] * (t_degree + 1 - len(row))
-    scale = s ** len(nums)
-    return TruncatedSeries(tuple(Fraction(c, scale * den ** k)
-                                 for k, c in enumerate(row)))
+    if den is not None:
+        return TruncatedSeries(tuple(map(Fraction, row, accumulate(
+            repeat(c * den, t_degree), mul, initial=1))))
+    scale = s ** len(dens) * prod(dens) ** deg
+    return TruncatedSeries(tuple(Fraction(v, scale) for v in row))
 
 
 @dataclass(frozen=True)
@@ -212,7 +274,11 @@ def subset_power_table(x: RationalVector, k_max: int, r_max: int,
     """
     if k_max < 0 or r_max < 0:
         raise ValueError("degree bounds must be nonnegative")
-    den, nums = _over_denominator(x, denominator)
+    den = (lcm(*(e.denominator for e in x.entries)) if denominator is None
+           else denominator)
+    if any(den % e.denominator for e in x.entries):
+        raise ValueError(f"the entries are not all multiples of 1/{den}")
+    nums = [e.numerator * (den // e.denominator) for e in x.entries]
     top = min(len(nums), r_max)
     rows = [[1] + [0] * k_max] + [[0] * (k_max + 1) for _ in range(top)]
     for i, v in enumerate(nums):

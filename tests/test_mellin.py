@@ -447,6 +447,29 @@ class TestConverged:
         assert failed == {**passed, "pass": False}
 
 
+def window_after_32_passes(r, p, a, eps):
+    """The I window's upper end as ``_window`` computed it before it stopped
+    at the fixed point: all 32 passes of the iteration, then the margin."""
+    eps = max(eps, 1e-300)
+    log_a = math.log(a)
+    alpha, beta = float(r), r * log_a + math.log(r + 1)
+    hi = max(40.0, -log_a + 1.0)
+    for _ in range(32):
+        bound = alpha * hi / p + alpha / p ** 2 + abs(beta) / p
+        hi = max(math.log(max(bound, 1.0) / eps) / p, -log_a + 1.0)
+    return hi + 5.0
+
+
+class TestWindow:
+    @given(st.integers(1, 3), st.floats(0.02, 0.98), st.floats(0.2, 9.0),
+           st.sampled_from([1e-6, 1e-13, 1e-16]))
+    def test_i_window_stops_at_its_fixed_point(self, r, p, a, eps):
+        # every pass after the fixed point repeats the same arithmetic, so
+        # stopping there gives the same bits
+        _, hi = mellin._window("I", r, p, a, eps)
+        assert hi == window_after_32_passes(r, p, a, eps)
+
+
 class TestIntegralI:
     def test_half_exponent_closed_form(self):
         got = integral_I(1, 0.5)

@@ -1,8 +1,12 @@
+import random
 from fractions import Fraction
+from math import factorial, lcm, prod
+from unittest import mock
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
+from sympineq import series as series_module
 from sympineq.families import f_kr_all
 from sympineq.oracles import oracle_value
 from sympineq.series import (Catalyst, SeriesTemplate, TruncatedSeries,
@@ -103,6 +107,147 @@ class TestKernelEdgeCases:
         x = RationalVector(values)
         for d in range(top + 1):
             assert product_over_vector(tensor(x, c), tpl, d).coeffs == want[:d + 1]
+
+
+def takes_common_scale(values, tpl, d):
+    """Whether the rule puts ``product_over_vector(values, tpl, d)`` on the
+    common scale rather than on per-entry denominators."""
+    return series_module._common_scale(
+        [v.denominator for v in values if v],
+        series_module._template_integers(tpl, d), d) is not None
+
+
+FORCED_SCALINGS = {
+    "common": lambda dens, ai, d: lcm(*dens),
+    "per-entry": lambda dens, ai, d: None,
+}
+
+
+def under_each_scaling(values, tpl, d):
+    """The coefficients of ``product_over_vector(values, tpl, d)`` as the rule
+    chooses, and with each of the two scalings forced."""
+    x = RationalVector(values)
+    got = {"rule": product_over_vector(x, tpl, d).coeffs}
+    for name, rule in FORCED_SCALINGS.items():
+        with mock.patch.object(series_module, "_common_scale", rule):
+            got[name] = product_over_vector(x, tpl, d).coeffs
+    return got
+
+
+def template_value(tpl, s):
+    return sum(a * s ** j for j, a in enumerate(tpl.base_coeffs))
+
+
+# distinct denominators up to 10^6, one shared denominator, and floats, whose
+# lcm is a power of two; the rule sends some of each kind either way
+distinct_denominators = st.builds(Fraction, st.integers(0, 10 ** 6),
+                                  st.integers(1, 10 ** 6))
+shared_denominator = st.integers(1, 10 ** 6).flatmap(
+    lambda d: st.lists(st.integers(0, 5 * d).map(lambda k: Fraction(k, d)),
+                       min_size=1, max_size=4))
+float_entries = st.floats(0, 8, allow_nan=False).map(Fraction)
+scaling_vectors = st.one_of(
+    st.lists(st.one_of(st.just(Fraction(0)), distinct_denominators),
+             min_size=1, max_size=4),
+    shared_denominator,
+    st.lists(st.one_of(st.just(Fraction(0)), float_entries), min_size=1,
+             max_size=4))
+
+
+class TestScalings:
+    # both scalings of product_over_vector, forced and as the rule chooses,
+    # against the plain Fraction Cauchy product at every degree bound from 0
+    # to one past the top degree
+
+    @settings(max_examples=40, deadline=None)
+    @given(scaling_vectors, st.integers(1, 8),
+           st.lists(st.fractions(0, Fraction(6, 7), max_denominator=7),
+                    max_size=2))
+    @example([Fraction(1, 999983), Fraction(2, 999979), Fraction(0)], 3, [])
+    @example([Fraction(5, 6), Fraction(7, 6), Fraction(1, 6)], 8,
+             [Fraction(1, 2)])
+    @example([Fraction(0.1), Fraction(2.5)], 2, [])
+    def test_against_cauchy_product(self, values, r, extras):
+        values = values[:max(2, 12 // r)]  # the reference is cubic in n r
+        tpl = padded_taylor_template(r, {r + 1 + j: a for j, a in enumerate(extras)})
+        top = len(values) * tpl.degree + 1
+        want = cauchy_reference(values, tpl.base_coeffs, top)
+        for d in range(top + 1):
+            event("common scale" if takes_common_scale(values, tpl, d)
+                  else "per-entry denominators")
+            for got in under_each_scaling(values, tpl, d).values():
+                assert got == want[:d + 1]
+
+    @pytest.mark.parametrize("values, r", [
+        ([Fraction(k, 6) for k in range(1, 21)], 10),
+        ([Fraction(k, 6) for k in range(7, 19)], 20),
+    ])
+    def test_high_orders_take_per_entry_denominators(self, values, r):
+        # over one denominator the common scale's (c L)^k outgrows the
+        # per-entry S^n at these orders, so the rule must not take it
+        tpl = taylor_template(r)
+        d = len(values) * r
+        assert not takes_common_scale(values, tpl, d)
+        got = under_each_scaling(values, tpl, d)
+        assert got["rule"] == got["per-entry"] == got["common"]
+        # the coefficients sum to the product of the factors at t = 1
+        assert sum(got["rule"]) == prod(template_value(tpl, v) for v in values)
+
+    def test_the_rule_on_realistic_vectors(self):
+        rng = random.Random(7)
+        common = {
+            "n = 400 over 6": ([Fraction(rng.randint(1, 60), 6)
+                                for _ in range(400)], 3),
+            "floats": ([Fraction(rng.random() * 10) for _ in range(100)], 3),
+            "decimals over 100": ([Fraction(rng.randint(1, 1000), 100)
+                                   for _ in range(100)], 3),
+            "n = 20 over 6": ([Fraction(rng.randint(1, 60), 6)
+                               for _ in range(20)], 3),
+        }
+        per_entry = {
+            "denominators 1..12": ([Fraction(rng.randint(1, 100),
+                                             rng.randint(1, 12))
+                                    for _ in range(100)], 2),
+            "4-digit denominators": ([Fraction(rng.randint(1, 10 ** 4),
+                                               rng.randint(1000, 9999))
+                                      for _ in range(60)], 3),
+            "30-digit denominators": ([Fraction(rng.randint(1, 10 ** 30),
+                                                rng.randint(10 ** 29, 10 ** 30))
+                                       for _ in range(100)], 3),
+        }
+        for want, rows in ((True, common), (False, per_entry)):
+            for name, (values, r) in rows.items():
+                tpl = taylor_template(r)
+                assert takes_common_scale(values, tpl, len(values) * r) is want, name
+
+    def test_zero_entries_are_left_out(self):
+        x = RationalVector([0, Fraction(1, 3), 0])
+        assert product_over_vector(x, taylor_template(2)).coeffs == (
+            1, Fraction(1, 3), Fraction(1, 18), 0, 0, 0, 0)
+        assert product_over_vector(RationalVector([0, 0]), taylor_template(3),
+                                   2).coeffs == (1, 0, 0)
+
+    @pytest.mark.parametrize("r, c", [(1, 1), (2, 2), (3, 6), (4, 6), (5, 30),
+                                      (10, 210), (20, 9699690)])
+    def test_t_scale_of_the_exponential_template(self, r, c):
+        # c^j / j! is an integer for every j <= r, and c / p is not such a
+        # scale for any prime p dividing c
+        ai = series_module._template_integers(taylor_template(r), r)
+        assert series_module._t_scale(ai) == c
+        assert all(c ** j % factorial(j) == 0 for j in range(r + 1))
+        primes = [p for p in range(2, r + 1) if all(p % q for q in range(2, p))]
+        assert prod(primes) == c
+        for p in primes:
+            assert any((c // p) ** j % factorial(j) for j in range(r + 1))
+
+    @given(st.integers(1, 6), st.lists(st.fractions(0, Fraction(9, 10),
+                                                    max_denominator=30),
+                                       max_size=3))
+    def test_t_scale_makes_the_template_integral(self, r, extras):
+        tpl = padded_taylor_template(r, {r + 1 + j: a for j, a in enumerate(extras)})
+        c = series_module._t_scale(series_module._template_integers(tpl, tpl.degree))
+        assert all((a * c ** j).denominator == 1
+                   for j, a in enumerate(tpl.base_coeffs))
 
 
 class TestCatalyst:
@@ -217,6 +362,13 @@ class TestProductTable:
                 assert shared.entry(r, k) == 2 ** k * own.entry(r, k)
         with pytest.raises(ValueError):
             subset_power_table(x, 3, 2, 4)
+
+    def test_entry_off_the_denominator_raises(self):
+        # 1/3 is not a multiple of 1/2, so there is no integer v with x = v/2
+        x = RationalVector([Fraction(1, 2), Fraction(1, 3)])
+        with pytest.raises(ValueError, match="multiples of 1/2"):
+            subset_power_table(x, 2, 1, 2)
+        assert subset_power_table(x, 2, 1, 6).rows[1] == (2, 5, 13)
 
 
 class TestPaddedTemplate:
