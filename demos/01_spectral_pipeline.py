@@ -7,9 +7,8 @@ exact rational arithmetic until the final lp-mean grids.
 
 import math
 
-from sympineq import (check_hypotheses_coeffs, gram, spectral_summary,
-                      verify_conclusions)
-from sympineq.theorem1 import grid_spectrum
+from sympineq import (RationalVector, check_hypotheses_coeffs, gram,
+                      spectral_summary, verify_conclusions)
 
 Q = [[1, 1, 1, 1],
      [0, 1, 1, 0],
@@ -52,8 +51,11 @@ for r in (1, 2, 3):
 assert certified == [1, 2], certified
 
 # Orders 1 and 2 pass, so the mean inequalities are certified on [0, 3].
-# The grids themselves are float-side; the numeric spectrum is fine there.
-x, y = grid_spectrum(X, SX.e_coeffs), grid_spectrum(Y, SY.e_coeffs)
+# The grids themselves are float-side.  They compare the eigenvalues, each
+# the float nearest to a root of the integer characteristic polynomial.
+x, y = RationalVector(SX.eigenvalues()), RationalVector(SY.eigenvalues())
+print("\neigenvalues of X:", x.to_floats())
+print("eigenvalues of Y:", y.to_floats())
 conclusion = verify_conclusions(x, y, r=2, sums_equal=True)
 print("\nmeasured grids at the certified order r=2:")
 print("  low grid  [0,1]  all pass:", conclusion.low_all_pass)

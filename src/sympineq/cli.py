@@ -24,30 +24,40 @@ from .majorize import majorizes, psi_compare, theorem2_scan
 from .spectral import as_int_matrix, gram, spectral_summary
 from .theorem1 import (DEFAULT_GRID_POINTS, DEFAULT_TOL, ConclusionReport,
                        HypothesisReport, check_hypotheses,
-                       check_hypotheses_coeffs, full_report, grid_spectrum)
+                       check_hypotheses_coeffs, full_report)
 from .vectors import RationalVector, lp_mean, partial_sums_desc
 
 
-# mellin loads numpy, so these kernels import it on their first call.  A
-# wrapper put in place of one of these globals is what cmd_mellin_validate calls.
+def _mellin():
+    """The mellin module, imported on first use.  It needs numpy, which only
+    the optional ``mellin`` extra installs; without it, a ValueError (exit 2)
+    names the extra."""
+    try:
+        from . import mellin
+    except ModuleNotFoundError as exc:
+        if exc.name != "numpy":
+            raise
+        raise ValueError("mellin-validate needs numpy, the 'mellin' extra: "
+                         "pip install 'sympineq[mellin]'") from None
+    return mellin
+
+
+# The kernels import mellin on their first call.  A wrapper put in place of
+# one of these globals is what cmd_mellin_validate calls.
 def identity_lhs(which: str, a: float, p: float, r: int):
-    from . import mellin
-    return mellin.identity_lhs(which, a, p, r)
+    return _mellin().identity_lhs(which, a, p, r)
 
 
 def identity_check(which: str, a: float, p: float, r: int):
-    from . import mellin
-    return mellin.identity_check(which, a, p, r)
+    return _mellin().identity_check(which, a, p, r)
 
 
 def integral_I(r: int, p: float):
-    from . import mellin
-    return mellin.integral_I(r, p)
+    return _mellin().integral_I(r, p)
 
 
 def integral_J(r: int, p: float):
-    from . import mellin
-    return mellin.integral_J(r, p)
+    return _mellin().integral_J(r, p)
 
 
 def _read_input(path: str, parse: Callable[[str], Any]) -> Any:
@@ -282,7 +292,7 @@ def cmd_theorem1(args: argparse.Namespace) -> tuple[int, dict[str, Any]]:
         hypotheses = [check_hypotheses_coeffs(sx.f_coeffs[r], sy.f_coeffs[r],
                                               r, len(mx))
                       for r in r_values]
-        x, y = grid_spectrum(mx, sx.e_coeffs), grid_spectrum(my, sy.e_coeffs)
+        x, y = RationalVector(sx.eigenvalues()), RationalVector(sy.eigenvalues())
 
     rep = full_report(hypotheses, x, y, args.grid_points, args.tol)
     report = {
@@ -389,6 +399,7 @@ def cmd_mellin_validate(args: argparse.Namespace) -> tuple[int, dict[str, Any]]:
         "target": float(args.a) ** args.p if args.a > 0 else 0.0,
         "relative_error": error,
         "tol": args.tol,
+        "converged": lhs.converged,
         "pass": ok,
     }
     return (0 if ok else 1), report

@@ -3,9 +3,10 @@ det(I + tA), and the truncated-exponential determinants
 det(sum_j A^j t^j / j!) read from them through the power sums of the
 spectrum.
 
-Eigenvalues are never extracted numerically here; every spectral quantity is
-reached through the integer coefficients of det(I + tA), so integer inputs
-give exact rational outputs.
+Every spectral quantity is reached through the integer coefficients of
+det(I + tA), so integer inputs give exact rational outputs.  The eigenvalues
+themselves, which only the float lp-mean grids use, are the correctly
+rounded roots of the same integer characteristic polynomial.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ from fractions import Fraction
 from itertools import accumulate
 from operator import add, mul
 from typing import Iterable, Sequence
+
+from .roots import rounded_roots
 
 __all__ = [
     "IntMatrix",
@@ -119,6 +122,18 @@ class SpectralSummary:
 
     e_coeffs: tuple[Fraction, ...]
     f_coeffs: dict[int, tuple[Fraction, ...]]
+
+    def eigenvalues(self) -> tuple[float, ...]:
+        """The eigenvalues of a matrix whose eigenvalues are all real (a
+        symmetric one), ascending and with multiplicity, each the float
+        nearest to it: the roots of the characteristic polynomial
+        ``sum_k (-1)^k e_k x^(n-k)`` (``roots.rounded_roots``).  A symmetric
+        matrix of rank r has exactly n - r of them at 0.0, read off the
+        zero coefficients e_(r+1), ..., e_n."""
+        e = self.e_coeffs
+        n = len(e) - 1
+        return rounded_roots([(-1) ** (n - j) * e[n - j].numerator
+                              for j in range(n + 1)])
 
 
 def spectral_summary(a: Iterable[Sequence[int]], rs: Sequence[int] = (1,),

@@ -5,6 +5,13 @@ The hypothesis side is exact rational arithmetic.  The conclusion side is
 always measured on float grids, even where the implication guarantees the
 outcome, so the verifier doubles as an end-to-end self-test and as a
 falsifier for user-supplied template variants.
+
+For Gram products (``theorem1 --qx/--qy``) the hypotheses are the order-r
+determinant tables of ``spectral_summary`` (``check_hypotheses_coeffs``),
+and the grids compare the two spectra from ``SpectralSummary.eigenvalues``:
+each eigenvalue the float nearest to a root of the integer characteristic
+polynomial, and those of a singular product exactly 0.  Nothing on either
+side needs numpy.
 """
 
 from __future__ import annotations
@@ -25,7 +32,6 @@ __all__ = [
     "GridPoint",
     "ConclusionReport",
     "verify_conclusions",
-    "grid_spectrum",
     "FullReport",
     "full_report",
 ]
@@ -160,24 +166,6 @@ def verify_conclusions(x: RationalVector, y: RationalVector, r: int,
                                   (margin >= -tol) if asserted else None))
     return ConclusionReport(r=r, tol=tol, sums_equal=sums_equal,
                             low_grid=tuple(low), high_grid=tuple(high))
-
-
-def grid_spectrum(matrix: Sequence[Sequence[int]],
-                  e_coeffs: Sequence[Fraction]) -> RationalVector:
-    """The float spectrum of a PSD matrix, for the (tolerance-based) lp-mean
-    grids only; exact quantities never go through here.  e_coeffs are those
-    of det(I + tA) (``spectral_summary``)."""
-    import numpy as np
-
-    eig = np.linalg.eigvalsh(np.array(matrix, dtype=float))  # ascending
-    values = [max(0.0, float(v)) for v in eig]
-    n = len(values)
-    # a zero eigenvalue comes back as +-1e-16 noise, and positive noise would
-    # reach the p -> 0 means; e_k of a PSD matrix is nonzero exactly for
-    # k <= rank, so the top nonzero coefficient says how many are zero
-    rank = max(k for k, c in enumerate(e_coeffs) if c)
-    values[:n - rank] = [0.0] * (n - rank)
-    return RationalVector(values)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from sympineq.majorize import majorizes, t_transform_pair
 from sympineq.mellin import identity_check, integral_I
 from sympineq.oracles import f_from_matrix_oracle, oracle_value
 from sympineq.spectral import gram, spectral_summary
-from sympineq.theorem1 import check_hypotheses, grid_spectrum, verify_conclusions
+from sympineq.theorem1 import check_hypotheses, verify_conclusions
 from sympineq.vectors import RationalVector
 
 from conftest import SAMPLE_Q, SAMPLE_R, m_kr_from_gbar, random_rational_vector
@@ -93,7 +93,7 @@ def test_criterion_04_conclusion_grids():
         sx, sy = spectral_summary(mx, (2,)), spectral_summary(my, (2,))
         hyp = check_hypotheses_coeffs(sx.f_coeffs[2], sy.f_coeffs[2], 2, 4)
         assert hyp.all_pass and hyp.sums_equal
-        x, y = grid_spectrum(mx, sx.e_coeffs), grid_spectrum(my, sy.e_coeffs)
+        x, y = RationalVector(sx.eigenvalues()), RationalVector(sy.eigenvalues())
         con = verify_conclusions(x, y, 2, grid_points=101, tol=1e-9,
                                  sums_equal=hyp.sums_equal)
         assert con.low_all_pass

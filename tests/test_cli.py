@@ -627,30 +627,46 @@ class TestWithoutNumpy:
                           " if m in sys.modules])\n")
         assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
 
+    # every command but mellin-validate, in a process that cannot import
+    # numpy; the matrix commands include the singular pair
+    SCRIPT = ("import contextlib, io, json, sys\n"
+              "sys.modules['numpy'] = None\n"
+              "from sympineq.cli import main\n"
+              "results = []\n"
+              "for argv in json.loads(sys.argv[1]):\n"
+              "    out, err = io.StringIO(), io.StringIO()\n"
+              "    with contextlib.redirect_stdout(out), "
+              "contextlib.redirect_stderr(err):\n"
+              "        code = main(argv)\n"
+              "    results.append([code, out.getvalue(), err.getvalue()])\n"
+              "print(json.dumps(results))\n")
+
     def test_exact_commands_give_the_same_bytes(self, capsys, files):
         commands = [
             ("norms", "--x", "x.json"),
             ("fkr", "--x", "x.json", "--r", "2"),
             ("theorem1", "--x", "x.json", "--y", "y.json", "--r", "3"),
+            ("theorem1", "--qx", "q.json", "--qy", "r.json", "--r-max", "3"),
+            ("theorem1", "--qx", "q3.json", "--qy", "r3.json", "--r-max", "3"),
             ("theorem2", "--x", "a.json", "--y", "b.json", "--k-max", "5"),
             ("majorize", "--x", "x.json", "--y", "y.json", "--psi-grid", "0.5"),
+            ("spectral", "--q", "q.json", "--r", "1", "--r", "2"),
             ("catalyst", "--x", "x.json", "--c", "c.json", "--y", "y.json")]
         commands = [[files.get(a, a) for a in argv] for argv in commands]
-        script = ("import contextlib, io, json, sys\n"
-                  "sys.modules['numpy'] = None\n"
-                  "from sympineq.cli import main\n"
-                  "results = []\n"
-                  "for argv in json.loads(sys.argv[1]):\n"
-                  "    out, err = io.StringIO(), io.StringIO()\n"
-                  "    with contextlib.redirect_stdout(out), "
-                  "contextlib.redirect_stderr(err):\n"
-                  "        code = main(argv)\n"
-                  "    results.append([code, out.getvalue(), err.getvalue()])\n"
-                  "print(json.dumps(results))\n")
-        done = run_python(script, json.dumps(commands))
+        done = run_python(self.SCRIPT, json.dumps(commands))
         assert (done.returncode, done.stderr) == (0, "")
-        assert json.loads(done.stdout) == [list(run(capsys, *argv))
-                                           for argv in commands]
+        results = json.loads(done.stdout)
+        assert [code for code, _, _ in results] == [0, 0, 0, 1, 0, 0, 1, 0, 0]
+        assert results == [list(run(capsys, *argv)) for argv in commands]
+
+    def test_mellin_validate_names_the_extra(self):
+        argv = ["mellin-validate", "--which", "id1", "--r", "2", "--p", "0.5",
+                "--a", "2"]
+        done = run_python(self.SCRIPT, json.dumps([argv]))
+        assert (done.returncode, done.stderr) == (0, "")
+        assert json.loads(done.stdout) == [[
+            2, "", "error: mellin-validate needs numpy, the 'mellin' extra: "
+                   "pip install 'sympineq[mellin]'\n"]]
 
 
 def emitted(obj):

@@ -2,13 +2,13 @@ import math
 import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from sympineq.majorize import (majorizes, psi_compare, psi_sum, psi_value,
                                s_r_limit_estimate, t_transform_pair,
                                theorem2_scan)
 from sympineq.oracles import oracle_value
+from sympineq.spectral import spectral_summary
 from sympineq.vectors import RationalVector, partial_sums_desc
 
 from conftest import random_rational_vector
@@ -247,10 +247,8 @@ class TestPsi:
         # the example spectra satisfy the polynomial hypotheses only up to
         # order 2, and indeed the concave probe genuinely fails for small
         # lambda while holding from lambda = 1 up
-        ex = np.linalg.eigvalsh(np.array(matrix_x, dtype=float))
-        ey = np.linalg.eigvalsh(np.array(matrix_y, dtype=float))
-        x = RationalVector([max(0.0, float(v)) for v in ex])
-        y = RationalVector([max(0.0, float(v)) for v in ey])
+        x = RationalVector(spectral_summary(matrix_x).eigenvalues())
+        y = RationalVector(spectral_summary(matrix_y).eigenvalues())
         rows = psi_compare(x, y, [Fraction(1, 4), Fraction(1, 2), 1, 2, 4])
         outcome = {r.lam: r.holds for r in rows}
         assert outcome == {0.25: False, 0.5: False, 1.0: True, 2.0: True,

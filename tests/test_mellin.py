@@ -443,8 +443,10 @@ class TestConverged:
         with failing_window(monkeypatch, math.log(2.0)):
             assert cli_main(argv) == 1
         failed = json.loads(capsys.readouterr().out)
-        # the same numbers, so only `converged` can have failed it
-        assert failed == {**passed, "pass": False}
+        # the same numbers, so only `converged` can have failed it, and the
+        # report says so
+        assert passed["converged"] is True
+        assert failed == {**passed, "converged": False, "pass": False}
 
 
 def window_after_32_passes(r, p, a, eps):

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,7 @@ from sympineq.majorize import t_transform_pair
 from sympineq.spectral import gram, spectral_summary
 from sympineq.theorem1 import (GridPoint, HypothesisCheck, check_hypotheses,
                                check_hypotheses_coeffs, full_report,
-                               grid_spectrum, verify_conclusions)
+                               verify_conclusions)
 from sympineq.vectors import RationalVector
 
 from conftest import random_rational_vector
@@ -199,17 +200,22 @@ class TestFullReport:
 
 
 class TestGridSpectrum:
+    """The spectrum that the matrix route's grids compare."""
+
     def test_eigenvalues_of_a_diagonal_gram(self):
         a = gram([[0, 0, 0], [0, 2, 0], [0, 0, 3]])
-        spectrum = grid_spectrum(a, spectral_summary(a).e_coeffs)
-        assert spectrum.entries == (0, 4, 9)
+        assert spectral_summary(a).eigenvalues() == (0.0, 4.0, 9.0)
 
     def test_the_null_space_reads_exactly_zero(self):
-        # rank 2 of 4: the top nonzero coefficient of det(I + tA) is e_2, so
-        # the two smallest eigenvalues are zeroed, noise or not
+        # rank 2 of 4: e_3 = e_4 = 0, so x^2 divides the characteristic
+        # polynomial and the two smallest eigenvalues are exactly 0
         a = gram([[1, 2, 0], [2, 4, 0], [0, 1, 1], [0, 2, 2]])
-        e = spectral_summary(a).e_coeffs
+        summary = spectral_summary(a)
+        e = summary.e_coeffs
         assert [k for k, c in enumerate(e) if c] == [0, 1, 2]
-        entries = grid_spectrum(a, e).entries
-        assert entries[:2] == (0, 0) and min(entries[2:]) > 0
-        assert float(sum(entries)) == pytest.approx(float(e[1]))
+        values = summary.eigenvalues()
+        assert values[:2] == (0.0, 0.0) and min(values[2:]) > 0
+        # the nonzero pair are the roots of x^2 - e_1 x + e_2
+        disc = math.sqrt(e[1] ** 2 - 4 * e[2])
+        assert values[2:] == pytest.approx(((e[1] - disc) / 2, (e[1] + disc) / 2),
+                                           rel=1e-15)
