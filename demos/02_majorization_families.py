@@ -7,9 +7,11 @@ weaker than majorization.
 """
 
 import random
+from itertools import count
+from math import comb
 
-from sympineq import (f_kr_all, m_kr, majorizes, psi_compare,
-                      s_r_limit_estimate, t_transform_pair, theorem2_scan)
+from sympineq import (f_kr_all, m_kr, majorizes, psi_compare, t_transform_pair,
+                      theorem2_scan)
 from sympineq.vectors import RationalVector, partial_sums_desc
 
 x = RationalVector([4, "19/10", "11/10"])
@@ -35,12 +37,19 @@ for k_max in (8, 16):
           f"G-violation={report.distinct_var_violation and (report.distinct_var_violation.r, report.distinct_var_violation.k)}, "
           f"M-violation={report.subset_power_violation and (report.subset_power_violation.r, report.subset_power_violation.k)}")
 
-# Why the violation must appear: the k-th root of the subset-power values
-# converges to the partial sum from above.
-estimates = s_r_limit_estimate(x, 2, 40)
-print("\n(M_{k,2}(x))^(1/k) for k = 1, 5, 10, 20, 40:",
-      [round(estimates[i - 1], 4) for i in (1, 5, 10, 20, 40)])
-print("target: the two largest entries sum to", float(partial_sums_desc(x)[1]))
+# Why the violation must appear: the largest r-subset sum is S_r, the sum
+# of the r largest entries, and there are C(n, r) subsets, so exactly
+#   S_r^k <= M_{k,r} <= C(n, r) S_r^k.
+# As S_2(x) = 59/10 < 6 = S_2(y), M_{k,2}(x) <= 3 S_2(x)^k < S_2(y)^k <=
+# M_{k,2}(y) from the first k with (S_2(y) / S_2(x))^k > 3 on.
+sx, sy = partial_sums_desc(x)[1], partial_sums_desc(y)[1]
+k_star = next(k for k in count(1) if sy ** k > comb(3, 2) * sx ** k)
+for k in (1, 11, k_star):
+    mx, my = m_kr(x, k, 2), m_kr(y, k, 2)
+    assert sx ** k <= mx <= comb(3, 2) * sx ** k and sy ** k <= my
+    print(f"k={k}: S_2(x)^k <= M_{{k,2}}(x) <= 3 S_2(x)^k, and "
+          f"M_{{k,2}}(x) < M_{{k,2}}(y) is {mx < my}")
+print("the sandwich guarantees the violation from k =", k_star)
 
 # The Schur directions are proved, not sampled: F_{k,r} and G_{k,r} are
 # Schur-concave and M_{k,r} is Schur-convex for every n, k and r.  The

@@ -14,6 +14,7 @@ import functools
 import itertools
 import json
 import math
+import re
 import sys
 from fractions import Fraction
 from typing import Any, Callable, Optional, Sequence
@@ -406,12 +407,9 @@ def cmd_mellin_validate(args: argparse.Namespace) -> tuple[int, dict[str, Any]]:
 
 
 def cmd_catalyst(args: argparse.Namespace) -> tuple[int, dict[str, Any]]:
-    x = load_vector(args.x)
-    c_vec = load_vector(args.c)
-    catalyst = series.Catalyst(c_vec.entries)
-    tpl = series.taylor_template(args.r)
-    tx = series.tensor(x, catalyst)
-    cx = series.product_over_vector(tx, tpl, args.degree)
+    x, c = load_vector(args.x), load_vector(args.c)
+    tx = series.tensor(x, c)
+    cx = series.product_over_vector(tx, args.r, args.degree)
     report: dict[str, Any] = {
         "command": "catalyst",
         "r": args.r,
@@ -424,7 +422,7 @@ def cmd_catalyst(args: argparse.Namespace) -> tuple[int, dict[str, Any]]:
         y = load_vector(args.y)
         if len(y) != len(x):
             raise ValueError("vectors must have equal length")
-        cy = series.product_over_vector(series.tensor(y, catalyst), tpl,
+        cy = series.product_over_vector(series.tensor(y, c), args.r,
                                         cx.degree_bound)
         rows = [{"k": k, "cx": str(a), "cy": str(b), "pass": a <= b}
                 for k, (a, b) in enumerate(zip(cx.coeffs, cy.coeffs))]
@@ -435,8 +433,17 @@ def cmd_catalyst(args: argparse.Namespace) -> tuple[int, dict[str, Any]]:
     return code, report
 
 
+class _Parser(argparse.ArgumentParser):
+    # reads -inf and -1e-3 as option values, where argparse's own test for
+    # a negative number would take them for options
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        super().__init__(*args, **kwargs)  # the subparsers are _Parsers too
+        self._negative_number_matcher = re.compile(
+            r"-(inf(inity)?|nan|(\d+\.?\d*|\.\d+)(e[-+]?\d+)?)$", re.I)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sympineq",
         description="Exact symmetric-polynomial families, majorization checks, "
                     "and lp-mean inequality verifiers.")

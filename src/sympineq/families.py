@@ -16,8 +16,8 @@ brute-force enumeration and lives with the oracles.
 E, F, G, Gbar and M are coefficients of per-entry products that the integer
 kernels in ``series`` compute, so each costs time polynomial in n:
 
-- F: ``prod_i A(x_i t)`` with ``A = taylor_template(r)``; E is r = 1, where
-  ``A = 1 + s``,
+- F: ``prod_i T_r(x_i t)`` with ``T_r(s) = sum_{j<=r} s^j / j!``; E is
+  r = 1, where ``T_1 = 1 + s``,
 - M_{k,r} = ``k! [u^r t^k] prod_i (1 + u e^{x_i t})``: u picks the r-subset,
   and ``e^{s t}`` over it gives ``s^k / k!``,
 - DeltaGbar_{k,m} = ``[u^m t^k] prod_i (1 + u (e^{x_i t} - 1))``: each entry
@@ -56,8 +56,7 @@ from fractions import Fraction
 from math import comb, factorial
 from operator import mul
 
-from .series import (SubsetPowerTable, product_over_vector, subset_power_table,
-                     taylor_template)
+from .series import SubsetPowerTable, product_over_vector, subset_power_table
 from .vectors import RationalVector
 
 __all__ = [
@@ -76,7 +75,7 @@ def f_kr_all(x: RationalVector, r: int) -> list[Fraction]:
     product over the entries."""
     if r < 1:
         raise ValueError("need r >= 1")
-    return list(product_over_vector(x, taylor_template(r)).coeffs)
+    return list(product_over_vector(x, r).coeffs)
 
 
 def gbar_numerators(table: SubsetPowerTable, r: int) -> list[int]:

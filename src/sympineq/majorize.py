@@ -10,7 +10,7 @@ from fractions import Fraction
 from typing import ClassVar, Optional, Sequence, Union
 
 from . import families, series
-from .vectors import RationalVector, log_of_fraction, partial_sums_desc
+from .vectors import RationalVector, partial_sums_desc
 
 __all__ = [
     "MajorizationVerdict",
@@ -18,7 +18,6 @@ __all__ = [
     "CellViolation",
     "Theorem2Report",
     "theorem2_scan",
-    "s_r_limit_estimate",
     "psi_value",
     "psi_sum",
     "PsiComparison",
@@ -126,19 +125,6 @@ def theorem2_scan(x: RationalVector, y: RationalVector, k_max: int) -> Theorem2R
                           distinct_var_violation=g_violation,
                           subset_power_violation=m_violation,
                           cells_checked=cells)
-
-
-def s_r_limit_estimate(x: RationalVector, r: int, k_max: int) -> list[float]:
-    """``M_{k,r}^(1/k)`` for k = 1..k_max; approaches the sum of the r largest
-    entries from above as k grows."""
-    if not 1 <= r <= len(x):
-        raise ValueError("need 1 <= r <= n")
-    table = series.subset_power_table(x, k_max, r)
-    out = []
-    for k in range(1, k_max + 1):
-        m = families.m_cell(table, k, r)
-        out.append(math.exp(log_of_fraction(m) / k) if m > 0 else 0.0)
-    return out
 
 
 def psi_value(s: float, lam: float) -> float:

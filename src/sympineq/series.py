@@ -2,14 +2,15 @@
 
 Two integer kernels multiply out per-entry factors modulo ``t^(D+1)``;
 ``Fraction`` appears only on read-back.  ``product_over_vector`` computes
-``prod_i A(x_i t)`` for a base template (E, F, and the catalysts as the
-product over the tensor vector), and ``subset_power_table`` computes
+``prod_i T_r(x_i t)`` for the order-r exponential truncation ``T_r(s) =
+sum_{j<=r} s^j / j!`` (E, F, and the catalysts as the product over the
+tensor vector), and ``subset_power_table`` computes
 ``prod_i (1 + u e^{x_i t})`` in exponential generating function form (M, and
 by a binomial transform G and Gbar).  The coefficient lists are dense because
 these products are dense by construction.
 
 ``product_over_vector`` multiplies each factor into its row in one whole-row
-pass per template degree, so its inner loops run in C over ``map``.  Each
+pass per degree of ``T_r``, so its inner loops run in C over ``map``.  Each
 product takes the cheaper of two integer scalings by a predicted bit cost
 (``_common_scale``): a common scale ``c L`` of t, which makes every factor's
 constant term 1 and suits one shared or small denominator L at low orders, or
@@ -25,16 +26,12 @@ from fractions import Fraction
 from itertools import accumulate, repeat
 from math import factorial, gcd, lcm, prod
 from operator import add, mul
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
-from .vectors import RationalLike, RationalVector, to_fraction
+from .vectors import RationalVector
 
 __all__ = [
     "TruncatedSeries",
-    "SeriesTemplate",
-    "Catalyst",
-    "taylor_template",
-    "padded_taylor_template",
     "SubsetPowerTable",
     "subset_power_table",
     "product_over_vector",
@@ -53,84 +50,16 @@ class TruncatedSeries:
         return len(self.coeffs) - 1
 
 
-@dataclass(frozen=True)
-class SeriesTemplate:
-    """Base series ``s -> sum_j a_j s^j`` with a_0 = 1 and nonnegative a_j."""
-
-    base_coeffs: tuple[Fraction, ...]
-
-    def __post_init__(self) -> None:
-        coeffs = tuple(to_fraction(c) for c in self.base_coeffs)
-        object.__setattr__(self, "base_coeffs", coeffs)
-        if not coeffs or coeffs[0] != 1:
-            raise ValueError("a template must have constant coefficient 1")
-        if any(c < 0 for c in coeffs):
-            raise ValueError("template coefficients must be nonnegative")
-
-    @property
-    def degree(self) -> int:
-        return len(self.base_coeffs) - 1
-
-
-def taylor_template(r: int) -> SeriesTemplate:
-    """The degree-r truncation of exp: coefficients 1/j! for j <= r."""
-    if r < 1:
-        raise ValueError("template order must be >= 1")
-    return SeriesTemplate(tuple(Fraction(1, factorial(j)) for j in range(r + 1)))
-
-
-def padded_taylor_template(r: int, extras: Mapping[int, RationalLike]) -> SeriesTemplate:
-    """Order-r exponential template extended by terms ``a_j s^j / j!`` with
-    0 <= a_j < 1 for j > r.
-
-    This builds order-zero style variants of the exponential template; any
-    growth condition on the resulting entire function is the caller's
-    responsibility.
-    """
-    base = taylor_template(r)
-    if not extras:
-        return base
-    if min(extras) <= r:
-        raise ValueError("padding starts above the template order")
-    coeffs = list(base.base_coeffs)
-    for j in range(r + 1, max(extras) + 1):
-        a = to_fraction(extras.get(j, 0))
-        if not 0 <= a < 1:
-            raise ValueError("padding coefficients must lie in [0, 1)")
-        coeffs.append(a / factorial(j))
-    return SeriesTemplate(tuple(coeffs))
-
-
-@dataclass(frozen=True)
-class Catalyst:
-    """Finite auxiliary vector c with c_0 = 1; comparisons are run on the
-    tensor products of the inputs with c."""
-
-    entries: tuple[Fraction, ...]
-
-    def __post_init__(self) -> None:
-        ent = tuple(to_fraction(c) for c in self.entries)
-        object.__setattr__(self, "entries", ent)
-        if not ent or ent[0] != 1:
-            raise ValueError("a catalyst must start with entry 1")
-        if any(c < 0 for c in ent):
-            raise ValueError("catalyst entries must be nonnegative")
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-
 def _powers(v: int, deg: int) -> list[int]:
     """``v^0, ..., v^deg``."""
     return list(accumulate(repeat(v, deg), mul, initial=1))
 
 
-def _template_integers(tpl: SeriesTemplate, t_degree: int) -> list[int]:
-    """``S a_j`` for j <= min(deg tpl, t_degree), where S is the lcm of
-    those coefficients' denominators; the first is S, as a_0 = 1."""
-    af = tpl.base_coeffs[:t_degree + 1]
-    s = lcm(*(c.denominator for c in af))
-    return [c.numerator * (s // c.denominator) for c in af]
+def _template_integers(r: int, t_degree: int) -> list[int]:
+    """``deg! / j!`` for j <= deg = min(r, t_degree): the coefficients of
+    ``T_r`` up to t^t_degree over their lcm ``S = deg!``."""
+    deg = min(r, t_degree)
+    return [factorial(deg) // factorial(j) for j in range(deg + 1)]
 
 
 def _t_scale(ai: Sequence[int]) -> int:
@@ -167,17 +96,17 @@ def _common_scale(dens: Sequence[int], ai: Sequence[int],
     return den if common <= per_entry else None
 
 
-def product_over_vector(x: RationalVector, tpl: SeriesTemplate,
+def product_over_vector(x: RationalVector, r: int,
                         degree_bound: Optional[int] = None) -> TruncatedSeries:
-    """Exact coefficients of ``prod_i tpl(x_i t)`` modulo ``t^(D+1)``.
+    """Exact coefficients of ``prod_i T_r(x_i t)`` modulo ``t^(D+1)``.
 
-    The default bound n * deg(tpl) captures the full polynomial when the
-    template is itself a polynomial; callers may truncate lower.
+    The default bound n * r captures the full polynomial; callers may
+    truncate lower.
 
     Zero entries are left out, as their factor is 1.  Each other factor
-    gets integer coefficients ``fa_j`` by one of two scalings of the
-    template ``sum_j a_j s^j``, as ``_common_scale`` chooses; S is the lcm
-    of the a_j's denominators and c is ``_t_scale``:
+    gets integer coefficients ``fa_j`` by one of two scalings of ``T_r =
+    sum_j a_j s^j`` with ``a_j = 1 / j!``, as ``_common_scale`` chooses; S is
+    ``deg!`` for ``deg = min(r, D)`` and c is ``_t_scale``:
 
     - common scale: with ``x_i = v_i / L``, ``fa_j = a_j c^j v_i^j`` at
       ``(t / (c L))^j``, so ``fa_0 = 1`` and coefficient k reads back over
@@ -188,13 +117,15 @@ def product_over_vector(x: RationalVector, tpl: SeriesTemplate,
 
     Multiplying the row by a factor is ``fa_0 row`` (a copy when fa_0 is 1)
     plus, for each j >= 1, ``fa_j`` times the row shifted up by j: one pass
-    over the whole row per template degree, cut at degree D.  The row only
+    over the whole row per degree of ``T_r``, cut at degree D.  The row only
     grows to the top degree reached so far.
     """
-    t_degree = len(x) * tpl.degree if degree_bound is None else degree_bound
+    if r < 1:
+        raise ValueError("template order must be >= 1")
+    t_degree = len(x) * r if degree_bound is None else degree_bound
     if t_degree < 0:
         raise ValueError("degree bound must be nonnegative")
-    ai = _template_integers(tpl, t_degree)
+    ai = _template_integers(r, t_degree)
     s, deg = ai[0], len(ai) - 1
     entries = [(e.numerator, e.denominator) for e in x.entries if e.numerator]
     dens = [d for _, d in entries]
@@ -291,7 +222,9 @@ def subset_power_table(x: RationalVector, k_max: int, r_max: int,
     return SubsetPowerTable(tuple(map(tuple, rows)), len(nums), den, sum(nums))
 
 
-def tensor(x: RationalVector, c: Catalyst) -> RationalVector:
-    """All products x_i * c_j in row-major order: the catalyst comparison of
-    x is ``product_over_vector`` over this vector."""
+def tensor(x: RationalVector, c: RationalVector) -> RationalVector:
+    """All products x_i * c_j in row-major order, for a catalyst c with c_0 =
+    1: the catalyst comparison of x is ``product_over_vector`` over them."""
+    if c[0] != 1:
+        raise ValueError("a catalyst must start with entry 1")
     return RationalVector(xi * cj for xi in x.entries for cj in c.entries)

@@ -3,8 +3,7 @@ lp-mean grids on the other.
 
 The hypothesis side is exact rational arithmetic.  The conclusion side is
 always measured on float grids, even where the implication guarantees the
-outcome, so the verifier doubles as an end-to-end self-test and as a
-falsifier for user-supplied template variants.
+outcome, so the verifier doubles as an end-to-end self-test.
 
 For Gram products (``theorem1 --qx/--qy``) the hypotheses are the order-r
 determinant tables of ``spectral_summary`` (``check_hypotheses_coeffs``),

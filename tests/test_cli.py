@@ -106,9 +106,22 @@ class TestNorms:
         assert code == 0 and len(lp_mean_calls) == 8
         lp_mean_calls.clear()
         code, report, _ = run_json(capsys, "norms", "--x", files["x.json"],
-                                   "--p", "0.5", "--p=-inf", "--p", "3")
+                                   "--p", "0.5", "--p", "-inf", "--p", "3")
         assert code == 0 and lp_mean_calls == [0.5, -math.inf, 3.0]
         assert [row["p"] for row in report["means"]] == lp_mean_calls
+
+    @pytest.mark.parametrize("p, want", [
+        ("-inf", -math.inf), ("-INFINITY", -math.inf), ("-1e-3", -0.001),
+        ("-2.5E+1", -25.0), ("-.5", -0.5), ("-2", -2.0)])
+    def test_negative_exponent_reaches_the_option(self, capsys, files, p, want):
+        # argparse alone reads -inf and -1e-3 as options, and exits 2 with
+        # "expected one argument"
+        code, report, err = run_json(capsys, "norms", "--x", files["x.json"],
+                                     "--p", p)
+        assert (code, err) == (0, "")
+        assert report["means"][0]["p"] == want
+        if want == -math.inf:  # the mean at -inf is the smallest entry
+            assert report["means"][0]["mean"] == 1.1
 
     def test_nan_exponent_is_a_usage_error(self, capsys, files):
         code, out, err = run(capsys, "norms", "--x", files["x.json"],
@@ -375,6 +388,12 @@ class TestMajorize:
         assert code == 2 and out == ""
         assert "error: bad exponent 'NaN'" in err
 
+    def test_negative_lambda_reaches_the_option(self, capsys, files):
+        code, out, err = run(capsys, "majorize", "--x", files["a.json"],
+                             "--y", files["b.json"], "--psi-grid", "-inf")
+        assert (code, out) == (2, "")
+        assert err == "error: lambda must be positive\n"
+
 
 class TestTheorem2:
     def test_majorizing_pair(self, capsys, files):
@@ -501,7 +520,7 @@ class TestMellinValidate:
         assert code == 2 and out == ""
         assert err == "error: tolerance must be positive and finite\n"
 
-    @pytest.mark.parametrize("a", ["inf", "nan", "-1"])
+    @pytest.mark.parametrize("a", ["inf", "nan", "-1", "-1e-3", "-inf"])
     def test_scale_must_be_finite_and_nonnegative(self, capsys, a):
         code, out, err = run(capsys, "mellin-validate", "--which", "id2",
                              "--r", "2", "--p", "1.5", "--a", a)

@@ -4,10 +4,11 @@ from fractions import Fraction
 
 import pytest
 
+from sympineq.families import m_cell
 from sympineq.majorize import (majorizes, psi_compare, psi_sum, psi_value,
-                               s_r_limit_estimate, t_transform_pair,
-                               theorem2_scan)
-from sympineq.oracles import oracle_value
+                               t_transform_pair, theorem2_scan)
+from sympineq.oracles import OracleSizeError, oracle_value
+from sympineq.series import subset_power_table
 from sympineq.spectral import spectral_summary
 from sympineq.vectors import RationalVector, partial_sums_desc
 
@@ -181,29 +182,55 @@ class TestTheorem2AgainstOracles:
         assert len(seen) == 6
 
 
-class TestSubsetPowerLimit:
-    def test_converges_from_above(self):
-        x = vec(1, 2, 3)
-        estimates = s_r_limit_estimate(x, 2, 40)
-        target = float(partial_sums_desc(x)[1])
-        assert all(e >= target - 1e-9 for e in estimates)
-        assert estimates[-1] == pytest.approx(target, abs=1e-2)
+def assert_subset_power_sandwich(x, r, k_max):
+    """``S_r^k <= M_{k,r} <= C(n, r) S_r^k`` for k = 1..k_max, exactly, with
+    S_r the sum of the r largest entries: the largest subset sum is S_r, and
+    there are C(n, r) of them.  So ``M_{k,r}^(1/k)`` converges to S_r from
+    above, and ``M_{k,1} = sum_i x_i^k`` and ``M_{1,r} = C(n-1, r-1) sum x``
+    hold too.  Returns the M values."""
+    n, s_r = len(x), partial_sums_desc(x)[r - 1]
+    table = subset_power_table(x, k_max, r)
+    ms = [m_cell(table, k, r) for k in range(1, k_max + 1)]
+    for k, m in enumerate(ms, 1):
+        assert s_r ** k <= m <= math.comb(n, r) * s_r ** k, (k, m)
+        if r == 1:
+            assert m == sum(e ** k for e in x.entries)
+    assert ms[0] == math.comb(n - 1, r - 1) * x.total()
+    return ms
 
-    def test_full_subset_is_exactly_the_total(self):
-        x = vec(4, 2, 1, 2)
-        for e in s_r_limit_estimate(x, 4, 10):
-            assert e == pytest.approx(9.0, rel=1e-12)
+
+class TestSubsetPowerLimit:
+    # the bounds that make a failed partial sum S_r(x) < S_r(y) show up as
+    # a subset-power violation at a computable k
+    def test_converges_from_above(self, rng):
+        for _ in range(60):
+            n = rng.randint(1, 7)
+            x = random_rational_vector(rng, n)
+            r = rng.randint(1, n)
+            ms = assert_subset_power_sandwich(x, r, 8)
+            if n <= 6:  # the brute-force subset sum agrees
+                assert ms == [oracle_value("M", x, k, r) for k in range(1, 9)]
+
+    def test_full_subset_is_exactly_the_total(self, rng):
+        for x in [vec(4, 2, 1, 2)] + [random_rational_vector(rng, n)
+                                      for n in range(1, 9)]:
+            n = len(x)
+            assert assert_subset_power_sandwich(x, n, 10) == [
+                x.total() ** k for k in range(1, 11)]
 
     def test_half_size_subsets_of_twenty_four(self):
-        # C(24, 12) = 2704156 subsets, past any enumeration budget
-        estimates = s_r_limit_estimate(RationalVector(range(1, 25)), 12, 8)
-        assert len(estimates) == 8
-        assert all(b <= a for a, b in zip(estimates, estimates[1:]))
-        assert all(e >= 222 for e in estimates)  # 13 + 14 + ... + 24
+        # C(24, 12) = 2704156 subsets, past the oracle's budget
+        x = RationalVector(range(1, 25))
+        with pytest.raises(OracleSizeError):
+            oracle_value("M", x, 1, 12)
+        ms = assert_subset_power_sandwich(x, 12, 8)
+        assert partial_sums_desc(x)[11] == 222  # 13 + 14 + ... + 24
+        assert all(a < b for a, b in zip(ms, ms[1:]))
 
     def test_largest_entry_limit(self):
-        got = s_r_limit_estimate(vec(4, 2, 1, 2), 1, 40)[-1]
-        assert got == pytest.approx(4.0, abs=1e-2)
+        x = vec(4, 2, 1, 2)
+        ms = assert_subset_power_sandwich(x, 1, 40)
+        assert ms[-1] == 4 ** 40 + 2 * 2 ** 40 + 1  # 4^40 <= M <= 4 * 4^40
 
 
 class TestPsi:

@@ -9,9 +9,8 @@ from hypothesis import event, example, given, settings, strategies as st
 from sympineq import series as series_module
 from sympineq.families import f_kr_all
 from sympineq.oracles import oracle_value
-from sympineq.series import (Catalyst, SeriesTemplate, TruncatedSeries,
-                             padded_taylor_template, product_over_vector,
-                             subset_power_table, taylor_template, tensor)
+from sympineq.series import (TruncatedSeries, product_over_vector,
+                             subset_power_table, tensor)
 from sympineq.vectors import RationalVector
 
 
@@ -27,12 +26,12 @@ entries = st.fractions(min_value=0, max_value=3, max_denominator=4)
 entries_with_zeros = st.one_of(st.just(Fraction(0)), entries)
 
 
-def cauchy_reference(values, coeffs, d):
-    """``prod_i sum_j coeffs[j] (values[i] t)^j`` modulo ``t^(d+1)``, one
+def cauchy_reference(values, r, d):
+    """``prod_i sum_{j<=r} (values[i] t)^j / j!`` modulo ``t^(d+1)``, one
     Fraction Cauchy product per value."""
     acc = [Fraction(1)] + [Fraction(0)] * d
     for v in values:
-        factor = [coeffs[j] * v ** j if j < len(coeffs) else Fraction(0)
+        factor = [Fraction(v ** j, factorial(j)) if j <= r else Fraction(0)
                   for j in range(d + 1)]
         acc = [sum((acc[i] * factor[k - i] for i in range(k + 1)), Fraction(0))
                for k in range(d + 1)]
@@ -41,29 +40,34 @@ def cauchy_reference(values, coeffs, d):
 
 class TestProductOverVector:
     def test_pair_of_ones(self):
-        got = product_over_vector(RationalVector([1, 1]), taylor_template(2), 4)
+        got = product_over_vector(RationalVector([1, 1]), 2, 4)
         assert got == series(1, 2, 2, 1, Fraction(1, 4))
 
     def test_single_factor(self):
         a = Fraction(5, 3)
-        got = product_over_vector(RationalVector([a]), taylor_template(3), 3)
+        got = product_over_vector(RationalVector([a]), 3, 3)
         assert got == series(1, a, a ** 2 / 2, a ** 3 / 6)
 
     def test_default_degree_bound(self):
-        got = product_over_vector(RationalVector([1, 2]), taylor_template(2))
+        got = product_over_vector(RationalVector([1, 2]), 2)
         assert got.degree_bound == 4
+
+    @pytest.mark.parametrize("r, d", [(0, None), (0, 3), (-1, None), (-1, -1)])
+    def test_order_below_one_raises(self, r, d):
+        # before the degree bound is checked
+        with pytest.raises(ValueError, match="template order must be >= 1"):
+            product_over_vector(RationalVector([1, 2]), r, d)
 
     @given(small_vectors, st.randoms(use_true_random=False))
     def test_permutation_invariant(self, x, rnd):
         shuffled = list(x.entries)
         rnd.shuffle(shuffled)
-        tpl = taylor_template(2)
-        assert (product_over_vector(x, tpl)
-                == product_over_vector(RationalVector(shuffled), tpl))
+        assert (product_over_vector(x, 2)
+                == product_over_vector(RationalVector(shuffled), 2))
 
     @given(small_vectors)
     def test_leading_coefficients(self, x):
-        got = product_over_vector(x, taylor_template(2))
+        got = product_over_vector(x, 2)
         assert got.coeffs[:2] == (1, x.total())
 
 
@@ -79,42 +83,27 @@ class TestKernelEdgeCases:
         x = RationalVector(values)
         top = len(x) * r + 1
         want = tuple(oracle_value("F", x, k, r) for k in range(top + 1))
-        tpl = taylor_template(r)
         for d in range(top + 1):
-            assert product_over_vector(x, tpl, d).coeffs == want[:d + 1]
-
-    @given(st.lists(entries_with_zeros, min_size=1, max_size=3), st.integers(1, 2),
-           st.lists(st.one_of(st.just(Fraction(0)),
-                              st.fractions(0, Fraction(4, 5), max_denominator=5)),
-                    min_size=1, max_size=3))
-    @example([Fraction(1, 2), Fraction(3)], 1, [Fraction(0), Fraction(1, 2)])
-    def test_padded_against_cauchy_product(self, values, r, extras):
-        tpl = padded_taylor_template(r, {r + 1 + j: a for j, a in enumerate(extras)})
-        top = len(values) * tpl.degree + 1
-        want = cauchy_reference(values, tpl.base_coeffs, top)
-        x = RationalVector(values)
-        for d in range(top + 1):
-            assert product_over_vector(x, tpl, d).coeffs == want[:d + 1]
+            assert product_over_vector(x, r, d).coeffs == want[:d + 1]
 
     @given(st.lists(entries_with_zeros, min_size=1, max_size=3),
            entries_with_zeros, st.integers(1, 2))
     def test_two_entry_catalyst_against_cauchy_product(self, values, c1, r):
-        c = Catalyst((Fraction(1), c1))
-        tpl = taylor_template(r)
+        c = RationalVector([1, c1])
         top = 2 * len(values) * r + 1
         products = [v * cj for v in values for cj in (1, c1)]
-        want = cauchy_reference(products, tpl.base_coeffs, top)
+        want = cauchy_reference(products, r, top)
         x = RationalVector(values)
         for d in range(top + 1):
-            assert product_over_vector(tensor(x, c), tpl, d).coeffs == want[:d + 1]
+            assert product_over_vector(tensor(x, c), r, d).coeffs == want[:d + 1]
 
 
-def takes_common_scale(values, tpl, d):
-    """Whether the rule puts ``product_over_vector(values, tpl, d)`` on the
+def takes_common_scale(values, r, d):
+    """Whether the rule puts ``product_over_vector(values, r, d)`` on the
     common scale rather than on per-entry denominators."""
     return series_module._common_scale(
         [v.denominator for v in values if v],
-        series_module._template_integers(tpl, d), d) is not None
+        series_module._template_integers(r, d), d) is not None
 
 
 FORCED_SCALINGS = {
@@ -123,19 +112,20 @@ FORCED_SCALINGS = {
 }
 
 
-def under_each_scaling(values, tpl, d):
-    """The coefficients of ``product_over_vector(values, tpl, d)`` as the rule
+def under_each_scaling(values, r, d):
+    """The coefficients of ``product_over_vector(values, r, d)`` as the rule
     chooses, and with each of the two scalings forced."""
     x = RationalVector(values)
-    got = {"rule": product_over_vector(x, tpl, d).coeffs}
+    got = {"rule": product_over_vector(x, r, d).coeffs}
     for name, rule in FORCED_SCALINGS.items():
         with mock.patch.object(series_module, "_common_scale", rule):
-            got[name] = product_over_vector(x, tpl, d).coeffs
+            got[name] = product_over_vector(x, r, d).coeffs
     return got
 
 
-def template_value(tpl, s):
-    return sum(a * s ** j for j, a in enumerate(tpl.base_coeffs))
+def template_value(r, s):
+    """``T_r(s) = sum_{j<=r} s^j / j!``."""
+    return sum(Fraction(s ** j, factorial(j)) for j in range(r + 1))
 
 
 # distinct denominators up to 10^6, one shared denominator, and floats, whose
@@ -160,22 +150,18 @@ class TestScalings:
     # to one past the top degree
 
     @settings(max_examples=40, deadline=None)
-    @given(scaling_vectors, st.integers(1, 8),
-           st.lists(st.fractions(0, Fraction(6, 7), max_denominator=7),
-                    max_size=2))
-    @example([Fraction(1, 999983), Fraction(2, 999979), Fraction(0)], 3, [])
-    @example([Fraction(5, 6), Fraction(7, 6), Fraction(1, 6)], 8,
-             [Fraction(1, 2)])
-    @example([Fraction(0.1), Fraction(2.5)], 2, [])
-    def test_against_cauchy_product(self, values, r, extras):
+    @given(scaling_vectors, st.integers(1, 8))
+    @example([Fraction(1, 999983), Fraction(2, 999979), Fraction(0)], 3)
+    @example([Fraction(5, 6), Fraction(7, 6), Fraction(1, 6)], 8)
+    @example([Fraction(0.1), Fraction(2.5)], 2)
+    def test_against_cauchy_product(self, values, r):
         values = values[:max(2, 12 // r)]  # the reference is cubic in n r
-        tpl = padded_taylor_template(r, {r + 1 + j: a for j, a in enumerate(extras)})
-        top = len(values) * tpl.degree + 1
-        want = cauchy_reference(values, tpl.base_coeffs, top)
+        top = len(values) * r + 1
+        want = cauchy_reference(values, r, top)
         for d in range(top + 1):
-            event("common scale" if takes_common_scale(values, tpl, d)
+            event("common scale" if takes_common_scale(values, r, d)
                   else "per-entry denominators")
-            for got in under_each_scaling(values, tpl, d).values():
+            for got in under_each_scaling(values, r, d).values():
                 assert got == want[:d + 1]
 
     @pytest.mark.parametrize("values, r", [
@@ -185,13 +171,12 @@ class TestScalings:
     def test_high_orders_take_per_entry_denominators(self, values, r):
         # over one denominator the common scale's (c L)^k outgrows the
         # per-entry S^n at these orders, so the rule must not take it
-        tpl = taylor_template(r)
         d = len(values) * r
-        assert not takes_common_scale(values, tpl, d)
-        got = under_each_scaling(values, tpl, d)
+        assert not takes_common_scale(values, r, d)
+        got = under_each_scaling(values, r, d)
         assert got["rule"] == got["per-entry"] == got["common"]
         # the coefficients sum to the product of the factors at t = 1
-        assert sum(got["rule"]) == prod(template_value(tpl, v) for v in values)
+        assert sum(got["rule"]) == prod(template_value(r, v) for v in values)
 
     def test_the_rule_on_realistic_vectors(self):
         rng = random.Random(7)
@@ -217,22 +202,20 @@ class TestScalings:
         }
         for want, rows in ((True, common), (False, per_entry)):
             for name, (values, r) in rows.items():
-                tpl = taylor_template(r)
-                assert takes_common_scale(values, tpl, len(values) * r) is want, name
+                assert takes_common_scale(values, r, len(values) * r) is want, name
 
     def test_zero_entries_are_left_out(self):
         x = RationalVector([0, Fraction(1, 3), 0])
-        assert product_over_vector(x, taylor_template(2)).coeffs == (
+        assert product_over_vector(x, 2).coeffs == (
             1, Fraction(1, 3), Fraction(1, 18), 0, 0, 0, 0)
-        assert product_over_vector(RationalVector([0, 0]), taylor_template(3),
-                                   2).coeffs == (1, 0, 0)
+        assert product_over_vector(RationalVector([0, 0]), 3, 2).coeffs == (1, 0, 0)
 
     @pytest.mark.parametrize("r, c", [(1, 1), (2, 2), (3, 6), (4, 6), (5, 30),
                                       (10, 210), (20, 9699690)])
     def test_t_scale_of_the_exponential_template(self, r, c):
         # c^j / j! is an integer for every j <= r, and c / p is not such a
         # scale for any prime p dividing c
-        ai = series_module._template_integers(taylor_template(r), r)
+        ai = series_module._template_integers(r, r)
         assert series_module._t_scale(ai) == c
         assert all(c ** j % factorial(j) == 0 for j in range(r + 1))
         primes = [p for p in range(2, r + 1) if all(p % q for q in range(2, p))]
@@ -240,47 +223,46 @@ class TestScalings:
         for p in primes:
             assert any((c // p) ** j % factorial(j) for j in range(r + 1))
 
-    @given(st.integers(1, 6), st.lists(st.fractions(0, Fraction(9, 10),
-                                                    max_denominator=30),
-                                       max_size=3))
-    def test_t_scale_makes_the_template_integral(self, r, extras):
-        tpl = padded_taylor_template(r, {r + 1 + j: a for j, a in enumerate(extras)})
-        c = series_module._t_scale(series_module._template_integers(tpl, tpl.degree))
-        assert all((a * c ** j).denominator == 1
-                   for j, a in enumerate(tpl.base_coeffs))
+    @given(st.integers(1, 20), st.integers(0, 24))
+    def test_t_scale_makes_the_template_integral(self, r, d):
+        # at every degree bound d, the template cut at min(r, d) over deg!
+        # and its t-scale c, with every c^j / j! an integer
+        ai = series_module._template_integers(r, d)
+        deg = min(r, d)
+        assert ai == [factorial(deg) // factorial(j) for j in range(deg + 1)]
+        c = series_module._t_scale(ai)
+        assert all(c ** j % factorial(j) == 0 for j in range(deg + 1))
 
 
 class TestCatalyst:
     def test_requires_unit_head(self):
-        with pytest.raises(ValueError):
-            Catalyst((Fraction(2), Fraction(1)))
+        for c in ([2, 1], [0, 1], ["1/2"]):
+            with pytest.raises(ValueError, match="a catalyst must start with entry 1"):
+                tensor(RationalVector([1, 2]), RationalVector(c))
 
     def test_trivial_catalyst_matches_plain_product(self):
         x = RationalVector([1, 2, 3])
-        tpl = taylor_template(2)
-        assert (product_over_vector(tensor(x, Catalyst((Fraction(1),))), tpl, 6)
-                == product_over_vector(x, tpl, 6))
+        assert (product_over_vector(tensor(x, RationalVector([1])), 2, 6)
+                == product_over_vector(x, 2, 6))
 
     def test_two_entry_catalyst(self):
         x = RationalVector([2])
-        c = Catalyst((Fraction(1), Fraction(1, 2)))
-        got = product_over_vector(tensor(x, c), taylor_template(1), 2)
+        c = RationalVector([1, Fraction(1, 2)])
+        got = product_over_vector(tensor(x, c), 1, 2)
         assert got == series(1, 3, 2)  # (1 + 2t)(1 + t)
 
     def test_doubled_vector(self):
         x = RationalVector([1, 2])
-        c = Catalyst((Fraction(1), Fraction(1)))
-        got = product_over_vector(tensor(x, c), taylor_template(1), 4)
+        got = product_over_vector(tensor(x, RationalVector([1, 1])), 1, 4)
         assert got == series(1, 6, 13, 12, 4)
 
     def test_tensor_examples(self):
         x = RationalVector([1, 2])
-        assert tensor(x, Catalyst((Fraction(1),))) == x
-        assert tensor(x, Catalyst((Fraction(1), Fraction(1, 2)))) == \
+        assert tensor(x, RationalVector([1])) == x
+        assert tensor(x, RationalVector([1, "1/2"])) == \
             RationalVector(["1", "1/2", "2", "1"])
         zero = RationalVector([0])
-        assert tensor(zero, Catalyst((Fraction(1), Fraction(3)))) == \
-            RationalVector([0, 0])
+        assert tensor(zero, RationalVector([1, 3])) == RationalVector([0, 0])
 
     @given(st.data(), st.integers(1, 2))
     def test_catalyst_equals_product_over_tensor(self, data, r):
@@ -289,12 +271,11 @@ class TestCatalyst:
         # keep it inside the oracle's budget
         x = data.draw(st.lists(entries, min_size=1, max_size=3))
         tail = data.draw(st.lists(entries, max_size=6 // len(x) - 1))
-        x, c = RationalVector(x), Catalyst(tuple([Fraction(1)] + tail))
-        tpl = taylor_template(r)
-        assert (product_over_vector(tensor(x, c), tpl).degree_bound
+        x, c = RationalVector(x), RationalVector([1] + tail)
+        assert (product_over_vector(tensor(x, c), r).degree_bound
                 == len(x) * len(c) * r)
         d = min(8, len(x) * len(c) * r)
-        got = product_over_vector(tensor(x, c), tpl, d)
+        got = product_over_vector(tensor(x, c), r, d)
         assert got.coeffs == tuple(oracle_value("F", tensor(x, c), k, r)
                                    for k in range(d + 1))
 
@@ -303,7 +284,7 @@ class TestCatalyst:
         # with the linear template, the per-entry factor for c_j is the series
         # of elementary values scaled by powers of c_j; the catalyst product is
         # their iterated Cauchy product, done here in plain Fraction lists
-        c = Catalyst(tuple([Fraction(1)] + tail))
+        c = RationalVector([1] + tail)
         d = len(x) * len(c)
         es = f_kr_all(x, 1)
         acc = [Fraction(1)] + [Fraction(0)] * d
@@ -312,8 +293,7 @@ class TestCatalyst:
                       for m in range(d + 1)]
             acc = [sum((acc[i] * factor[k - i] for i in range(k + 1)),
                        Fraction(0)) for k in range(d + 1)]
-        assert tuple(acc) == product_over_vector(tensor(x, c), taylor_template(1),
-                                                 d).coeffs
+        assert tuple(acc) == product_over_vector(tensor(x, c), 1, d).coeffs
 
 
 class TestProductTable:
@@ -349,8 +329,7 @@ class TestProductTable:
             tab.entry(0, 3)
         with pytest.raises(IndexError):
             tab.entry(4, 3)  # a zero row, but past k_max
-        plain = product_over_vector(RationalVector([1, 2]),
-                                    SeriesTemplate((1, 1)), 2)
+        plain = product_over_vector(RationalVector([1, 2]), 1, 2)
         assert plain.coeffs == (1, 3, 2)
 
     def test_shared_denominator(self):
@@ -370,17 +349,3 @@ class TestProductTable:
             subset_power_table(x, 2, 1, 2)
         assert subset_power_table(x, 2, 1, 6).rows[1] == (2, 5, 13)
 
-
-class TestPaddedTemplate:
-    def test_padding_extends_the_template(self):
-        tpl = padded_taylor_template(2, {3: Fraction(1, 2)})
-        assert tpl.degree == 3
-        assert tpl.base_coeffs[3] == Fraction(1, 12)  # (1/2) / 3!
-
-    def test_padding_must_stay_below_one(self):
-        with pytest.raises(ValueError):
-            padded_taylor_template(2, {3: 1})
-
-    def test_padding_below_order_rejected(self):
-        with pytest.raises(ValueError):
-            padded_taylor_template(2, {2: Fraction(1, 2)})
