@@ -73,8 +73,6 @@ __all__ = [
 def f_kr_all(x: RationalVector, r: int) -> list[Fraction]:
     """F_{0,r}..F_{nr,r}: the coefficient list of the order-r exponential-template
     product over the entries."""
-    if r < 1:
-        raise ValueError("need r >= 1")
     return list(product_over_vector(x, r).coeffs)
 
 

@@ -121,7 +121,7 @@ def product_over_vector(x: RationalVector, r: int,
     grows to the top degree reached so far.
     """
     if r < 1:
-        raise ValueError("template order must be >= 1")
+        raise ValueError("need r >= 1")
     t_degree = len(x) * r if degree_bound is None else degree_bound
     if t_degree < 0:
         raise ValueError("degree bound must be nonnegative")

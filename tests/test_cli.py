@@ -600,6 +600,13 @@ class TestErrorsAndDeterminism:
         code, _, err = run(capsys, "fkr", "--x", files["a.json"], "--r", "0")
         assert code == 2 and "error:" in err
 
+    def test_an_order_below_one_gets_one_message(self, capsys, files):
+        # both commands reach the product kernel's own check
+        for argv in (("fkr", "--x", files["a.json"], "--r", "0"),
+                     ("catalyst", "--x", files["x.json"], "--c", files["c.json"],
+                      "--r", "0")):
+            assert run(capsys, *argv) == (2, "", "error: need r >= 1\n")
+
     def test_reports_are_byte_identical_and_round_trip(self, capsys, files):
         _, out1, _ = run(capsys, "theorem2", "--x", files["a.json"], "--y",
                          files["b.json"], "--k-max", "5")

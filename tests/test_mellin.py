@@ -231,38 +231,39 @@ class TestPerNodeStop:
 
 
 # (which, r, p, a) -> identity_lhs (value, estimated_error, node_count) and
-# the normalizer's, as float.hex, from the one-quadrature-at-a-time driver
-# that the lockstep driver replaced: the four fixed end-of-interval requests
-# of the mellin-validate benchmark workload, a = 0, a = 1 and interior points.
-# The windows of the rows at p = 0.98 and 1.98 reach below the normal floats,
-# so their bits come from the log-space prefixes of the integrands.
+# the normalizer's, as float.hex, from the one-pass driver, whose windows are
+# sized from _lower_bound: the four fixed end-of-interval requests of the
+# mellin-validate benchmark workload, a = 0, a = 1 and interior points.  The
+# windows of the rows at p = 0.98 and 1.98 reach below the normal floats, so
+# their bits come from the log-space prefixes of the integrands.  Every row's
+# normalizer is within its error bar of the root-sum closed form.
 GOLDEN = [
-    ("id1", 1, 0.02, 2.5, "0x1.04bc12a189b9cp+0", "0x1.bff078a1e6f95p-32", 62784,
-     "0x1.38b4a981cea0fp+11", "0x1.0c9cd690e36b8p-21", 31392),
-    ("id2", 1, 1.02, 2.5, "0x1.45eb1749ec285p+1", "0x1.17f6324d8c618p-30", 50880,
-     "0x1.886a3e2063fc9p+5", "0x1.5114f8c7c0ea6p-27", 25152),
-    ("id1", 1, 0.98, 2.5, "0x1.3a306be38d9bap+1", "0x1.0de2fda048abbp-30", 50928,
-     "0x1.986e94410e26ap+5", "0x1.5ed7424b922aap-27", 25200),
-    ("id2", 1, 1.98, 2.5, "0x1.88bc86dc71027p+2", "0x1.515bcda9d656dp-29", 53136,
-     "0x1.944e6e8e624bep+4", "0x1.5b4bf93061404p-28", 26016),
-    ("id1", 2, 0.5, 0.0, "0x0.0p+0", "0x0.0p+0", 2256,
-     "0x1.3867a08fe2416p+3", "0x1.0c5aaa18f86a9p-29", 2256),
-    ("id2", 3, 2.2, 0.0, "0x0.0p+0", "0x0.0p+0", 912,
-     "0x1.fe5c6238d581ep-4", "0x1.b7261a6df138dp-36", 912),
-    ("id1", 2, 0.3, 1.0, "0x1.0000000000000p+0", "0x1.b7ce2a69d849dp-32", 5472,
-     "0x1.6afe25ccf2234p+4", "0x1.37cf13bc52a2cp-28", 2736),
-    ("id2", 2, 1.7, 1.0, "0x1.0000000000000p+0", "0x1.b7cdfc1eab4fbp-32", 2592,
-     "0x1.2eefff3dc093cp-1", "0x1.0438a79d69e4fp-33", 1296),
-    ("id1", 3, 0.45, 0.27, "0x1.1c0aef5b48a0bp-1", "0x1.e7fb72bf4578dp-33", 4512,
-     "0x1.d746d3078ee0cp+3", "0x1.94d2f4ebceb92p-29", 2256),
-    ("id1", 2, 0.81, 7.9, "0x1.556545f5d1d88p+2", "0x1.2541b6b8f26f4p-29", 6768,
-     "0x1.0c474ac34b4acp+3", "0x1.cce61e9c09be9p-30", 3312),
-    ("id2", 2, 2.4, 3.1, "0x1.e386257490fc9p+3", "0x1.9f59c5aa172dcp-28", 2784,
-     "0x1.7b25db2e3a4e8p-2", "0x1.45b0dee2dd608p-34", 1344),
-    ("id2", 3, 3.3, 0.52, "0x1.d9566b599b5e2p-4", "0x1.96a57928102b9p-35", 2160,
-     "0x1.222b97a461cb3p-4", "0x1.f292b8c55c81cp-37", 1104),
-    ("id2", 1, 1.5, 8.4, "0x1.85873891e2648p+4", "0x1.4e9a2fa36bd97p-27", 4368,
-     "0x1.0c152382ca9c4p+1", "0x1.cc8ff4d4d4240p-32", 2112),
+    ("id1", 1, 0.02, 2.5, "0x1.04bc12a189b9dp+0", "0x1.bff0789d1c9a4p-32", 32256,
+     "0x1.38b4a981cea0fp+11", "0x1.0c9cd68e07d80p-21", 16128),
+    ("id2", 1, 1.02, 2.5, "0x1.45eb1749ec288p+1", "0x1.14215cc41ab31p-30", 28416,
+     "0x1.886a3e2066145p+5", "0x1.4c77f3f2e2accp-27", 14208),
+    ("id1", 1, 0.98, 2.5, "0x1.3a306be38d9b9p+1", "0x1.0de2fdd4cc019p-30", 28416,
+     "0x1.986e94410e26ap+5", "0x1.5ed742af0f77cp-27", 14208),
+    ("id2", 1, 1.98, 2.5, "0x1.88bc86dc71027p+2", "0x1.4d6016e1fc47bp-29", 29760,
+     "0x1.944e6e8e62ee0p+4", "0x1.57324cfe91c03p-28", 14880),
+    ("id1", 2, 0.5, 0.0, "0x0.0p+0", "0x0.0p+0", 1296,
+     "0x1.3867a08fe44f9p+3", "0x1.e880297ac527fp-30", 1296),
+    ("id2", 3, 2.2, 0.0, "0x0.0p+0", "0x0.0p+0", 576,
+     "0x1.fe5c6238d5bf5p-4", "0x1.f08599041ec92p-37", 576),
+    ("id1", 2, 0.3, 1.0, "0x1.0000000000000p+0", "0x1.97a31f142ffefp-32", 3072,
+     "0x1.6afe25ccf5250p+4", "0x1.2100acfe28dd7p-28", 1536),
+    ("id2", 2, 1.7, 1.0, "0x1.0000000000000p+0", "0x1.d7cd4fdd62cc8p-33", 1536,
+     "0x1.2eefff3dc26dep-1", "0x1.172741a607851p-34", 768),
+    ("id1", 3, 0.45, 0.27, "0x1.1c0aef5b4894ep-1", "0x1.ac8f8d568d45ap-33", 2592,
+     "0x1.d746d30793397p+3", "0x1.638762e4e6f19p-29", 1296),
+    ("id1", 2, 0.81, 7.9, "0x1.556545f5d1d89p+2", "0x1.1357760b41797p-29", 3936,
+     "0x1.0c474ac34e271p+3", "0x1.b0be1a72811a2p-30", 1968),
+    ("id2", 2, 2.4, 3.1, "0x1.e386257490fcap+3", "0x1.5c081a8ecf074p-28", 1632,
+     "0x1.7b25db2e3ac4dp-2", "0x1.10e759bbd266fp-34", 816),
+    ("id2", 3, 3.3, 0.52, "0x1.d9566b599b5e2p-4", "0x1.785320113ad59p-35", 1344,
+     "0x1.222b97a461e34p-4", "0x1.cd65aca3da3a0p-37", 672),
+    ("id2", 1, 1.5, 8.4, "0x1.85873891e2647p+4", "0x1.798ef8eb9c47ep-28", 2592,
+     "0x1.0c152382d01a4p+1", "0x1.03d84ffcfd3c4p-32", 1296),
 ]
 
 
@@ -307,6 +308,56 @@ class TestIntervalEnds:
         assert got[0] == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
+def lower_bound_points(r):
+    """p inside 1e-3 of each end of both intervals, and four interior p."""
+    inner = (0.13, 0.37, 0.61, 0.89)
+    return ([("I", p) for p in (5e-4, 1e-3, *inner, 1 - 1e-3, 1 - 5e-4)]
+            + [("J", p) for p in (1 + 5e-4, 1 + 1e-3, *(1 + r * t for t in inner),
+                                  r + 1 - 1e-3, r + 1 - 5e-4)])
+
+
+class TestLowerBound:
+    @pytest.mark.parametrize("r", range(1, 11))
+    def test_below_the_root_sum_and_within_r_plus_one(self, r):
+        # below the kernel, so the windows sized from it are wide enough;
+        # within a factor r + 1, so they cannot balloon
+        for kind, p in lower_bound_points(r):
+            bound, closed = mellin._lower_bound(kind, r, p), root_sum_closed_form(kind, r, p)
+            assert 0 < bound <= closed <= (r + 1) * bound, (kind, p)
+
+    def test_order_one_i_is_the_closed_form_rounded_down(self):
+        for p in (1e-3, 0.25, 0.5, 0.999):
+            bound = mellin._lower_bound("I", 1, p)
+            assert bound < closed_form_I1(p)
+            assert bound == pytest.approx(closed_form_I1(p), rel=2e-9)
+
+
+def sweep_points():
+    """15 points per order r = 1..4: both ends of both intervals and three
+    interior p each, none of them an integer, where the root sum is
+    singular; the scale a cycles through 0.25..8."""
+    points = []
+    for r in range(1, 5):
+        points += [("I", r, p) for p in (0.001, 0.005, 0.02, 0.25, 0.5, 0.75,
+                                         0.98, 0.999)]
+        points += [("J", r, round(p, 3)) for p in (1.001, 1.02, 1 + 0.3 * r,
+                                                   1 + 0.55 * r, 1 + 0.8 * r,
+                                                   r + 0.98, r + 0.999)]
+    scales = (0.25, 0.5, 2.0, 3.0, 8.0)
+    return [(*point, scales[k % len(scales)]) for k, point in enumerate(points)]
+
+
+class TestErrorBars:
+    @pytest.mark.parametrize("kind, r, p, a", sweep_points())
+    def test_every_bar_holds(self, kind, r, p, a):
+        # the kernel at scales 1 and a against the root sum times 1 and a^p
+        closed = root_sum_closed_form(kind, r, p)
+        one, scaled = mellin._lockstep(kind, r, p, [1.0, a])
+        assert one.converged and scaled.converged
+        assert abs(one.value - closed) <= one.estimated_error
+        assert abs(scaled.value - a ** p * closed) <= scaled.estimated_error
+
+
 class TestLockstep:
     @pytest.mark.parametrize("row", GOLDEN, ids=lambda row: "-".join(map(str, row[:4])))
     def test_reproduces_the_golden_bits(self, row):
@@ -314,9 +365,9 @@ class TestLockstep:
         mellin._memo.cache_clear()
         lhs = identity_lhs(which, a, p, r)
         norm = (integral_I if which == "id1" else integral_J)(r, p)
-        if r == 1:  # the bits pinned are within their error bar
-            closed = closed_form_I1(p) if which == "id1" else closed_form_J1(p)
-            assert abs(norm.value - closed) <= norm.estimated_error
+        # the bits pinned are within their error bar
+        closed = root_sum_closed_form("I" if which == "id1" else "J", r, p)
+        assert abs(norm.value - closed) <= norm.estimated_error
         assert bits(lhs) + bits(norm) == row[4:]
 
     @settings(max_examples=30, deadline=None)
@@ -330,13 +381,15 @@ class TestLockstep:
         assert [bits(x) for x in both] == [bits(x) for x in alone]
 
     @pytest.mark.parametrize("which, p", [("id1", "0.37"), ("id2", "2.3")])
-    def test_an_interior_request_makes_two_integrand_calls(self, monkeypatch,
-                                                          capsys, which, p):
+    def test_an_interior_request_makes_one_integrand_call(self, monkeypatch,
+                                                         capsys, which, p):
+        # one pass, settled at round 1: rounds 0 and 1 of both scales in
+        # one call
         sizes = counted_integrands(monkeypatch)
         mellin._memo.cache_clear()
         code = cli_main(["mellin-validate", "--which", which, "--r", "2",
                          "--p", p, "--a", "3.1"])
-        assert code == 0 and len(sizes) == 2
+        assert code == 0 and len(sizes) == 1
         capsys.readouterr()
 
     def test_no_call_exceeds_one_block(self, monkeypatch):
@@ -358,8 +411,8 @@ class TestLockstep:
         mellin._memo.cache_clear()
         cli_main(["mellin-validate", "--which", "id1", "--r", "3",
                   "--p", "0.61", "--a", "0.4"])
-        # the rough pass and the fine pass, each over scales 1 and 0.4
-        assert passes == [(mellin._i_integrand, 3, 0.61, [0.0, math.log(0.4)])] * 2
+        # one pass over scales 1 and 0.4
+        assert passes == [(mellin._i_integrand, 3, 0.61, [0.0, math.log(0.4)])]
         capsys.readouterr()
 
 
@@ -566,6 +619,34 @@ class TestIdentities:
     def test_the_largest_target_in_range(self):
         # a^p = 3.2e307, near the top of the float range
         assert identity_check("id2", 1e205, 1.5, 2) < 1e-6
+
+    @pytest.mark.parametrize("a", [3.6e300, 3.7e300])
+    def test_transforms_beyond_the_float_range(self, a):
+        # a^p is 3.7e306 and 3.8e306, in range, and J(1, 1.02) = 49.05:
+        # at 3.6e300 only the quadrature leaves the float range, and at
+        # 3.7e300 the least value, a^p times _lower_bound = 48.38, does too
+        with pytest.raises(ValueError, match="beyond the float range"):
+            identity_lhs("id2", a, 1.02, 1)
+
+    def test_the_largest_transform_in_range(self):
+        # a^p J(1, 1.02) = 1.76e308, below the largest float 1.80e308
+        mellin._memo.cache_clear()
+        got = identity_lhs("id2", 3.5e300, 1.02, 1)
+        assert got.converged and identity_check("id2", 3.5e300, 1.02, 1) < 1e-12
+
+    def test_a_tiny_scale(self):
+        # a^p = 1e-150: the window tolerance 1e-10 a^p _lower_bound is a
+        # normal float, and the identity holds within its bar
+        mellin._memo.cache_clear()
+        got = identity_lhs("id1", 1e-300, 0.5, 2)
+        assert got.converged and abs(got.value - 1e-150) <= got.estimated_error
+
+    def test_a_tiny_transform_keeps_the_least_tolerance(self):
+        # a^p = 1e-450 underflows to 0, so the window tolerance is 1e-300,
+        # and the bar carries both tails of that size
+        (got,) = mellin._lockstep("J", 2, 1.5, [1e-300])
+        assert got.converged and got.value == 0.0
+        assert got.estimated_error >= 2e-300
 
     def test_which_validation(self):
         with pytest.raises(ValueError):

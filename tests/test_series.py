@@ -55,7 +55,7 @@ class TestProductOverVector:
     @pytest.mark.parametrize("r, d", [(0, None), (0, 3), (-1, None), (-1, -1)])
     def test_order_below_one_raises(self, r, d):
         # before the degree bound is checked
-        with pytest.raises(ValueError, match="template order must be >= 1"):
+        with pytest.raises(ValueError, match="need r >= 1"):
             product_over_vector(RationalVector([1, 2]), r, d)
 
     @given(small_vectors, st.randoms(use_true_random=False))
