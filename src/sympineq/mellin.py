@@ -9,15 +9,16 @@ stays below eps, 1e-10 of a proved closed-form lower bound on the kernel
 Gauss-Legendre rule is refined by panel doubling until two rounds agree to
 1e-10 of the value.  The error bar is the change under the last doubling
 plus 2 eps.  The truncation share 2 eps is proved; the doubling share is a
-heuristic.
+heuristic.  A window's rounds take at most ``_MAX_PANELS`` panels: too few
+within about 1e-4 of an interval end, where the result has not converged.
 
-Near the ends of the intervals the windows reach far below the normal
-floats, so the low-s prefix of each integrand is taken in log space: for I
-below s = tiny, where log P_r(s) = s to the last bit, and for J below the s
-where s^(r+1)/(r+1)!, the first term of the gap series, is subnormal.  The
-linear values there drop to 0 where the integrand decays only like
-e^((1-p)u) or e^((r+1-p)u), and panel doubling cannot converge across that
-step.  Every node above those thresholds takes the linear path.
+Each integrand value is exp(L - p u), L the log of its numerator (a
+numerator of 0 gives L = -inf and 0).  Near the interval ends the windows
+reach far below the normal floats, so the low-s prefix of L is taken in log
+space: for I below s = tiny, where log P_r(s) = s to the last bit, and for J
+where s^(r+1)/(r+1)!, the first term of the gap series, is subnormal.  A
+linear numerator would drop to 0 there, and panel doubling could not
+converge across that step.
 
 An identity check needs the same kernel at scales 1 and a, so one
 panel-doubling loop refines the windows of all its scales side by side, each
@@ -26,6 +27,8 @@ window's panels and rounds held in plain lists: one call answers rounds 0 and
 When a call's grids fit in one block of ``_BLOCK_PANELS`` panels, their nodes
 are joined, sorted by ``s_log = u + log a`` and given to one integrand call;
 larger rounds run block by block, one grid at a time, bounding temporaries.
+The ratio q = N / D of the kernels at scales a and 1 has the bar
+``(e_N + |q| e_D) / (D - e_D)``, proved when their bars are and e_D < D.
 
 No grouping changes a bit of the result.  Every integrand value depends on
 its node alone: the gap series of the J kernel, and the ratio series of its
@@ -57,6 +60,8 @@ __all__ = [
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _BLOCK_PANELS = 2048  # panels per integrand call: bounds the temporaries
+_MAX_PANELS = 2 ** 18  # panels per window per round: bounds the nodes
+_MAX_ROUNDS, _REL_TOL = 9, 1e-10  # of panel doubling
 _MEMO_SIZE = 512
 _LOG_TINY = math.log(np.finfo(float).tiny)  # below it exp(s_log) is subnormal
 
@@ -166,19 +171,6 @@ def _validate_r(r: int) -> None:
         raise ValueError("r must be an integer with 1 <= r <= 169")
 
 
-def _times_decay(val: np.ndarray, u: np.ndarray, p: float) -> np.ndarray:
-    # val * exp(-p u) in log space: extreme windows cannot overflow
-    pos = val > 0
-    if pos.all():
-        out = np.log(val)
-        out -= p * u
-        return np.exp(out, out=out)
-    out = np.zeros_like(val)
-    if pos.any():
-        out[pos] = np.exp(np.log(val[pos]) - p * u[pos])
-    return out
-
-
 def _log_gap_tail(s_log: np.ndarray, r: int) -> np.ndarray:
     """log of the gap ``s - log P_r(s)`` at s = exp(s_log) for nodes below
     _j_tail_top(r).  The gap is -log1p(-q) with q = e^-s rem, rem the
@@ -208,46 +200,44 @@ def _j_tail_top(r: int) -> float:
 def _i_integrand(u: np.ndarray, log_a: np.ndarray, p: float,
                  r: int) -> np.ndarray:
     """The I integrand at nodes u of scales e^log_a, one scale per node, in
-    ascending s_log = u + log_a.  Below s = tiny, where s itself is
-    subnormal, log P_r(s) = s to the last bit, so that prefix is taken in
-    log space."""
-    s_log = u + log_a
-    out = np.empty_like(u)
-    tail = int(np.searchsorted(s_log, _LOG_TINY))
-    np.exp(s_log[:tail] - p * u[:tail], out=out[:tail])
-    out[tail:] = _times_decay(_log_pr_from_logs(s_log[tail:], r), u[tail:], p)
-    return out
+    ascending s_log = u + log_a.  Below s = tiny, log P_r(s) = s to the last
+    bit, so L = log log P_r(s) is s_log there."""
+    logs = u + log_a  # s_log, overwritten by L past s = tiny
+    tail = int(np.searchsorted(logs, _LOG_TINY))
+    with np.errstate(divide="ignore"):
+        np.log(_log_pr_from_logs(logs[tail:], r), out=logs[tail:])
+    logs -= p * u
+    return np.exp(logs, out=logs)
 
 
 def _j_integrand(u: np.ndarray, log_a: np.ndarray, p: float,
                  r: int) -> np.ndarray:
     """The J integrand at nodes u of scales e^log_a, one scale per node, in
-    ascending s_log = u + log_a.  They split into a prefix in log space below
-    _j_tail_top(r), then the gap series up to s = _series_top(r), then a
-    suffix on the log form."""
+    ascending s_log = u + log_a.  L is the log-space gap below
+    _j_tail_top(r), then the log of the gap series up to s = _series_top(r);
+    past it L = log log P_r(s), and the value is s e^(-pu) - exp(L - p u)."""
     s_log = u + log_a
-    out = np.empty_like(u)
+    logs = np.empty_like(u)
     tail = int(np.searchsorted(s_log, _j_tail_top(r)))
     cut = int(np.searchsorted(s_log, math.log(_series_top(r)), side="right"))
     if tail:
-        np.exp(_log_gap_tail(s_log[:tail], r) - p * u[:tail], out=out[:tail])
-    if tail < cut:
-        gap = _delta_small(np.exp(s_log[tail:cut]), r)
-        out[tail:cut] = _times_decay(gap, u[tail:cut], p)
+        logs[:tail] = _log_gap_tail(s_log[:tail], r)
+    with np.errstate(divide="ignore"):  # a gap of 0 or -0.0: L = -inf, value 0
+        if tail < cut:
+            np.log(_delta_small(np.exp(s_log[tail:cut]), r), out=logs[tail:cut])
+        np.log(_log_pr_from_logs(s_log[cut:], r), out=logs[cut:])
+    logs -= p * u
+    out = np.exp(logs, out=logs)
     if cut < u.size:
-        ub = u[cut:]
-        # (s - log P_r(s)) e^{-pu} split into two separately-safe terms
-        linear = (1.0 - p) * ub
+        linear = (1.0 - p) * u[cut:]
         linear += log_a[cut:]
-        decayed = _times_decay(_log_pr_from_logs(s_log[cut:], r), ub, p)
-        np.subtract(np.exp(linear, out=linear), decayed, out=out[cut:])
+        np.subtract(np.exp(linear, out=linear), out[cut:], out=out[cut:])
     return out
 
 
 def _window(kind: str, r: int, p: float, a: float, eps: float) -> tuple[float, float]:
     """Truncation window [lo, hi] in u with both tail integrals below eps,
     from closed-form bounds on the integrands."""
-    eps = max(eps, 1e-300)
     log_a = math.log(a)
     if kind == "I":
         # upper: log P_r(s) <= r log s + log(r+1) for s >= 1
@@ -335,16 +325,21 @@ def _rule_sums(integrand, p: float, r: int, grids) -> list[float]:
     return sums
 
 
-def _doubling(integrand, p: float, r: int, windows, rel_tol: float,
-              max_rounds: int) -> list[tuple[float, float, int, bool]]:
+def _doubling(integrand, p: float, r: int,
+              windows) -> list[tuple[float, float, int, bool]]:
     """Composite 16-point Gauss-Legendre with panel doubling on each window
     (lo, hi, log_a), the windows side by side; the error estimate is the
     change under the last doubling.
 
     One rule-sum call answers rounds 0 and 1 of every window, because the
     stop test needs both; each later round is one call for the windows still
-    open.  Returns (value, err, nodes, converged) per window."""
-    panels = [max(8, math.ceil((hi - lo) / 4.0)) for lo, hi, _ in windows]
+    open.  Round 0 takes at most half of _MAX_PANELS; a window whose next
+    round would pass it stops unconverged, so converged panels are at most 4
+    wide, as sized.  Returns (value, err, nodes, converged) per window."""
+    widths = [(hi - lo) / 4.0 for lo, hi, _ in windows]
+    if not all(map(math.isfinite, widths)):
+        raise OverflowError("a quadrature window is beyond the float range")
+    panels = [min(max(8, math.ceil(w)), _MAX_PANELS // 2) for w in widths]
     sums = _rule_sums(integrand, p, r, [_panel_grid(*window, k * n) for window, n
                                         in zip(windows, panels) for k in (1, 2)])
     prev, value = sums[0::2], sums[1::2]
@@ -352,11 +347,12 @@ def _doubling(integrand, p: float, r: int, windows, rel_tol: float,
     panels = [2 * n for n in panels]
     results: list = [None] * len(windows)
     active = range(len(windows))
-    for rounds in range(2, max_rounds + 1):
+    for rounds in range(2, _MAX_ROUNDS + 1):
         for i in active:
             err = abs(value[i] - prev[i])
-            ok = err <= rel_tol * abs(value[i])
-            if ok or rounds == max_rounds:
+            capped = 2 * panels[i] > _MAX_PANELS
+            ok = err <= _REL_TOL * abs(value[i]) and not capped
+            if ok or capped or rounds == _MAX_ROUNDS:
                 results[i] = (value[i], err, nodes[i], ok)
         active = [i for i in active if results[i] is None]
         if not active:
@@ -399,8 +395,8 @@ def _lower_bound(kind: str, r: int, p: float) -> float:
     off 1e-9 of the terms it sums, and 1e-9 of itself, so it holds in floats
     too."""
     if kind == "I":
-        sin = math.sin(math.pi * min(p, 1.0 - p))
-        return r ** (1.0 - p) * math.pi / (p * sin) * (1.0 - 1e-9)
+        den = p * math.sin(math.pi * min(p, 1.0 - p))  # 0 past the float range
+        return r ** (1.0 - p) * math.pi / den * (1.0 - 1e-9) if den else math.inf
     best = math.exp(math.lgamma(r + 1.0 - p) - math.lgamma(r + 1.0)) / p
     for m in range(8):
         s = 2.0 ** m * (r + 1)
@@ -416,13 +412,12 @@ def _lockstep(kind: str, r: int, p: float,
     """The quadratures of one kernel at several scales, in one
     panel-doubling pass run side by side.  The kernel at scale a is a^p
     times the kernel at scale 1, so ``eps = 1e-10 a^p _lower_bound`` is at
-    most 1e-10 of the value at scale a, unless it is raised to 1e-300, the
-    least that _window takes.  By _window's closed-form tail bounds both
-    tails of each window stay below eps, so the truncation share 2 eps of
-    each error bar is proved.  The rest of the bar, the change under the
-    last doubling, held to 1e-10 of the value, is a heuristic.  A scale whose
-    target a^p or least value a^p _lower_bound leaves the float range raises
-    OverflowError."""
+    most 1e-10 of the value at scale a, unless this floors it at 1e-300.
+    By _window's closed-form tail bounds both tails of each window stay
+    below eps, so the truncation share 2 eps of each error bar is proved;
+    the rest, the change under the last doubling, is a heuristic.  A scale
+    whose target a^p or least value a^p _lower_bound leaves the float range
+    raises OverflowError."""
     integrand = _i_integrand if kind == "I" else _j_integrand
     bound = _lower_bound(kind, r, p)
     epss = []
@@ -432,7 +427,7 @@ def _lockstep(kind: str, r: int, p: float,
             raise OverflowError("the transform is beyond the float range")
         epss.append(max(1e-10 * least, 1e-300))
     results = _doubling(integrand, p, r, [(*_window(kind, r, p, a, eps), math.log(a))
-                                          for a, eps in zip(scales, epss)], 1e-10, 9)
+                                          for a, eps in zip(scales, epss)])
     return [QuadratureResult(value, err + 2.0 * eps, nodes, ok)
             for (value, err, nodes, ok), eps in zip(results, epss)]
 
@@ -480,32 +475,30 @@ def integral_J(r: int, p: float) -> QuadratureResult:
 
 
 def identity_lhs(which: str, a: float, p: float, r: int) -> QuadratureResult:
-    """The normalized scaled transform whose exact value is a^p: the kernel at
-    scale a divided by the kernel at scale 1.  The two quadratures run in
-    lockstep, and the result has converged when both have.  When a^p or the
-    kernel at scale a is beyond the float range, it raises ValueError."""
+    """The normalized scaled transform whose exact value is a^p: q = N / D,
+    the kernels at scales a and 1 run in lockstep, with the quotient bar.
+    It has converged when both have and e_D < D.  When a^p, or a kernel or
+    window it needs, is beyond the float range, it raises ValueError."""
     if which not in ("id1", "id2"):
         raise ValueError("which must be 'id1' or 'id2'")
     if not 0 <= a < math.inf:
         raise ValueError("need a finite a >= 0")
     kind = "I" if which == "id1" else "J"
     p = _checked_p(kind, r, p)
-    if a == 0:
-        (norm,) = _quadratures(kind, r, p, (1.0,))
-        return QuadratureResult(0.0, 0.0, norm.node_count, norm.converged)
     try:
         with np.errstate(over="ignore", invalid="ignore"):  # _doubling raises
-            a ** p  # the target: OverflowError beyond the float range
+            if a == 0:
+                (norm,) = _quadratures(kind, r, p, (1.0,))
+                return QuadratureResult(0.0, 0.0, norm.node_count, norm.converged)
             norm, num = _quadratures(kind, r, p, (1.0, float(a)))
     except OverflowError:
         raise ValueError(f"a^p or the transform at scale a is beyond the float "
                          f"range at a={a!r}, p={p!r}") from None
-    value = num.value / norm.value
-    rel = (num.estimated_error / max(abs(num.value), 1e-300)
-           + norm.estimated_error / max(abs(norm.value), 1e-300))
-    return QuadratureResult(value, abs(value) * rel,
-                            num.node_count + norm.node_count,
-                            num.converged and norm.converged)
+    q, margin = num.value / norm.value, norm.value - norm.estimated_error
+    bar = ((num.estimated_error + abs(q) * norm.estimated_error) / margin
+           if margin > 0 else math.inf)
+    return QuadratureResult(q, bar, num.node_count + norm.node_count,
+                            num.converged and norm.converged and margin > 0)
 
 
 def identity_check(which: str, a: float, p: float, r: int) -> float:

@@ -235,34 +235,35 @@ class TestPerNodeStop:
 # sized from _lower_bound: the four fixed end-of-interval requests of the
 # mellin-validate benchmark workload, a = 0, a = 1 and interior points.  The
 # windows of the rows at p = 0.98 and 1.98 reach below the normal floats, so
-# their bits come from the log-space prefixes of the integrands.  Every row's
-# normalizer is within its error bar of the root-sum closed form.
+# their bits come from the log-space prefixes of the integrands.  The lhs bar
+# is the quotient bar (e_N + |q| e_D) / (D - e_D).  Every row's normalizer is
+# within its error bar of the root-sum closed form.
 GOLDEN = [
-    ("id1", 1, 0.02, 2.5, "0x1.04bc12a189b9dp+0", "0x1.bff0789d1c9a4p-32", 32256,
+    ("id1", 1, 0.02, 2.5, "0x1.04bc12a189b9dp+0", "0x1.bff0789e9d615p-32", 32256,
      "0x1.38b4a981cea0fp+11", "0x1.0c9cd68e07d80p-21", 16128),
-    ("id2", 1, 1.02, 2.5, "0x1.45eb1749ec288p+1", "0x1.14215cc41ab31p-30", 28416,
+    ("id2", 1, 1.02, 2.5, "0x1.45eb1749ec288p+1", "0x1.14215cc504a5bp-30", 28416,
      "0x1.886a3e2066145p+5", "0x1.4c77f3f2e2accp-27", 14208),
-    ("id1", 1, 0.98, 2.5, "0x1.3a306be38d9b9p+1", "0x1.0de2fdd4cc019p-30", 28416,
+    ("id1", 1, 0.98, 2.5, "0x1.3a306be38d9b9p+1", "0x1.0de2fdd5b3d66p-30", 28416,
      "0x1.986e94410e26ap+5", "0x1.5ed742af0f77cp-27", 14208),
-    ("id2", 1, 1.98, 2.5, "0x1.88bc86dc71027p+2", "0x1.4d6016e1fc47bp-29", 29760,
+    ("id2", 1, 1.98, 2.5, "0x1.88bc86dc71027p+2", "0x1.4d6016e317444p-29", 29760,
      "0x1.944e6e8e62ee0p+4", "0x1.57324cfe91c03p-28", 14880),
     ("id1", 2, 0.5, 0.0, "0x0.0p+0", "0x0.0p+0", 1296,
      "0x1.3867a08fe44f9p+3", "0x1.e880297ac527fp-30", 1296),
     ("id2", 3, 2.2, 0.0, "0x0.0p+0", "0x0.0p+0", 576,
      "0x1.fe5c6238d5bf5p-4", "0x1.f08599041ec92p-37", 576),
-    ("id1", 2, 0.3, 1.0, "0x1.0000000000000p+0", "0x1.97a31f142ffefp-32", 3072,
+    ("id1", 2, 0.3, 1.0, "0x1.0000000000000p+0", "0x1.97a31f15748b0p-32", 3072,
      "0x1.6afe25ccf5250p+4", "0x1.2100acfe28dd7p-28", 1536),
-    ("id2", 2, 1.7, 1.0, "0x1.0000000000000p+0", "0x1.d7cd4fdd62cc8p-33", 1536,
+    ("id2", 2, 1.7, 1.0, "0x1.0000000000000p+0", "0x1.d7cd4fde3c2dcp-33", 1536,
      "0x1.2eefff3dc26dep-1", "0x1.172741a607851p-34", 768),
-    ("id1", 3, 0.45, 0.27, "0x1.1c0aef5b4894ep-1", "0x1.ac8f8d568d45ap-33", 2592,
+    ("id1", 3, 0.45, 0.27, "0x1.1c0aef5b4894ep-1", "0x1.ac8f8d57d0938p-33", 2592,
      "0x1.d746d30793397p+3", "0x1.638762e4e6f19p-29", 1296),
-    ("id1", 2, 0.81, 7.9, "0x1.556545f5d1d89p+2", "0x1.1357760b41797p-29", 3936,
+    ("id1", 2, 0.81, 7.9, "0x1.556545f5d1d89p+2", "0x1.1357760c1f8adp-29", 3936,
      "0x1.0c474ac34e271p+3", "0x1.b0be1a72811a2p-30", 1968),
-    ("id2", 2, 2.4, 3.1, "0x1.e386257490fcap+3", "0x1.5c081a8ecf074p-28", 1632,
+    ("id2", 2, 2.4, 3.1, "0x1.e386257490fcap+3", "0x1.5c081a8fc9890p-28", 1632,
      "0x1.7b25db2e3ac4dp-2", "0x1.10e759bbd266fp-34", 816),
-    ("id2", 3, 3.3, 0.52, "0x1.d9566b599b5e2p-4", "0x1.785320113ad59p-35", 1344,
+    ("id2", 3, 3.3, 0.52, "0x1.d9566b599b5e2p-4", "0x1.7853201266079p-35", 1344,
      "0x1.222b97a461e34p-4", "0x1.cd65aca3da3a0p-37", 672),
-    ("id2", 1, 1.5, 8.4, "0x1.85873891e2647p+4", "0x1.798ef8eb9c47ep-28", 2592,
+    ("id2", 1, 1.5, 8.4, "0x1.85873891e2647p+4", "0x1.798ef8ec53425p-28", 2592,
      "0x1.0c152382d01a4p+1", "0x1.03d84ffcfd3c4p-32", 1296),
 ]
 
@@ -306,6 +307,63 @@ class TestIntervalEnds:
             want = float(mp_gap_80(s, 169) * mp.exp(-p * mp.mpf(u)))
         assert 0.49 < s < 0.51 and want > 1e200
         assert got[0] == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def validate(*args):
+    """cli.main on a mellin-validate request with an empty memo, which it
+    leaves empty: the exit code."""
+    mellin._memo.cache_clear()
+    try:
+        return cli_main(["mellin-validate", *args])
+    finally:
+        mellin._memo.cache_clear()
+
+
+class TestNearTheEnds:
+    """p within 1e-15 of an interval end, or so close to 0 that the kernel
+    leaves the float range: no traceback, and no window past the budget."""
+
+    @pytest.mark.parametrize("a", ["2", "0"])
+    @pytest.mark.parametrize("p", ["1e-300", "1e-154"])
+    def test_a_kernel_beyond_the_float_range_is_an_input_error(self, capsys, a, p):
+        # I(1, 1e-300) is about 1e600: p sin(pi p) underflows to 0.  I(1,
+        # 1e-154) is about 1e308, and the upper end of its window overflows
+        assert validate("--which", "id1", "--r", "1", "--p", p, "--a", a) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == (f"error: a^p or the transform at scale a is "
+                                     f"beyond the float range at a={float(a)!r}, "
+                                     f"p={p}\n")
+
+    def test_a_window_beyond_the_float_range_says_so(self):
+        mellin._memo.cache_clear()
+        with pytest.raises(OverflowError, match="window is beyond the float range"):
+            integral_I(1, 1e-154)
+
+    @pytest.mark.parametrize("which, p", [("id1", "1e-20"),
+                                          ("id2", "1.000000000000001")])
+    def test_a_window_past_the_budget_is_unconverged(self, monkeypatch, capsys,
+                                                     which, p):
+        # windows of about 3e21 and 2e16 in u; a budget of 256 panels keeps
+        # this fast, and the full one gives the same exit
+        monkeypatch.setattr(mellin, "_MAX_PANELS", 256)
+        assert validate("--which", which, "--r", "1", "--p", p, "--a", "2") == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["converged"] is False and report["pass"] is False
+        assert report["normalizer"]["node_count"] == (128 + 256) * 16
+
+    def test_a_j_node_whose_gap_underflows(self):
+        # s = e^-2000: the gap s^2/2 and the value, about e^-1960, are far
+        # below the subnormals; the other two nodes take the gap series and
+        # the log form
+        got = mellin._j_integrand(np.array([-2000.0, 0.0, 10.0]), np.zeros(3),
+                                  1.02, 1)
+        assert got[0] == 0.0 and (got[1:] > 0).all()
+
+    def test_a_gap_of_zero_gives_zero(self, monkeypatch):
+        # its log is -inf, so exp(L - p u) is 0 for either sign of zero
+        monkeypatch.setattr(mellin, "_delta_small", lambda s, r: np.array([0.0, -0.0]))
+        got = mellin._j_integrand(np.array([-1.0, 0.0]), np.zeros(2), 1.5, 1)
+        assert got.tobytes() == np.zeros(2).tobytes()
 
 
 def lower_bound_points(r):
@@ -416,8 +474,8 @@ class TestLockstep:
         capsys.readouterr()
 
 
-def drive_doubling(monkeypatch, sums, max_rounds=9):
-    """Run one panel-doubling pass on [0, 40] on the given rule sums: the
+def drive_doubling(monkeypatch, sums, hi=40.0):
+    """Run one panel-doubling pass on [0, hi] on the given rule sums: the
     panel counts of the grids of each rule-sum call, and what the pass
     returns."""
     feed, asked = iter(sums), []
@@ -427,8 +485,7 @@ def drive_doubling(monkeypatch, sums, max_rounds=9):
         return [next(feed) for _ in grids]
 
     monkeypatch.setattr(mellin, "_rule_sums", fixed)
-    (result,) = mellin._doubling(mellin._i_integrand, 0.5, 1, [(0.0, 40.0, 0.0)],
-                                 1e-10, max_rounds)
+    (result,) = mellin._doubling(mellin._i_integrand, 0.5, 1, [(0.0, hi, 0.0)])
     return asked, result
 
 
@@ -460,8 +517,27 @@ class TestConverged:
             [[10, 20]], (3.0, 0.0, 480, True))
 
     def test_a_pass_that_runs_out_of_rounds(self, monkeypatch):
-        assert drive_doubling(monkeypatch, [1.0, 2.0, 3.0, 4.0], max_rounds=4) == (
+        monkeypatch.setattr(mellin, "_MAX_ROUNDS", 4)
+        assert drive_doubling(monkeypatch, [1.0, 2.0, 3.0, 4.0]) == (
             [[10, 20], [40], [80]], (4.0, 1.0, (10 + 20 + 40 + 80) * 16, False))
+
+    def test_a_pass_that_runs_out_of_panels(self, monkeypatch):
+        # 80 panels would pass the budget of 64, so the pass stops at 40
+        monkeypatch.setattr(mellin, "_MAX_PANELS", 64)
+        assert drive_doubling(monkeypatch, [1.0, 2.0, 3.0]) == (
+            [[10, 20], [40]], (3.0, 1.0, (10 + 20 + 40) * 16, False))
+
+    def test_round_zero_takes_half_the_budget(self, monkeypatch):
+        # a window of 1e6 asks for 250000 panels at round 0; rounds that
+        # agree at the budget leave panels wider than 4, so no convergence
+        monkeypatch.setattr(mellin, "_MAX_PANELS", 64)
+        assert drive_doubling(monkeypatch, [2.0, 2.0], hi=1e6) == (
+            [[32, 64]], (2.0, 0.0, (32 + 64) * 16, False))
+
+    def test_the_budget_is_a_power_of_two_past_the_longest_rounds(self):
+        # this suite's rounds of up to 75776 panels fit, with a round to spare
+        assert mellin._MAX_PANELS & (mellin._MAX_PANELS - 1) == 0
+        assert mellin._MAX_PANELS >= 2 * 75776
 
     @pytest.mark.parametrize("r, p", [(1, 1.98), (3, 3.98)])
     def test_normalizers_at_the_upper_end(self, r, p):
@@ -505,7 +581,6 @@ class TestConverged:
 def window_after_32_passes(r, p, a, eps):
     """The I window's upper end as ``_window`` computed it before it stopped
     at the fixed point: all 32 passes of the iteration, then the margin."""
-    eps = max(eps, 1e-300)
     log_a = math.log(a)
     alpha, beta = float(r), r * log_a + math.log(r + 1)
     hi = max(40.0, -log_a + 1.0)
@@ -640,6 +715,29 @@ class TestIdentities:
         mellin._memo.cache_clear()
         got = identity_lhs("id1", 1e-300, 0.5, 2)
         assert got.converged and abs(got.value - 1e-150) <= got.estimated_error
+
+    def test_a_tiny_scale_below_the_least_tolerance(self):
+        # a^p = 1e-306 and the kernel at scale a, 4.9e-305, are below the
+        # 1e-300 floor of the window tolerance, so the scaled quadrature
+        # resolves nothing; the quotient bar still covers the miss
+        mellin._memo.cache_clear()
+        got = identity_lhs("id2", 1e-300, 1.02, 1)
+        assert abs(got.value - 1e-300 ** 1.02) <= got.estimated_error
+
+    def test_a_normalizer_inside_its_bar_leaves_no_bound(self, monkeypatch):
+        # the bar of D reaches D, so the ratio has no bound
+        real = mellin._lockstep
+
+        def swallowed(kind, r, p, scales):
+            return [mellin.QuadratureResult(x.value, x.value if a == 1.0 else
+                                            x.estimated_error, x.node_count, True)
+                    for x, a in zip(real(kind, r, p, scales), scales)]
+
+        monkeypatch.setattr(mellin, "_lockstep", swallowed)
+        mellin._memo.cache_clear()
+        got = identity_lhs("id1", 2.0, 0.5, 2)
+        mellin._memo.cache_clear()
+        assert not got.converged and got.estimated_error == math.inf
 
     def test_a_tiny_transform_keeps_the_least_tolerance(self):
         # a^p = 1e-450 underflows to 0, so the window tolerance is 1e-300,
