@@ -33,8 +33,10 @@ The ratio q = N / D of the kernels at scales a and 1 has the bar
 No grouping changes a bit of the result.  Every integrand value depends on
 its node alone: the gap series of the J kernel, and the ratio series of its
 log-space prefix, stop at each node once that node has converged, not when
-the whole array has.  And each round is summed in one dot product of its own
-values with its own weights.
+the whole array has.  And each round is summed from its own values and
+weights alone, in dots of at most ``_DOT_BLOCK`` products added in order:
+OpenBLAS splits a longer dot across threads, and its bits would then depend
+on their number.
 
 This module is validation equipment: it exists to test the integral
 identities numerically and to catch transcription errors.  As the doubling
@@ -60,6 +62,7 @@ __all__ = [
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _BLOCK_PANELS = 2048  # panels per integrand call: bounds the temporaries
+_DOT_BLOCK = 8192  # products per dot: below OpenBLAS's threading threshold
 _MAX_PANELS = 2 ** 18  # panels per window per round: bounds the nodes
 _MAX_ROUNDS, _REL_TOL = 9, 1e-10  # of panel doubling
 _MEMO_SIZE = 512
@@ -296,7 +299,13 @@ def _node_values(integrand, p: float, r: int, grids) -> np.ndarray:
 
 
 def _weighted_sum(half: np.ndarray, vals: np.ndarray) -> float:
-    return float((half[:, None] * _GL_WEIGHTS[None, :]).ravel() @ vals)
+    """The rule sum, in dots of at most _DOT_BLOCK products added in order."""
+    weights = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
+    total = weights[:_DOT_BLOCK] @ vals[:_DOT_BLOCK]
+    for first in range(_DOT_BLOCK, weights.size, _DOT_BLOCK):
+        block = slice(first, first + _DOT_BLOCK)
+        total += weights[block] @ vals[block]
+    return float(total)
 
 
 def _blockwise_sum(integrand, p: float, r: int, mid: np.ndarray,
@@ -336,10 +345,8 @@ def _doubling(integrand, p: float, r: int,
     open.  Round 0 takes at most half of _MAX_PANELS; a window whose next
     round would pass it stops unconverged, so converged panels are at most 4
     wide, as sized.  Returns (value, err, nodes, converged) per window."""
-    widths = [(hi - lo) / 4.0 for lo, hi, _ in windows]
-    if not all(map(math.isfinite, widths)):
-        raise OverflowError("a quadrature window is beyond the float range")
-    panels = [min(max(8, math.ceil(w)), _MAX_PANELS // 2) for w in widths]
+    panels = [min(max(8, math.ceil((hi - lo) / 4.0)), _MAX_PANELS // 2)
+              for lo, hi, _ in windows]
     sums = _rule_sums(integrand, p, r, [_panel_grid(*window, k * n) for window, n
                                         in zip(windows, panels) for k in (1, 2)])
     prev, value = sums[0::2], sums[1::2]
@@ -364,8 +371,6 @@ def _doubling(integrand, p: float, r: int,
         for i, latest in zip(active, sums):
             prev[i], value[i] = value[i], latest
             nodes[i] += panels[i] * _GL_NODES.size
-    if not all(math.isfinite(v) and math.isfinite(e) for v, e, _, _ in results):
-        raise OverflowError("a quadrature is beyond the float range")
     return results
 
 
@@ -416,20 +421,40 @@ def _lockstep(kind: str, r: int, p: float,
     By _window's closed-form tail bounds both tails of each window stay
     below eps, so the truncation share 2 eps of each error bar is proved;
     the rest, the change under the last doubling, is a heuristic.  A scale
-    whose target a^p or least value a^p _lower_bound leaves the float range
-    raises OverflowError."""
+    whose target a^p, least value a^p _lower_bound, window or result leaves
+    the float range raises ValueError, the first such scale named."""
     integrand = _i_integrand if kind == "I" else _j_integrand
     bound = _lower_bound(kind, r, p)
-    epss = []
+    epss, windows = [], []
     for a in scales:
-        least = a ** p * bound
+        try:
+            least = a ** p * bound
+        except OverflowError:  # a^p
+            least = math.inf
         if least == math.inf:
-            raise OverflowError("the transform is beyond the float range")
+            raise _beyond(a, p)
         epss.append(max(1e-10 * least, 1e-300))
-    results = _doubling(integrand, p, r, [(*_window(kind, r, p, a, eps), math.log(a))
-                                          for a, eps in zip(scales, epss)])
+        lo, hi = _window(kind, r, p, a, epss[-1])
+        if not math.isfinite(hi - lo):
+            raise _beyond(a, p)
+        windows.append((lo, hi, math.log(a)))
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        results = _doubling(integrand, p, r, windows)
+    for a, (value, err, _, _) in zip(scales, results):
+        if not (math.isfinite(value) and math.isfinite(err)):
+            raise _beyond(a, p)
     return [QuadratureResult(value, err + 2.0 * eps, nodes, ok)
             for (value, err, nodes, ok), eps in zip(results, epss)]
+
+
+def _beyond(a: float, p: float) -> ValueError:
+    """The error for the kernel at scale a: at scale 1 the transform itself,
+    at any other scale the identity's target a^p or the scaled kernel."""
+    if a == 1.0:
+        return ValueError(f"the transform at scale 1 or its window is beyond "
+                          f"the float range at p={p!r}")
+    return ValueError(f"a^p or the transform at scale a is beyond the float "
+                      f"range at a={a!r}, p={p!r}")
 
 
 @functools.cache
@@ -478,22 +503,18 @@ def identity_lhs(which: str, a: float, p: float, r: int) -> QuadratureResult:
     """The normalized scaled transform whose exact value is a^p: q = N / D,
     the kernels at scales a and 1 run in lockstep, with the quotient bar.
     It has converged when both have and e_D < D.  When a^p, or a kernel or
-    window it needs, is beyond the float range, it raises ValueError."""
+    window it needs, is beyond the float range, it raises ValueError naming
+    the scale."""
     if which not in ("id1", "id2"):
         raise ValueError("which must be 'id1' or 'id2'")
     if not 0 <= a < math.inf:
         raise ValueError("need a finite a >= 0")
     kind = "I" if which == "id1" else "J"
     p = _checked_p(kind, r, p)
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):  # _doubling raises
-            if a == 0:
-                (norm,) = _quadratures(kind, r, p, (1.0,))
-                return QuadratureResult(0.0, 0.0, norm.node_count, norm.converged)
-            norm, num = _quadratures(kind, r, p, (1.0, float(a)))
-    except OverflowError:
-        raise ValueError(f"a^p or the transform at scale a is beyond the float "
-                         f"range at a={a!r}, p={p!r}") from None
+    if a == 0:
+        (norm,) = _quadratures(kind, r, p, (1.0,))
+        return QuadratureResult(0.0, 0.0, norm.node_count, norm.converged)
+    norm, num = _quadratures(kind, r, p, (1.0, float(a)))
     q, margin = num.value / norm.value, norm.value - norm.estimated_error
     bar = ((num.estimated_error + abs(q) * norm.estimated_error) / margin
            if margin > 0 else math.inf)

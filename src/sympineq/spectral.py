@@ -4,16 +4,18 @@ det(sum_j A^j t^j / j!) read from them through the power sums of the
 spectrum.
 
 Every spectral quantity is reached through the integer coefficients of
-det(I + tA), so integer inputs give exact rational outputs.  The eigenvalues
-themselves, which only the float lp-mean grids use, are the correctly
-rounded roots of the same integer characteristic polynomial.
+det(I + tA), so integer inputs give exact rational outputs.  They come by
+Newton's identities from the power sums tr A^k, k <= n, read off the powers
+A^2..A^ceil(n/2).  The eigenvalues themselves, which only the float lp-mean
+grids use, are the correctly rounded roots of the same integer
+characteristic polynomial.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, chain
 from operator import add, mul
 from typing import Iterable, Sequence
 
@@ -55,30 +57,31 @@ def _require_square(m: IntMatrix) -> int:
 def gram(q: Iterable[Sequence[int]]) -> IntMatrix:
     """The exact integer Gram product Q Q^T (symmetric, PSD)."""
     qm = as_int_matrix(q)
-    return tuple(tuple(sum(a * b for a, b in zip(r1, r2)) for r2 in qm)
-                 for r1 in qm)
+    return tuple(tuple(sum(map(mul, r1, r2)) for r2 in qm) for r1 in qm)
 
 
 def _mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:
     cols = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
+    return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
 
 def _elementary(am: IntMatrix) -> list[int]:
-    # Faddeev-LeVerrier: w carries A M_k, where M_1 = I and
-    # M_{k+1} = A M_k + c_k I; c_k = -tr(A M_k) / k is the integer coefficient
-    # of the characteristic polynomial, so the division is exact
+    # the power sums p_k = tr A^k = tr(A^(k//2) A^(k - k//2)), each the
+    # entrywise dot of A^(k//2) with the transpose of A^(k - k//2), so only
+    # A^2..A^ceil(n/2) are formed; then Newton's identities
+    # k e_k = sum_{i=1}^k (-1)^(i-1) e_{k-i} p_i, whose division is exact
     n = len(am)
-    coeffs = [1]
-    w = [list(row) for row in am]
+    powers = [[[int(i == j) for j in range(n)] for i in range(n)], am]
+    for _ in range(2, (n + 1) // 2 + 1):
+        powers.append(_mat_mul(powers[-1], am))
+    rows = [list(chain.from_iterable(m)) for m in powers]
+    cols = [list(chain.from_iterable(zip(*m))) for m in powers]
+    signed = [(-1) ** (k - 1) * sum(map(mul, rows[k // 2], cols[k - k // 2]))
+              for k in range(1, n + 1)]
+    e = [1]
     for k in range(1, n + 1):
-        ck = -sum(w[i][i] for i in range(n)) // k
-        coeffs.append(ck if k % 2 == 0 else -ck)  # e_k = (-1)^k c_k
-        if k < n:
-            for i in range(n):
-                w[i][i] += ck
-            w = _mat_mul(am, w)
-    return coeffs
+        e.append(sum(map(mul, signed[:k], reversed(e))) // k)
+    return e
 
 
 def _power_sums(e: Sequence[int], top: int) -> list[int]:
@@ -90,9 +93,7 @@ def _power_sums(e: Sequence[int], top: int) -> list[int]:
     p = [n]
     for m in range(1, top + 1):
         acc = m * signed[m - 1] if m <= n else 0
-        for i in range(1, min(m - 1, n) + 1):
-            acc += signed[i - 1] * p[m - i]
-        p.append(acc)
+        p.append(acc + sum(map(mul, signed[:m - 1], reversed(p))))
     return p
 
 
@@ -138,8 +139,8 @@ class SpectralSummary:
 
 def spectral_summary(a: Iterable[Sequence[int]], rs: Sequence[int] = (1,),
                      assume_psd: bool = False) -> SpectralSummary:
-    """The coefficients of det(I + tA), by the Faddeev-LeVerrier recurrence
-    in exact integer arithmetic, and for each order r in rs those of
+    """The coefficients of det(I + tA), from the traces of A^k by Newton's
+    identities in exact integer arithmetic, and for each order r in rs those of
     ``det(sum_{j<=r} A^j t^j / j!)`` up to degree n*r.
 
     Coefficient k of det(I + tA) is the k-th elementary symmetric function
@@ -155,7 +156,7 @@ def spectral_summary(a: Iterable[Sequence[int]], rs: Sequence[int] = (1,),
 
     The characteristic coefficients and the power sums up to degree
     n * max(rs) are computed once and shared by every order, so asking for
-    several orders costs one Faddeev-LeVerrier run.  With ``assume_psd``
+    several orders costs ceil(n/2) - 1 matrix products.  With ``assume_psd``
     (e.g. for Gram products) negative determinant coefficients are rejected
     as a bug instead of returned.
     """

@@ -462,6 +462,7 @@ class TestSpectral:
 
 
 BEYOND = "a^p or the transform at scale a is beyond the float range at "
+BEYOND_1 = "the transform at scale 1 or its window is beyond the float range at "
 
 
 class TestMellinValidate:
@@ -504,7 +505,9 @@ class TestMellinValidate:
         ("id2 --r 2 --p 1.5 --a 1e205", None),
         ("id2 --r 2 --p 2.9 --a 1e110", BEYOND + "a=1e+110, p=2.9"),
         ("id2 --r 2 --p 1.5 --a 1e206", BEYOND + "a=1e+206, p=1.5"),
-        ("id2 --r 2 --p 1.5 --a 1e300", BEYOND + "a=1e+300, p=1.5")])
+        ("id2 --r 2 --p 1.5 --a 1e300", BEYOND + "a=1e+300, p=1.5"),
+        # at a = 0 only the kernel at scale 1 runs, and a^p is 0
+        ("id1 --r 1 --p 1e-300 --a 0", BEYOND_1 + "p=1e-300")])
     def test_float_range_bounds(self, capsys, argv, message):
         code, out, err = run(capsys, "mellin-validate", "--which", *argv.split())
         if message is None:

@@ -7,6 +7,7 @@ import pytest
 from sympineq.families import f_kr_all
 from sympineq.oracles import f_from_matrix_oracle
 from sympineq.series import product_over_vector
+from sympineq import spectral
 from sympineq.spectral import as_int_matrix, gram, spectral_summary
 from sympineq.vectors import RationalVector
 
@@ -58,6 +59,71 @@ class TestDetIPlusT:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
             spectral_summary(((1, 2, 3), (4, 5, 6)))
+
+
+def faddeev_leverrier(a):
+    """The coefficients e_0..e_n of det(I + tA) by the Faddeev-LeVerrier
+    recurrence, the reference for spectral._elementary: w carries A M_k,
+    where M_1 = I and M_{k+1} = A M_k + c_k I; c_k = -tr(A M_k) / k is the
+    integer coefficient of the characteristic polynomial, so the division is
+    exact, and e_k = (-1)^k c_k."""
+    n = len(a)
+    coeffs = [1]
+    w = [list(row) for row in a]
+    for k in range(1, n + 1):
+        ck = -sum(w[i][i] for i in range(n)) // k
+        coeffs.append(ck if k % 2 == 0 else -ck)
+        if k < n:
+            for i in range(n):
+                w[i][i] += ck
+            w = [[sum(x * y for x, y in zip(row, col)) for col in zip(*w)]
+                 for row in a]
+    return coeffs
+
+
+def reference_matrix(kind, n, rnd):
+    """An n x n integer matrix of the given kind."""
+    if kind in ("gram", "singular"):  # from n = 2 a singular one has rank < n
+        width = rnd.randint(n, n + 2) if kind == "gram" else max(1, n - 1)
+        return gram([[rnd.randint(-3, 3) for _ in range(width)] for _ in range(n)])
+    if kind == "indefinite":  # symmetric with a zero diagonal: trace 0
+        a = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                a[i][j] = a[j][i] = rnd.randint(-3, 3)
+        return a
+    if kind == "zero":
+        return [[0] * n for _ in range(n)]
+    return [[rnd.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+
+
+class TestCharacteristicPolynomial:
+    """spectral._elementary, from the traces of half the matrix powers,
+    against the Faddeev-LeVerrier recurrence, exactly."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 11, 16, 23, 30])
+    @pytest.mark.parametrize("kind", ["gram", "non-symmetric", "indefinite",
+                                      "singular", "zero"])
+    def test_agrees_with_faddeev_leverrier(self, kind, n):
+        rnd = random.Random(n * 31 + len(kind))
+        a = reference_matrix(kind, n, rnd)
+        assert spectral._elementary(a) == faddeev_leverrier(a)
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_half_the_matrix_powers(self, monkeypatch, n):
+        # A^2..A^ceil(n/2): ceil(n/2) - 1 products per characteristic
+        # polynomial, however many orders are asked
+        calls = []
+        mat_mul = spectral._mat_mul
+
+        def counting(a, b):
+            calls.append(len(a))
+            return mat_mul(a, b)
+
+        monkeypatch.setattr(spectral, "_mat_mul", counting)
+        rnd = random.Random(n)
+        spectral_summary(reference_matrix("non-symmetric", n, rnd), (1, 2, 3))
+        assert calls == [n] * ((n + 1) // 2 - 1)
 
 
 class TestFFromMatrix:
