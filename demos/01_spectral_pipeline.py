@@ -26,7 +26,7 @@ print("Y = R R^T rows:", *Y, sep="\n  ")
 # The coefficients of det(I + tA) are the elementary symmetric values of the
 # spectrum, so no eigenvalue ever needs to be extracted numerically.  The
 # higher-order family tables come from det(sum_j A^j t^j / j!), every order
-# from the one characteristic polynomial.
+# from the same traces tr A^k.
 SX = spectral_summary(X, (1, 2, 3), assume_psd=True)
 SY = spectral_summary(Y, (1, 2, 3), assume_psd=True)
 print("\ndet(I + tX) coefficients:", list(SX.e_coeffs))

@@ -1,14 +1,15 @@
 """Exact matrix pipeline: Gram products, the characteristic coefficients
 det(I + tA), and the truncated-exponential determinants
-det(sum_j A^j t^j / j!) read from them through the power sums of the
-spectrum.
+det(sum_j A^j t^j / j!), all from the power sums of the spectrum.
 
-Every spectral quantity is reached through the integer coefficients of
-det(I + tA), so integer inputs give exact rational outputs.  They come by
-Newton's identities from the power sums tr A^k, k <= n, read off the powers
-A^2..A^ceil(n/2).  The eigenvalues themselves, which only the float lp-mean
-grids use, are the correctly rounded roots of the same integer
-characteristic polynomial.
+The route is traces -> one exp step -> Cayley-Hamilton extension.  The
+power sums tr A^k, k <= n, are read off the powers A^2..A^ceil(n/2); the
+exp step turns them into the integer coefficients of det(I + tA), the
+order-1 table; the recurrence of the characteristic polynomial extends the
+power sums past n, and the same exp step gives every higher order.  So
+integer inputs give exact rational outputs.  The eigenvalues themselves,
+which only the float lp-mean grids use, are the correctly rounded roots of
+the same integer characteristic polynomial.
 """
 
 from __future__ import annotations
@@ -65,36 +66,17 @@ def _mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[lis
     return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
 
-def _elementary(am: IntMatrix) -> list[int]:
-    # the power sums p_k = tr A^k = tr(A^(k//2) A^(k - k//2)), each the
-    # entrywise dot of A^(k//2) with the transpose of A^(k - k//2), so only
-    # A^2..A^ceil(n/2) are formed; then Newton's identities
-    # k e_k = sum_{i=1}^k (-1)^(i-1) e_{k-i} p_i, whose division is exact
+def _traces(am: IntMatrix) -> list[int]:
+    # the power sums p_k = tr A^k, k = 0..n, each tr(A^(k//2) A^(k - k//2)):
+    # the entrywise dot of A^(k//2) with the transpose of A^(k - k//2), so
+    # only A^2..A^ceil(n/2) are formed
     n = len(am)
     powers = [[[int(i == j) for j in range(n)] for i in range(n)], am]
     for _ in range(2, (n + 1) // 2 + 1):
         powers.append(_mat_mul(powers[-1], am))
     rows = [list(chain.from_iterable(m)) for m in powers]
     cols = [list(chain.from_iterable(zip(*m))) for m in powers]
-    signed = [(-1) ** (k - 1) * sum(map(mul, rows[k // 2], cols[k - k // 2]))
-              for k in range(1, n + 1)]
-    e = [1]
-    for k in range(1, n + 1):
-        e.append(sum(map(mul, signed[:k], reversed(e))) // k)
-    return e
-
-
-def _power_sums(e: Sequence[int], top: int) -> list[int]:
-    # Newton's identities:
-    # p_m = sum_{i=1}^{m-1} (-1)^{i-1} e_i p_{m-i} + (-1)^{m-1} m e_m,
-    # with e_i = 0 past n
-    n = len(e) - 1
-    signed = [(-1) ** (i - 1) * e[i] for i in range(1, n + 1)]
-    p = [n]
-    for m in range(1, top + 1):
-        acc = m * signed[m - 1] if m <= n else 0
-        p.append(acc + sum(map(mul, signed[:m - 1], reversed(p))))
-    return p
+    return [sum(map(mul, rows[k // 2], cols[k - k // 2])) for k in range(n + 1)]
 
 
 def _f_table(p: Sequence[int], r: int, deg: int) -> tuple[Fraction, ...]:
@@ -139,35 +121,42 @@ class SpectralSummary:
 
 def spectral_summary(a: Iterable[Sequence[int]], rs: Sequence[int] = (1,),
                      assume_psd: bool = False) -> SpectralSummary:
-    """The coefficients of det(I + tA), from the traces of A^k by Newton's
-    identities in exact integer arithmetic, and for each order r in rs those of
-    ``det(sum_{j<=r} A^j t^j / j!)`` up to degree n*r.
+    """The coefficients of det(I + tA) and, for each order r in rs, those of
+    ``det(sum_{j<=r} A^j t^j / j!)`` up to degree n*r, in exact integer
+    arithmetic: traces -> one exp step -> Cayley-Hamilton extension.
 
-    Coefficient k of det(I + tA) is the k-th elementary symmetric function
-    of the spectrum of A.  Triangularizing A over C shows that the order-r
-    determinant is ``F(t) = prod_i g(lambda_i t)`` over the eigenvalues, with
+    Triangularizing A over C shows that the order-r determinant is
+    ``F(t) = prod_i g(lambda_i t)`` over the eigenvalues, with
     ``g(s) = sum_{j<=r} s^j / j!``, for every square A.  So
-    ``log F(t) = sum_m kappa_m p_m t^m / m!``, where p_m are the power sums
-    of the spectrum (Newton's identities from det(I + tA)) and kappa_m the
-    cumulants of g; the integers ``G_k = k! F_k`` follow from
-    ``G_k = sum_j C(k-1, j-1) kappa_j p_j G_{k-j}``.  With the spectrum
-    nonnegative, coefficient k is the order-r family value F_{k,r} of the
-    eigenvalues.
+    ``log F(t) = sum_m kappa_m p_m t^m / m!``, where p_m = tr A^m are the
+    power sums of the spectrum and kappa_m the cumulants of g; the integers
+    ``G_k = k! F_k`` follow from ``G_k = sum_j C(k-1, j-1) kappa_j p_j
+    G_{k-j}``.  At r = 1, g = 1 + s and F(t) = det(I + tA), whose
+    coefficient k is the k-th elementary symmetric function e_k of the
+    spectrum, and the recurrence is Newton's identities.  With the spectrum
+    nonnegative, coefficient k of the order-r table is the family value
+    F_{k,r} of the eigenvalues.
 
-    The characteristic coefficients and the power sums up to degree
-    n * max(rs) are computed once and shared by every order, so asking for
-    several orders costs ceil(n/2) - 1 matrix products.  With ``assume_psd``
-    (e.g. for Gram products) negative determinant coefficients are rejected
-    as a bug instead of returned.
+    The traces give p_0..p_n; the order-1 step gives e (``e_coeffs``, which
+    is also ``f_coeffs[1]``); the Cayley-Hamilton recurrence
+    ``p_m = sum_{i=1}^n (-1)^(i-1) e_i p_{m-i}`` gives the power sums up to
+    degree n * max(rs), shared by every order.  So asking for several orders
+    costs ceil(n/2) - 1 matrix products and one exp step per distinct order.
+    With ``assume_psd`` (e.g. for Gram products) negative determinant
+    coefficients are rejected as a bug instead of returned.
     """
     am = as_int_matrix(a)
     n = _require_square(am)
     if any(r < 1 for r in rs):
         raise ValueError("need r >= 1")
-    e = _elementary(am)
+    p = _traces(am)
+    e = _f_table(p, 1, n)
     if assume_psd and any(c < 0 for c in e):
         raise ValueError("negative spectral coefficient on a PSD matrix; "
                          "this indicates a bug in the input or the pipeline")
-    p = _power_sums(e, n * max(rs, default=0))
-    return SpectralSummary(e_coeffs=tuple(Fraction(c) for c in e),
-                           f_coeffs={r: _f_table(p, r, n * r) for r in rs})
+    # Cayley-Hamilton, for m > n
+    signed = [(-1) ** i * c.numerator for i, c in enumerate(e[1:])]
+    for m in range(n + 1, n * max(rs, default=1) + 1):
+        p.append(sum(map(mul, signed, reversed(p[m - n:]))))
+    return SpectralSummary(e_coeffs=e, f_coeffs={
+        r: e if r == 1 else _f_table(p, r, n * r) for r in dict.fromkeys(rs)})

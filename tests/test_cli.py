@@ -208,6 +208,17 @@ class TestTheorem1:
         assert code == 0 and report["certified_r"] == 2
         assert len(lp_mean_calls) == 4 * grid_points
 
+    def test_default_grids(self, capsys, files):
+        # without --grid-points: 101 points on [0, 1] and on [1, r + 1]
+        code, report, _ = run_json(capsys, "theorem1", "--x", files["a.json"],
+                                   "--y", files["b.json"], "--r", "2")
+        grids = report["conclusions"]
+        assert code == 0
+        assert [pt["p"] for pt in grids["low_grid"]] == \
+            [i / 100 for i in range(101)]
+        assert [pt["p"] for pt in grids["high_grid"]] == \
+            [1 + 2 * i / 100 for i in range(101)]
+
     def test_entries_whose_powers_overflow(self, capsys, tmp_path):
         # 1e200 ** p overflows a float for p > 1.54 on the high grid
         (tmp_path / "x.json").write_text('["1e200", "3e199", "1"]')
@@ -333,13 +344,13 @@ class TestTheorem1:
     def test_one_characteristic_polynomial_per_matrix(self, capsys, files,
                                                       monkeypatch):
         calls = []
-        elementary = spectral._elementary
+        traces = spectral._traces
 
         def counting(am):
             calls.append(len(am))
-            return elementary(am)
+            return traces(am)
 
-        monkeypatch.setattr(spectral, "_elementary", counting)
+        monkeypatch.setattr(spectral, "_traces", counting)
         code, _, _ = run(capsys, "theorem1", "--qx", files["q.json"], "--qy",
                          files["r.json"], "--r-max", "3")
         assert code == 1 and len(calls) == 2
@@ -351,10 +362,11 @@ class TestTheorem1:
     def test_gram_pair_checks_its_spectral_coefficients(self, capsys, files,
                                                          monkeypatch):
         # a Gram product is PSD, so a negative det(I + tA) coefficient is a
-        # fault; the theorem1 route checks it as spectral --q does
-        elementary = spectral._elementary
-        monkeypatch.setattr(spectral, "_elementary",
-                            lambda am: elementary(am)[:-1] + [-1])
+        # fault; the theorem1 route checks it as spectral --q does.  A trace
+        # p_1 = -1 gives e_1 = -1
+        traces = spectral._traces
+        monkeypatch.setattr(spectral, "_traces",
+                            lambda am: [len(am), -1, *traces(am)[2:]])
         for argv in (("theorem1", "--qx", files["q.json"], "--qy",
                       files["r.json"], "--r", "2"),
                      ("spectral", "--q", files["q.json"])):

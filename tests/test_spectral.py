@@ -63,7 +63,7 @@ class TestDetIPlusT:
 
 def faddeev_leverrier(a):
     """The coefficients e_0..e_n of det(I + tA) by the Faddeev-LeVerrier
-    recurrence, the reference for spectral._elementary: w carries A M_k,
+    recurrence, the reference for spectral_summary's e_coeffs: w carries A M_k,
     where M_1 = I and M_{k+1} = A M_k + c_k I; c_k = -tr(A M_k) / k is the
     integer coefficient of the characteristic polynomial, so the division is
     exact, and e_k = (-1)^k c_k."""
@@ -98,8 +98,9 @@ def reference_matrix(kind, n, rnd):
 
 
 class TestCharacteristicPolynomial:
-    """spectral._elementary, from the traces of half the matrix powers,
-    against the Faddeev-LeVerrier recurrence, exactly."""
+    """spectral_summary's e_coeffs, from the traces of half the matrix powers
+    through the order-1 exp step, against the Faddeev-LeVerrier recurrence,
+    exactly."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 11, 16, 23, 30])
     @pytest.mark.parametrize("kind", ["gram", "non-symmetric", "indefinite",
@@ -107,7 +108,7 @@ class TestCharacteristicPolynomial:
     def test_agrees_with_faddeev_leverrier(self, kind, n):
         rnd = random.Random(n * 31 + len(kind))
         a = reference_matrix(kind, n, rnd)
-        assert spectral._elementary(a) == faddeev_leverrier(a)
+        assert list(spectral_summary(a).e_coeffs) == faddeev_leverrier(a)
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_half_the_matrix_powers(self, monkeypatch, n):
@@ -124,6 +125,26 @@ class TestCharacteristicPolynomial:
         rnd = random.Random(n)
         spectral_summary(reference_matrix("non-symmetric", n, rnd), (1, 2, 3))
         assert calls == [n] * ((n + 1) // 2 - 1)
+
+    @pytest.mark.parametrize("rs, orders", [((1,), [1]), ((1, 2, 3), [1, 2, 3]),
+                                            ((2, 3), [1, 2, 3]),
+                                            ((3, 1, 3, 2), [1, 3, 2]), ((), [1])])
+    def test_one_exp_step_per_distinct_order(self, monkeypatch, rs, orders):
+        # order 1 is det(I + tA) itself, run once for e_coeffs and shared
+        calls = []
+        f_table = spectral._f_table
+
+        def counting(p, r, deg):
+            calls.append(r)
+            return f_table(p, r, deg)
+
+        monkeypatch.setattr(spectral, "_f_table", counting)
+        a = reference_matrix("non-symmetric", 5, random.Random(3))
+        summary = spectral_summary(a, rs)
+        assert calls == orders
+        assert list(summary.f_coeffs) == list(dict.fromkeys(rs))
+        if 1 in rs:
+            assert summary.f_coeffs[1] is summary.e_coeffs
 
 
 class TestFFromMatrix:

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from sympineq import theorem1
 from sympineq.families import f_kr_all
 from sympineq.majorize import t_transform_pair
 from sympineq.spectral import gram, spectral_summary
@@ -143,6 +144,19 @@ class TestConclusions:
         # callers with an exact side channel can force the high grid on
         rep = verify_conclusions(vec(2, 1), vec(2, 1), 1, sums_equal=True)
         assert rep.high_all_pass is True
+
+    @pytest.mark.parametrize("excess, ok", [(2 ** -20, True), (2 ** -19, False)],
+                             ids=["at-tol", "past-tol"])
+    def test_a_margin_of_minus_tol_passes(self, monkeypatch, excess, ok):
+        # x's mean exceeds y's by exactly tol on the low grid (all three
+        # values are exact in binary): the point passes; by 2 tol it fails
+        x, y = vec(1), vec(1)
+        monkeypatch.setattr(theorem1, "lp_mean",
+                            lambda v, p: 1 + excess if v is x else 1.0)
+        rep = verify_conclusions(x, y, 1, grid_points=3, tol=2 ** -20)
+        assert [pt.margin for pt in rep.low_grid] == [-excess] * 3
+        assert [pt.ok for pt in rep.low_grid] == [ok] * 3
+        assert rep.high_all_pass
 
     def test_small_soundness_sweep(self, rng):
         # pairs that pass the hypotheses with equal sums may not violate the
