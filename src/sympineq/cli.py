@@ -324,8 +324,8 @@ def cmd_majorize(args: argparse.Namespace) -> tuple[int, dict[str, Any]]:
              "x_partial": str(verdict.first_violation[1]),
              "y_partial": str(verdict.first_violation[2])}
             if verdict.first_violation else None),
-        "x_partial_sums": list(map(str, partial_sums_desc(x))),
-        "y_partial_sums": list(map(str, partial_sums_desc(y))),
+        "x_partial_sums": list(map(str, verdict.x_partial_sums)),
+        "y_partial_sums": list(map(str, verdict.y_partial_sums)),
     }
     if args.psi_grid:
         rows = psi_compare(x, y, [parse_exponent(v) for v in args.psi_grid])

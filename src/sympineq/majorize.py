@@ -28,26 +28,28 @@ __all__ = [
 
 @dataclass(frozen=True)
 class MajorizationVerdict:
-    """Outcome of an exact majorization comparison."""
+    """Outcome of an exact majorization comparison, with the descending
+    partial sums of both vectors it was read from."""
 
     holds: bool
     sum_equal: bool
     first_violation: Optional[tuple[int, Fraction, Fraction]]
+    x_partial_sums: tuple[Fraction, ...]
+    y_partial_sums: tuple[Fraction, ...]
 
 
 def majorizes(x: RationalVector, y: RationalVector) -> MajorizationVerdict:
-    """Exact partial-sum dominance of x over y, with total-sum equality."""
+    """Exact partial-sum dominance of x over y, with total-sum equality read
+    off the last partial sums: each vector is summed once."""
     if len(x) != len(y):
         raise ValueError("vectors must have equal length")
-    sum_equal = x.total() == y.total()
     px, py = partial_sums_desc(x), partial_sums_desc(y)
-    first = None
-    for k in range(len(x) - 1):
-        if px[k] < py[k]:
-            first = (k + 1, px[k], py[k])
-            break
+    sum_equal = px[-1] == py[-1]
+    first = next(((k + 1, a, b) for k, (a, b) in enumerate(zip(px[:-1], py))
+                  if a < b), None)
     return MajorizationVerdict(holds=sum_equal and first is None,
-                               sum_equal=sum_equal, first_violation=first)
+                               sum_equal=sum_equal, first_violation=first,
+                               x_partial_sums=px, y_partial_sums=py)
 
 
 @dataclass(frozen=True)
@@ -86,20 +88,21 @@ class Theorem2Report:
 def theorem2_scan(x: RationalVector, y: RationalVector, k_max: int) -> Theorem2Report:
     """Scan majorization against the G and M family inequalities.
 
-    Requires exactly equal totals; with unequal totals the characterization
-    does not apply and a not-applicable report is returned.  Every cell is
-    read from one subset-power table per vector, built once; cells are walked
-    in (r, k) order and the first violation per family is recorded.
+    Requires exactly equal totals, read off the majorization verdict; with
+    unequal totals the characterization does not apply and a not-applicable
+    report, with no verdict, is returned.  Every cell is read from one
+    subset-power table per vector, built once; cells are walked in (r, k)
+    order and the first violation per family is recorded.
     """
     if len(x) != len(y):
         raise ValueError("vectors must have equal length")
     if k_max < 1:
         raise ValueError("need k_max >= 1")
-    if x.total() != y.total():
+    verdict = majorizes(x, y)
+    if not verdict.sum_equal:
         return Theorem2Report(sums_equal=False, k_max=k_max, majorization=None,
                               distinct_var_violation=None,
                               subset_power_violation=None, cells_checked=0)
-    verdict = majorizes(x, y)
     n = len(x)
     # over one denominator L every cell of both vectors shares its
     # denominator, k! L^k for G and L^k for M, so cells compare as ints; with
@@ -139,9 +142,9 @@ def psi_value(s: float, lam: float) -> float:
 
 
 def psi_sum(x: RationalVector, lam: Union[int, float, Fraction]) -> float:
-    """Sum of the concave test function over the entries, in floats."""
+    """Sum of the concave test function over the vector's cached floats."""
     lamf = float(lam)
-    return math.fsum(psi_value(float(e), lamf) for e in x.entries)
+    return math.fsum(psi_value(s, lamf) for s in x.to_floats())
 
 
 @dataclass(frozen=True)

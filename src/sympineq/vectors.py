@@ -13,7 +13,7 @@ import json
 import math
 import sys
 from fractions import Fraction
-from itertools import repeat
+from itertools import accumulate, repeat
 from typing import Iterable, Iterator, Union
 
 RationalLike = Union[Fraction, int, float, str]
@@ -161,9 +161,4 @@ def lp_mean(x: RationalVector, p: Union[int, float, Fraction]) -> float:
 
 def partial_sums_desc(x: RationalVector) -> tuple[Fraction, ...]:
     """Exact sums of the k largest entries, k = 1..n."""
-    sums = []
-    acc = Fraction(0)
-    for e in x.sorted_desc():
-        acc += e
-        sums.append(acc)
-    return tuple(sums)
+    return tuple(accumulate(x.sorted_desc()))

@@ -1,11 +1,15 @@
-"""Report pins for the matrix route: a fixed list of CLI requests, each
-served in process through ``cli.main``, and the sha256 of its exit code,
-stdout and stderr.
+"""Report pins for the matrix route and the vector commands: a fixed list of
+CLI requests, each served in process through ``cli.main``, and the sha256 of
+its exit code, stdout and stderr.
 
-The inputs come from a seeded ``random.Random``: ``spectral --q`` on integer
-factors, ``spectral --matrix`` on non-symmetric, indefinite, singular and
-zero square matrices, and ``theorem1 --qx/--qy --r-max 3``, for n = 1..12,
-with the orders asked varied from request to request.
+The matrix requests come from one seeded ``random.Random``: ``spectral --q``
+on integer factors, ``spectral --matrix`` on non-symmetric, indefinite,
+singular and zero square matrices, and ``theorem1 --qx/--qy --r-max 3``, for
+n = 1..12, with the orders asked varied from request to request.  The vector
+requests come from a second one, appended after them: ``majorize`` with a
+psi grid and ``theorem2`` for n = 1..8 in both orientations, with equal and
+unequal sums; ``norms``, ``fkr``, ``catalyst`` with and without ``--y``, and
+``theorem1 --x/--y``, some of them as ``--format text``.
 ``tests/test_report_pins.py`` replays the list under pytest; this script
 serves it without pytest:
 
@@ -26,6 +30,7 @@ import os
 import random
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 from sympineq.cli import main
@@ -60,6 +65,10 @@ def _square(kind: str, n: int, rnd: random.Random) -> list:
 
 def requests() -> list[tuple[str, dict[str, list], list[str]]]:
     """(name, input files by name, argv) for every pinned request."""
+    return matrix_requests() + vector_requests()
+
+
+def matrix_requests() -> list[tuple[str, dict[str, list], list[str]]]:
     rnd = random.Random(20261020)
     out = []
     for n in range(1, 13):
@@ -91,6 +100,106 @@ def requests() -> list[tuple[str, dict[str, list], list[str]]]:
                  "--r-max", "3"]))
     out.append(("spectral-non-square", {"a.json": [[1, 2, 3], [4, 5, 6]]},
                 ["spectral", "--matrix", "a.json"]))
+    return out
+
+
+PSI_GRID = ("--psi-grid", "0.5", "--psi-grid", "2", "--psi-grid", "inf")
+
+
+def _vector(rnd: random.Random, n: int) -> list[Fraction]:
+    return [Fraction(rnd.randint(0, 40), rnd.randint(1, 6)) for _ in range(n)]
+
+
+def _robin_hood(rnd: random.Random, x: list[Fraction]) -> list[Fraction]:
+    """x after one to three transfers, each of part of the gap between two
+    entries, from the larger to the smaller: a vector that x majorizes."""
+    y = list(x)
+    for _ in range(rnd.randint(1, 3) if len(y) > 1 else 0):
+        i, j = rnd.sample(range(len(y)), 2)
+        if y[i] < y[j]:
+            i, j = j, i
+        delta = (y[i] - y[j]) * Fraction(rnd.randint(1, 7), 16)
+        y[i] -= delta
+        y[j] += delta
+    return y
+
+
+def _text(v: list[Fraction]) -> list:
+    # integers as JSON numbers, the rest as exact quotient strings
+    return [int(e) if e.denominator == 1 else str(e) for e in v]
+
+
+def vector_requests() -> list[tuple[str, dict[str, list], list[str]]]:
+    rnd = random.Random(20261021)
+    out = []
+
+    def pair(name, x, y, command, *options):
+        out.append((name, {"x.json": _text(x), "y.json": _text(y)},
+                    [*command, "--x", "x.json", "--y", "y.json", *options]))
+
+    for n in (1, 2, 3, 5, 8):
+        x = _vector(rnd, n)
+        y = _robin_hood(rnd, x)
+        z = list(y)
+        z[rnd.randrange(n)] += Fraction(1, rnd.randint(1, 6))  # unequal sums
+        for tag, a, b in (("forward", x, y), ("reverse", y, x),
+                          ("unequal", x, z), ("unequal-reverse", z, x)):
+            pair(f"majorize-{tag}-n{n}", a, b, ["majorize"], *PSI_GRID)
+    for n in range(1, 9):
+        x = _vector(rnd, n)
+        y = _robin_hood(rnd, x)
+        pair(f"theorem2-forward-n{n}", x, y,
+             ["theorem2"], "--k-max", str(n))
+        pair(f"theorem2-reverse-n{n}", y, x,
+             ["theorem2"], "--k-max", str(9 - n))
+    x = _vector(rnd, 4)
+    y = _robin_hood(rnd, x)
+    y[0] += 1
+    pair("theorem2-unequal-n4", x, y, ["theorem2"], "--k-max", "8")
+    x = [Fraction(rnd.randint(1, 23), 4) for _ in range(21)]
+    pair("theorem2-n21", x, _robin_hood(rnd, x),
+         ["theorem2"], "--k-max", "8")
+    x = _vector(rnd, 6)
+    out.append(("norms-default", {"x.json": _text(x)},
+                ["norms", "--x", "x.json"]))
+    out.append(("norms-p", {"x.json": _text(x)},
+                ["norms", "--x", "x.json", "--p", "-inf", "--p", "-1.5",
+                 "--p", "0", "--p", "3", "--p", "inf"]))
+    for r in (1, 2, 3):
+        x = _vector(rnd, 2 + r)
+        out.append((f"fkr-r{r}", {"x.json": _text(x)},
+                    ["fkr", "--x", "x.json", "--r", str(r)]))
+        out.append((f"fkr-r{r}-k", {"x.json": _text(x)},
+                    ["fkr", "--x", "x.json", "--r", str(r),
+                     "--k", str(rnd.randint(0, (2 + r) * r))]))
+    for r in (1, 2):
+        x, c = _vector(rnd, 3), [1, *_vector(rnd, 2)]
+        y = _robin_hood(rnd, x)
+        files = {"x.json": _text(x), "y.json": _text(y), "c.json": _text(c)}
+        out.append((f"catalyst-r{r}", files,
+                    ["catalyst", "--x", "x.json", "--c", "c.json",
+                     "--r", str(r)]))
+        out.append((f"catalyst-y-r{r}", files,
+                    ["catalyst", "--x", "x.json", "--c", "c.json",
+                     "--y", "y.json", "--r", str(r)]))
+        out.append((f"catalyst-y-reverse-r{r}", files,
+                    ["catalyst", "--x", "y.json", "--c", "c.json",
+                     "--y", "x.json", "--r", str(r), "--degree", "4"]))
+    for n in (3, 5):
+        x = _vector(rnd, n)
+        y = _robin_hood(rnd, x)
+        pair(f"theorem1-r2-n{n}", x, y, ["theorem1"], "--r", "2")
+        pair(f"theorem1-r-max-n{n}", x, y, ["theorem1"], "--r-max", "3")
+        pair(f"theorem1-reverse-n{n}", y, x, ["theorem1"], "--r", "1")
+    x = _vector(rnd, 4)
+    y = _robin_hood(rnd, x)
+    pair("text-theorem1-r-max", x, y,
+         ["--format", "text", "theorem1"], "--r-max", "3")
+    pair("text-theorem1-reverse", y, x,
+         ["--format", "text", "theorem1"], "--r", "1")
+    pair("text-theorem2", x, y, ["--format", "text", "theorem2"], "--k-max", "5")
+    pair("text-theorem2-reverse", y, x,
+         ["--format", "text", "theorem2"], "--k-max", "5")
     return out
 
 

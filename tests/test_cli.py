@@ -615,6 +615,35 @@ class TestErrorsAndDeterminism:
         code, _, err = run(capsys, "fkr", "--x", files["a.json"], "--r", "0")
         assert code == 2 and "error:" in err
 
+    @pytest.mark.parametrize("inputs, argv, message", [
+        ({}, ("fkr", "--x", "y.json", "--r", "1", "--k", "99"),
+         "k=99 outside 0..3"),
+        ({}, ("theorem1", "--qx", "q.json", "--r", "1"),
+         "matrix mode needs both --qx and --qy"),
+        ({"two.json": "[[1, 2], [3, 4]]", "three.json": "[[1], [2], [3]]"},
+         ("theorem1", "--qx", "two.json", "--qy", "three.json", "--r", "1"),
+         "factor matrices must have equal row counts"),
+        ({}, ("theorem2", "--x", "a.json", "--y", "b.json", "--k-max", "0"),
+         "need k_max >= 1"),
+        ({}, ("spectral", "--q", "q.json", "--r", "0"), "need r >= 1"),
+        ({}, ("catalyst", "--x", "x.json", "--c", "c.json", "--degree", "-1"),
+         "degree bound must be nonnegative"),
+        ({"empty.json": "[]"}, ("spectral", "--matrix", "empty.json"),
+         "empty.json: matrix must be nonempty"),
+        ({"bool.json": "[true, 1]"}, ("norms", "--x", "bool.json"),
+         "bool.json: booleans are not rational scalars"),
+        ({"dict.json": "[{}, 1]"}, ("norms", "--x", "dict.json"),
+         "dict.json: cannot interpret {} as an exact rational")],
+        ids=["fkr-k", "theorem1-qx-alone", "theorem1-row-counts",
+             "theorem2-k-max", "spectral-r", "catalyst-degree",
+             "spectral-empty", "vector-bool", "vector-dict"])
+    def test_input_errors_exit_2(self, capsys, files, tmp_path, monkeypatch,
+                                 inputs, argv, message):
+        monkeypatch.chdir(tmp_path)  # where files wrote its inputs
+        for name, text in inputs.items():
+            (tmp_path / name).write_text(text)
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
     def test_an_order_below_one_gets_one_message(self, capsys, files):
         # both commands reach the product kernel's own check
         for argv in (("fkr", "--x", files["a.json"], "--r", "0"),

@@ -338,3 +338,14 @@ class TestLargeN:
                 assert f_kr_all(x, r)[k] <= f_kr_all(y, r)[k]
                 assert g_kr(x, k, r) <= g_kr(y, k, r)
                 assert m_kr(x, k, r) >= m_kr(y, k, r)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: gbar_kr(vec(1, 2), -1, 1), "need k >= 0 and r >= 1"),
+    (lambda: gbar_kr(vec(1, 2), 2, 0), "need k >= 0 and r >= 1"),
+    (lambda: m_kr(vec(1, 2), 0, 1), "need k, r >= 1"),
+    (lambda: m_kr(vec(1, 2), 1, 0), "need k, r >= 1")],
+    ids=["gbar-k", "gbar-r", "m-k", "m-r"])
+def test_degree_and_order_checks(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from sympineq import majorize
 from sympineq.families import m_cell
 from sympineq.majorize import (majorizes, psi_compare, psi_sum, psi_value,
                                t_transform_pair, theorem2_scan)
@@ -38,6 +39,14 @@ class TestMajorizes:
         assert not verdict.holds
         assert verdict.sum_equal
         assert verdict.first_violation == (2, Fraction(59, 10), Fraction(6))
+
+    def test_verdict_carries_both_partial_sums(self, rng):
+        for _ in range(20):
+            x, y = t_transform_pair(rng, rng.randint(1, 6))
+            for a, b in ((x, y), (y, x)):
+                verdict = majorizes(a, b)
+                assert verdict.x_partial_sums == partial_sums_desc(a)
+                assert verdict.y_partial_sums == partial_sums_desc(b)
 
     def test_unequal_sums(self):
         verdict = majorizes(vec(2, 1), vec(1, 1))
@@ -112,6 +121,25 @@ class TestTheorem2Scan:
         assert not rep.sums_equal
         assert rep.majorization is None
         assert rep.cells_checked == 0
+
+    @pytest.mark.parametrize("y", [vec(2, 2), vec(2, 1)],
+                             ids=["equal-sums", "unequal-sums"])
+    def test_one_pass_of_partial_sums_per_vector(self, monkeypatch, y):
+        # the totals are read off the verdict's partial sums
+        calls = []
+
+        def counting(v):
+            calls.append(v)
+            return partial_sums_desc(v)
+
+        def total(self):
+            raise AssertionError("theorem2_scan summed a vector again")
+
+        monkeypatch.setattr(majorize, "partial_sums_desc", counting)
+        monkeypatch.setattr(RationalVector, "total", total)
+        x = vec(3, 1)
+        theorem2_scan(x, y, 4)
+        assert calls == [x, y]
 
     def test_majorization_implies_family_directions(self, rng):
         for _ in range(50):
@@ -252,6 +280,18 @@ class TestPsi:
         with pytest.raises(ValueError):
             psi_value(1.0, math.nan)
 
+    def test_entries_are_the_cached_floats(self, monkeypatch):
+        x = vec("1/3", 7, "22/7")
+        reads, seen = [], []
+        cached = RationalVector.to_floats
+        monkeypatch.setattr(RationalVector, "to_floats",
+                            lambda v: reads.append(v) or cached(v))
+        monkeypatch.setattr(majorize, "psi_value",
+                            lambda s, lam: seen.append(s) or s)
+        psi_compare(x, x, [0.5, 2])
+        assert reads == [x] * 4
+        assert seen == 4 * [1 / 3, 7.0, 22 / 7]
+
     def test_concave_nondecreasing(self):
         lam = 1.5
         grid = [0.05 * i for i in range(1, 200)]
@@ -287,3 +327,14 @@ class TestTTransformPairs:
         for _ in range(100):
             x, y = t_transform_pair(rng, rng.randint(1, 5))
             assert majorizes(x, y).holds
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: psi_value(-1.0, 1.0), r"psi is defined on \[0, inf\)"),
+    (lambda: psi_compare(vec(1), vec(1, 2), [1.0]),
+     "vectors must have equal length"),
+    (lambda: t_transform_pair(random.Random(0), 0), "need n >= 1")],
+    ids=["psi-negative", "psi-lengths", "t-transform-n"])
+def test_library_input_errors(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -479,6 +479,34 @@ class TestLockstep:
         assert passes == [(mellin._i_integrand, 3, 0.61, [0.0, math.log(0.4)])]
         capsys.readouterr()
 
+    def test_the_memo_keeps_the_newest_results(self, monkeypatch):
+        calls = []
+        inner = mellin._lockstep
+
+        def counted(kind, r, p, scales):
+            calls.append(p)
+            return inner(kind, r, p, scales)
+
+        monkeypatch.setattr(mellin, "_lockstep", counted)
+        monkeypatch.setattr(mellin, "_MEMO_SIZE", 2)
+        mellin._memo.cache_clear()
+        try:
+            for p in (0.3, 0.4, 0.5):
+                integral_I(1, p)
+            assert list(mellin._memo()) == [("I", 1, 0.4, 1.0), ("I", 1, 0.5, 1.0)]
+            integral_I(1, 0.5)  # the newest: held
+            assert calls == [0.3, 0.4, 0.5]
+            integral_I(1, 0.3)  # evicted: run again, once
+            assert calls == [0.3, 0.4, 0.5, 0.3]
+            assert list(mellin._memo()) == [("I", 1, 0.5, 1.0), ("I", 1, 0.3, 1.0)]
+        finally:
+            mellin._memo.cache_clear()
+
+
+def test_a_negative_error_estimate_raises():
+    with pytest.raises(ValueError, match="error estimate cannot be negative"):
+        mellin.QuadratureResult(1.0, -1.0, 16, True)
+
 
 def drive_doubling(monkeypatch, sums, hi=40.0):
     """Run one panel-doubling pass on [0, hi] on the given rule sums: the

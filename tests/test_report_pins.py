@@ -1,6 +1,7 @@
-"""The report bytes of the matrix route, pinned: every request of
-``report_pins.requests()`` served through ``cli.main`` gives the sha256 of
-exit code, stdout and stderr in ``tests/golden/report_pins.txt``."""
+"""The report bytes of the matrix route and the vector commands, pinned:
+every request of ``report_pins.requests()`` served through ``cli.main``
+gives the sha256 of exit code, stdout and stderr in
+``tests/golden/report_pins.txt``."""
 
 import pytest
 

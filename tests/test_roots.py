@@ -75,6 +75,16 @@ class TestCorrectRounding:
         monkeypatch.setattr(roots, "_walk", lambda q, high: None)
         assert rounded_roots(q) == walked
 
+    def test_the_remaining_spectra_without_the_walk(self, monkeypatch,
+                                                    matrix_x, matrix_y):
+        # the stall path on the characteristic polynomials that the test
+        # above, which takes every fifth Gram product, leaves out
+        rest = [m for i, (_, m) in enumerate(GRAMS) if i % 5]
+        polys = [char_poly(a) for a in rest + [matrix_x, matrix_y]]
+        walked = [rounded_roots(q) for q in polys]
+        monkeypatch.setattr(roots, "_walk", lambda q, high: None)
+        assert [rounded_roots(q) for q in polys] == walked
+
     def test_spectral_summary_eigenvalues(self, matrix_x, matrix_y):
         for a in (matrix_x, matrix_y):
             assert (spectral_summary(a).eigenvalues()
@@ -130,6 +140,17 @@ class TestHandBuilt:
         assert values[:5 - rank] == (0.0,) * (5 - rank)
         assert min(values[5 - rank:]) > 0
         assert values == reference_roots(char_poly(a))
+
+    def test_a_stalled_walk_hands_over_to_the_counts(self):
+        # two roots 1e-12 relative apart: the walk gives up on them, and the
+        # count-only bisection finds every root; -q takes the sign flip in
+        # the Laguerre-Samuelson bound
+        t = 10 ** 12
+        q = from_factors([-t, 1], [-t - 1, 1], [-3, 1])
+        for poly in (q, [-c for c in q]):
+            assert roots._walk(poly, roots._bounds(poly)[1]) is None
+            assert rounded_roots(poly) == (3.0, 1e12, 1e12 + 1)
+            assert rounded_roots(poly) == reference_roots(poly)
 
     def test_roots_far_from_1(self):
         # the walk's float sums overflow here; the counts take over

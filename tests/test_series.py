@@ -349,3 +349,8 @@ class TestProductTable:
             subset_power_table(x, 2, 1, 2)
         assert subset_power_table(x, 2, 1, 6).rows[1] == (2, 5, 13)
 
+    @pytest.mark.parametrize("k_max, r_max", [(-1, 1), (1, -1)])
+    def test_negative_degree_bounds_raise(self, k_max, r_max):
+        with pytest.raises(ValueError, match="degree bounds must be nonnegative"):
+            subset_power_table(RationalVector([1, 2]), k_max, r_max)
+

@@ -233,3 +233,17 @@ class TestGridSpectrum:
         disc = math.sqrt(e[1] ** 2 - 4 * e[2])
         assert values[2:] == pytest.approx(((e[1] - disc) / 2, (e[1] + disc) / 2),
                                            rel=1e-15)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: check_hypotheses_coeffs([Fraction(1)], [Fraction(1)], 0, 0),
+     "need r >= 1"),
+    (lambda: verify_conclusions(vec(1), vec(1, 2), 1),
+     "vectors must have equal length"),
+    (lambda: verify_conclusions(vec(1), vec(1), 0), "need r >= 1"),
+    (lambda: full_report([], vec(1), vec(1)),
+     "need at least one template order")],
+    ids=["coeffs-r", "conclusions-lengths", "conclusions-r", "no-orders"])
+def test_library_input_errors(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

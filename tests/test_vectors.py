@@ -251,3 +251,8 @@ class TestPartialSums:
         assert sums == partial_sums_desc(RationalVector(shuffled))
         assert all(a <= b for a, b in zip(sums, sums[1:]))
         assert sums[-1] == x.total()
+
+
+def test_log_of_a_nonpositive_rational_raises():
+    with pytest.raises(ValueError, match="log of a nonpositive rational"):
+        log_of_fraction(Fraction(0))
