@@ -10,7 +10,7 @@ from fractions import Fraction
 from typing import ClassVar, Optional, Sequence, Union
 
 from . import families, series
-from .vectors import RationalVector, partial_sums_desc
+from .vectors import RationalVector, log_of_fraction, partial_sums_desc
 
 __all__ = [
     "MajorizationVerdict",
@@ -130,21 +130,42 @@ def theorem2_scan(x: RationalVector, y: RationalVector, k_max: int) -> Theorem2R
                           cells_checked=cells)
 
 
-def psi_value(s: float, lam: float) -> float:
-    """``min(s, lambda) + lambda * log_+(s / lambda)`` (natural log)."""
+def psi_value(s: Union[float, Fraction], lam: float) -> Union[float, Fraction]:
+    """``min(s, lambda) + lambda * log_+(s / lambda)`` (natural log).
+
+    s is a float or an exact rational; up to lambda it is returned as it
+    came.  Past lambda an exact s is divided by lambda exactly, so psi(s) is
+    finite for any rational s, however far beyond the float range.
+    """
     if not lam > 0:  # NaN included
         raise ValueError("lambda must be positive")
     if s < 0:
         raise ValueError("psi is defined on [0, inf)")
     if s <= lam:
         return s
+    if isinstance(s, Fraction):
+        return lam + lam * log_of_fraction(s / Fraction(lam))
     return lam + lam * math.log(s / lam)
 
 
 def psi_sum(x: RationalVector, lam: Union[int, float, Fraction]) -> float:
-    """Sum of the concave test function over the vector's cached floats."""
+    """Sum of the concave test function over the vector's cached floats.
+
+    A vector with an entry that has no normal float (see
+    ``RationalVector.to_floats``), or whose sum of floats overflows, is
+    summed from its exact entries instead.  A sum beyond the float range
+    (lambda = inf with such an entry) raises ValueError, which names lambda.
+    """
     lamf = float(lam)
-    return math.fsum(psi_value(s, lamf) for s in x.to_floats())
+    try:
+        return math.fsum(psi_value(s, lamf) for s in x.to_floats())
+    except OverflowError:
+        pass
+    try:
+        return math.fsum(psi_value(s, lamf) for s in x)
+    except OverflowError:
+        raise ValueError(f"the psi sum at lambda={lam} is beyond the float "
+                         "range") from None
 
 
 @dataclass(frozen=True)

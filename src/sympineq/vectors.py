@@ -18,6 +18,9 @@ from typing import Iterable, Iterator, Union
 
 RationalLike = Union[Fraction, int, float, str]
 _MIN_NORMAL = sys.float_info.min
+# below this |p| the powers of floats round toward 1, and lp_mean takes its
+# fallback
+_FAST_P_MIN = 2.0 ** -10
 
 __all__ = [
     "RationalLike",
@@ -107,54 +110,75 @@ class RationalVector:
         return tuple(sorted(self._entries, reverse=True))
 
     def to_floats(self) -> tuple[float, ...]:
-        """The entries as floats, converted on the first call and kept."""
+        """The entries as floats, converted on the first call and kept.
+
+        Raises OverflowError when an entry has no normal float: ``float()``
+        raises it past the top of the range, and this raises it for a
+        nonzero entry below the normal range, which rounds to 0.0 or to a
+        subnormal float with fewer bits.  Callers then take the exact
+        entries instead.
+        """
         try:
             return self._floats
         except AttributeError:
-            self._floats = tuple(float(e) for e in self._entries)
-            return self._floats
+            floats = tuple(float(e) for e in self._entries)
+            if any(f < _MIN_NORMAL for f, e in zip(floats, self._entries) if e):
+                raise OverflowError("an entry is below the normal float range")
+            self._floats = floats
+            return floats
 
 
 def lp_mean(x: RationalVector, p: Union[int, float, Fraction]) -> float:
     """The lp mean ``(n^-1 sum x_i^p)^(1/p)`` with its continuous-limit conventions.
 
     p = 0 is the geometric mean, p = +/-inf the largest/smallest entry, and a
-    negative p with any zero entry gives 0.  The powers are taken of the
-    entries' floats while their mean is a normal float.  When a power
-    overflows or the mean falls below the normal range, the mean is
-    ``m M_p(x / m)`` instead, from the exact ratios, with m the entry whose
-    power dominates: the largest for p > 0, the smallest for p < 0.
+    negative p with any zero entry gives 0.  Other exponents take one of two
+    paths:
+
+    - The powers of the entries' cached floats, for finite |p| > 2^-10,
+      while every entry has a normal float, no power overflows and the mean
+      of the powers is a normal float.
+    - The fallback, for every other p and for entries beyond the float range
+      or nonzero below its normal range.  With m the entry whose power
+      dominates (the largest for p > 0, the smallest for p < 0), it takes
+      the mean of (e / m)^p - 1 as ``expm1(p log(e / m))`` of the exact
+      ratios and returns ``m exp(log1p(mean) / p)``, with the powers of two
+      of m and of that factor put back by one ``ldexp``.  So it keeps its
+      digits as p nears 0, where the powers of the floats round toward 1,
+      and for an m outside the float range.  For |p| < 2^-512 the mean
+      equals the geometric mean to double precision, and that is returned.
+
     A mean beyond the float range raises ValueError, which names p.
     """
     entries = x.entries
     try:
         pf = float(p)
-        if not 0.0 < pf < math.inf:  # finite p > 0, the common case, skips this
-            if math.isinf(pf):
-                return float(max(entries) if pf > 0 else min(entries))
-            if 0 in entries:
-                return 0.0
-            if pf == 0.0:
-                return math.exp(math.fsum(map(log_of_fraction, entries)) / len(entries))
-        try:
-            floats = x.to_floats()
-            mean_pow = math.fsum(map(pow, floats, repeat(pf))) / len(floats)
-            if mean_pow >= _MIN_NORMAL:
-                return mean_pow ** (1 / pf)
-        except (OverflowError, ZeroDivisionError):  # a power left the float range
-            pass
+        # finite |p| > 2^-10; p > 2^-10, the common case, stops at the first test
+        if _FAST_P_MIN < pf < math.inf or -math.inf < pf < -_FAST_P_MIN:
+            try:
+                floats = x.to_floats()
+                mean_pow = math.fsum(map(pow, floats, repeat(pf))) / len(floats)
+                if mean_pow >= _MIN_NORMAL:
+                    return mean_pow ** (1 / pf)
+            except (OverflowError, ZeroDivisionError):
+                pass  # out of the float range, or a zero entry at p < 0
+        elif math.isinf(pf):
+            return float(max(entries) if pf > 0 else min(entries))
+        elif pf < 2.0 ** -512 and 0 in entries:
+            return 0.0
+        elif abs(pf) < 2.0 ** -512:
+            return math.exp(math.fsum(map(log_of_fraction, entries)) / len(entries))
         m = max(entries) if pf > 0 else min(entries)
         if m == 0:
             return 0.0
-        # each (e / m)^p lies in [0, 1]: raise the ratio that is at most 1 to |p|
-        ratios = [e / m if pf > 0 else m / e for e in entries]
-        mean_pow = math.fsum([float(q) ** abs(pf) for q in ratios]) / len(entries)
-        scale = mean_pow ** (1.0 / pf)
-        try:
-            return float(m) * scale
-        except OverflowError:  # m is beyond the float range; the mean may not be
-            e = m.numerator.bit_length() - m.denominator.bit_length()
-            return math.ldexp(float(m / 2 ** e) * scale, e)
+        # the mean of (e / m)^p - 1, each term in [-1, 0]
+        mean = math.fsum([math.expm1(pf * log_of_fraction(e / m)) if e else -1.0
+                          for e in entries]) / len(entries)
+        t = math.log1p(mean) / (pf * math.log(2))  # log2 of the lp mean over m
+        b = m.numerator.bit_length() - m.denominator.bit_length()
+        # 2^t alone may leave the float range: ldexp takes its integer part
+        return math.ldexp(float(m * Fraction(2) ** -b) * 2.0 ** (t % 1),
+                          b + math.floor(t))
     except OverflowError:
         raise ValueError(f"the lp mean at p={p} is beyond the float range") from None
 

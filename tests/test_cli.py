@@ -140,6 +140,35 @@ class TestNorms:
         assert all(row["mean"] >= 0 for row in report["means"])
 
 
+    @pytest.mark.parametrize("values, p, want", [
+        (["1e400", "1"], "0.001", 3.2394213884199771e244),
+        (["1e-400", "1"], "-0.001", 3.0869710361693589e-245),
+        (["1e-400", "1"], "0.001", 3.2394213884199771e-156),
+        (["1e-400", "1"], "0.01", 7.9678869075676370e-31),
+        (["1/3", "1/6", "5", "7/2"], "1e-15", 0.99298202258815811),
+        (["1/3", "1/6", "5", "7/2"], "-1e-15", 0.99298202258815811),
+        ([2, 8], "5e-324", 4.0)], ids=str)
+    def test_means_at_the_edges_of_the_float_range(self, capsys, tmp_path,
+                                                   values, p, want):
+        # 50-digit references; before the fallback took the exact ratios in
+        # log space these printed 9.3e98, 0.0, 9.3e-302, 7.889e-31, 1.0,
+        # 1.0 and 1.0
+        path = tmp_path / "x.json"
+        path.write_text(json.dumps(values))
+        code, report, err = run_json(capsys, "norms", "--x", str(path), "--p", p)
+        assert (code, err) == (0, "")
+        assert report["means"][0]["mean"] == pytest.approx(want, rel=1e-12)
+
+    def test_psi_grid_on_an_entry_beyond_the_float_range(self, capsys, tmp_path):
+        (tmp_path / "x.json").write_text('["1e400", "1"]')
+        (tmp_path / "y.json").write_text('["1e399", "2"]')
+        code, report, err = run_json(capsys, "majorize", "--x",
+                                     str(tmp_path / "x.json"), "--y",
+                                     str(tmp_path / "y.json"), "--psi-grid", "1")
+        assert (code, err) == (1, "")
+        assert report["psi"][0]["lhs"] == pytest.approx(923.034037197618, rel=1e-12)
+
+
 class TestFkr:
     def test_table(self, capsys, files):
         code, report, _ = run_json(capsys, "fkr", "--x", files["b.json"],
@@ -633,10 +662,17 @@ class TestErrorsAndDeterminism:
         ({"bool.json": "[true, 1]"}, ("norms", "--x", "bool.json"),
          "bool.json: booleans are not rational scalars"),
         ({"dict.json": "[{}, 1]"}, ("norms", "--x", "dict.json"),
-         "dict.json: cannot interpret {} as an exact rational")],
+         "dict.json: cannot interpret {} as an exact rational"),
+        ({}, ("norms", "--x", "missing.json"),
+         "missing.json: No such file or directory"),
+        ({}, ("norms", "--x", "x.json", "--p", "abc"), "bad exponent 'abc'"),
+        ({"big.json": '["1e400", "1"]'},
+         ("majorize", "--x", "big.json", "--y", "big.json", "--psi-grid", "inf"),
+         "the psi sum at lambda=inf is beyond the float range")],
         ids=["fkr-k", "theorem1-qx-alone", "theorem1-row-counts",
              "theorem2-k-max", "spectral-r", "catalyst-degree",
-             "spectral-empty", "vector-bool", "vector-dict"])
+             "spectral-empty", "vector-bool", "vector-dict", "missing-file",
+             "exponent-abc", "psi-beyond-the-float-range"])
     def test_input_errors_exit_2(self, capsys, files, tmp_path, monkeypatch,
                                  inputs, argv, message):
         monkeypatch.chdir(tmp_path)  # where files wrote its inputs

@@ -292,6 +292,22 @@ class TestPsi:
         assert reads == [x] * 4
         assert seen == 4 * [1 / 3, 7.0, 22 / 7]
 
+    def test_an_entry_beyond_the_float_range(self):
+        # past lambda, psi(1e400) = 1 + log(1e400) = 922.03...
+        assert psi_value(Fraction(10 ** 400), 1.0) == pytest.approx(
+            1 + 400 * math.log(10), rel=1e-15)
+        x, y = vec("1e400", 1), vec("1e399", 2)
+        rows = psi_compare(x, y, [1])
+        assert rows[0].lhs == pytest.approx(923.034037197618273, rel=1e-14)
+        assert rows[0].rhs == pytest.approx(921.424599285184173, rel=1e-14)
+        assert not rows[0].holds
+
+    def test_an_entry_below_the_normal_range(self):
+        # the exact entries: 1e-400 adds nothing, and log(3/2) is
+        # log 3 - log 2, so the sum may differ from the floats' in its last bit
+        assert psi_sum(vec("1e-400", 1, 3), 2) == pytest.approx(
+            psi_sum(vec(0, 1, 3), 2), rel=1e-15)
+
     def test_concave_nondecreasing(self):
         lam = 1.5
         grid = [0.05 * i for i in range(1, 200)]
@@ -333,8 +349,14 @@ class TestTTransformPairs:
     (lambda: psi_value(-1.0, 1.0), r"psi is defined on \[0, inf\)"),
     (lambda: psi_compare(vec(1), vec(1, 2), [1.0]),
      "vectors must have equal length"),
-    (lambda: t_transform_pair(random.Random(0), 0), "need n >= 1")],
-    ids=["psi-negative", "psi-lengths", "t-transform-n"])
+    (lambda: t_transform_pair(random.Random(0), 0), "need n >= 1"),
+    (lambda: psi_sum(vec("1e400", 1), math.inf),
+     "^the psi sum at lambda=inf is beyond the float range$"),
+    (lambda: psi_sum(vec("1e308", "1e308"), math.inf),
+     "^the psi sum at lambda=inf is beyond the float range$"),
+    (lambda: psi_sum(vec("1e400", 1), 0), "^lambda must be positive$")],
+    ids=["psi-negative", "psi-lengths", "t-transform-n", "psi-sum-inf",
+         "psi-sum-overflow", "psi-sum-lambda"])
 def test_library_input_errors(call, message):
     with pytest.raises(ValueError, match=message):
         call()

@@ -117,6 +117,10 @@ class TestMatrixInterpolation:
         with pytest.raises(ValueError):
             f_from_matrix_oracle(((1, 2),), 1)
 
+    def test_order_below_one_rejected(self):
+        with pytest.raises(ValueError, match="^need r >= 1$"):
+            f_from_matrix_oracle(((1, 0), (0, 2)), 0)
+
     def test_budget_guard(self):
         with pytest.raises(OracleSizeError):
             f_from_matrix_oracle([[1] * 13 for _ in range(13)], 4)

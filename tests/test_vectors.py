@@ -148,6 +148,51 @@ class TestExtremeEntries:
             assert lp_mean(x, p) == pytest.approx(want, rel=1e-12, abs=0)
 
 
+def mp_log_space_mean(entries, p):
+    """The lp mean in 50-digit arithmetic, rounded to a float, from the
+    ratios to the dominant entry m: ``m exp(log1p(mean) / p)`` with the mean
+    of ``expm1(p log(e / m))``.  The plain power formula rounds to 1 at tiny
+    p even in 50 digits."""
+    with mp.workdps(50):
+        xs = [mp.mpf(e.numerator) / e.denominator for e in entries]
+        if math.isinf(p):
+            return float(max(xs) if p > 0 else min(xs))
+        if p <= 0 and min(xs) == 0:
+            return 0.0
+        if p == 0:
+            return float(mp.exp(mp.fsum(mp.log(v) for v in xs) / len(xs)))
+        m = max(xs) if p > 0 else min(xs)
+        mean = mp.fsum(mp.expm1(p * mp.log(v / m)) if v else -1 for v in xs) / len(xs)
+        return float(m * mp.exp(mp.log1p(mean) / p))
+
+
+# the vectors above, spreads of 600 and 800 orders of magnitude, zero
+# entries, and an entry whose float is subnormal
+LOG_SPACE_VECTORS = EXTREME_VECTORS + [
+    ["1e309"] + ["1"] * 9, ["1e400", "1"], ["1e400", "2e400"],
+    ["1e300", "1e-300"], ["1/3", "1/6", "5", "7/2"], ["0", "2", "3"], [2, 8],
+    ["1e-400", "1e400"], ["0", "1e400"], ["1e-323", "1"]]
+# 2^-511 is just above the exponents whose mean is the geometric mean
+SMALL_AND_LARGE_EXPONENTS = [sign * p for p in (2, 1, 0.5, 0.01, 0.002, 0.001,
+                                                1e-6, 1e-12, 2.0 ** -511, 1e-300,
+                                                5e-324)
+                             for sign in (1, -1)]
+
+
+class TestLogSpaceReference:
+    @pytest.mark.parametrize("values", LOG_SPACE_VECTORS, ids=str)
+    @pytest.mark.parametrize("p", SMALL_AND_LARGE_EXPONENTS)
+    def test_within_1e_12(self, values, p):
+        x = RationalVector(values)
+        want = mp_log_space_mean(x.entries, p)
+        if math.isinf(want):
+            with pytest.raises(ValueError, match=f"^the lp mean at p={p} is "
+                                                 "beyond the float range$"):
+                lp_mean(x, p)
+        else:
+            assert lp_mean(x, p) == pytest.approx(want, rel=1e-12, abs=0)
+
+
 def uncached_lp_mean(x, p):
     """lp_mean with every entry converted to float at every call."""
     entries = x.entries
@@ -192,6 +237,17 @@ class TestFloatCache:
         assert x == fresh and fresh == x
         assert hash(x) == hash(fresh)
         assert {fresh: "kept"}[x] == "kept"
+
+    @pytest.mark.parametrize("values", [["1e400", "1"], ["1e-400", "1"],
+                                        ["1e-310", "1"], ["5e-324", "0"]],
+                             ids=str)
+    def test_an_entry_without_a_normal_float_raises(self, values):
+        with pytest.raises(OverflowError):
+            RationalVector(values).to_floats()
+
+    def test_zeros_and_the_smallest_normal_float_convert(self):
+        x = RationalVector([0, sys.float_info.min, "1e308"])
+        assert x.to_floats() == (0.0, sys.float_info.min, 1e308)
 
 
 # the positive exponents of the theorem1 grids at the default 101 points,
