@@ -4,61 +4,85 @@ verifiers, and emit human-readable or canonical JSON reports.
 Exit codes form a shell predicate: 0 when every requested check passes,
 1 when a checked inequality fails (the report carries a witness), 2 for
 usage or input errors.
+
+Importing this module and building its parser loads no library module.
+Every library function a command calls is a module global made by
+``_lazy``, which imports the function's module on the first call; so a
+command loads only the modules on its own route (``norms`` only
+``vectors``), and a wrapper put in place of one of these globals is what
+the command calls.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import itertools
 import json
 import math
+import operator
 import re
 import sys
-from fractions import Fraction
-from typing import Any, Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
 
-from . import series
-from .families import f_kr_all
-from .majorize import majorizes, psi_compare, theorem2_scan
-from .spectral import as_int_matrix, gram, spectral_summary
-from .theorem1 import (DEFAULT_GRID_POINTS, DEFAULT_TOL, ConclusionReport,
-                       HypothesisReport, check_hypotheses,
-                       check_hypotheses_coeffs, full_report)
-from .vectors import RationalVector, lp_mean, partial_sums_desc
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    from .theorem1 import ConclusionReport, HypothesisReport
+    from .vectors import RationalVector
 
 
-def _mellin():
-    """The mellin module, imported on first use.  It needs numpy, which only
-    the optional ``mellin`` extra installs; without it, a ValueError (exit 2)
+def _import(module: str):
+    """``sympineq.<module>``, imported.  mellin needs numpy, which only the
+    optional ``mellin`` extra installs; without it, a ValueError (exit 2)
     names the extra."""
+    key = f"{__package__}.{module}"
     try:
-        from . import mellin
+        __import__(key)  # an import statement's route, which -X importtime logs
     except ModuleNotFoundError as exc:
         if exc.name != "numpy":
             raise
         raise ValueError("mellin-validate needs numpy, the 'mellin' extra: "
                          "pip install 'sympineq[mellin]'") from None
-    return mellin
+    return sys.modules[key]
 
 
-# The kernels import mellin on their first call.  A wrapper put in place of
-# one of these globals is what cmd_mellin_validate calls.
-def identity_lhs(which: str, a: float, p: float, r: int):
-    return _mellin().identity_lhs(which, a, p, r)
+def _lazy(module: str, name: str) -> Callable[..., Any]:
+    """A stand-in for the attribute ``name`` (dotted for a method) of
+    ``sympineq.<module>``.  Each call finds the module in ``sys.modules``,
+    importing it on the first, and calls the attribute it holds then."""
+    key = f"{__package__}.{module}"
+    attribute = operator.attrgetter(name)
+
+    def call(*args: Any, **kwargs: Any) -> Any:
+        return attribute(sys.modules.get(key) or _import(module))(*args, **kwargs)
+
+    call.__name__ = call.__qualname__ = name.rpartition(".")[2]
+    return call
 
 
-def identity_check(which: str, a: float, p: float, r: int):
-    return _mellin().identity_check(which, a, p, r)
-
-
-def integral_I(r: int, p: float):
-    return _mellin().integral_I(r, p)
-
-
-def integral_J(r: int, p: float):
-    return _mellin().integral_J(r, p)
+# the library functions the commands call; the benchmark's tracer
+# (bench/spans.py) wraps some of these globals to time and count them
+rational_vector = _lazy("vectors", "RationalVector")
+vector_from_json = _lazy("vectors", "RationalVector.from_json")
+lp_mean = _lazy("vectors", "lp_mean")
+partial_sums_desc = _lazy("vectors", "partial_sums_desc")
+tensor = _lazy("series", "tensor")
+product_over_vector = _lazy("series", "product_over_vector")
+f_kr_all = _lazy("families", "f_kr_all")
+majorizes = _lazy("majorize", "majorizes")
+psi_compare = _lazy("majorize", "psi_compare")
+theorem2_scan = _lazy("majorize", "theorem2_scan")
+check_hypotheses = _lazy("theorem1", "check_hypotheses")
+check_hypotheses_coeffs = _lazy("theorem1", "check_hypotheses_coeffs")
+full_report = _lazy("theorem1", "full_report")
+as_int_matrix = _lazy("spectral", "as_int_matrix")
+gram = _lazy("spectral", "gram")
+spectral_summary = _lazy("spectral", "spectral_summary")
+identity_lhs = _lazy("mellin", "identity_lhs")
+identity_check = _lazy("mellin", "identity_check")
+integral_I = _lazy("mellin", "integral_I")
+integral_J = _lazy("mellin", "integral_J")
 
 
 def _read_input(path: str, parse: Callable[[str], Any]) -> Any:
@@ -79,12 +103,13 @@ def _read_input(path: str, parse: Callable[[str], Any]) -> Any:
 
 
 def load_vector(path: str) -> RationalVector:
-    return _read_input(path, RationalVector.from_json)
+    return _read_input(path, vector_from_json)
 
 
 def load_matrix(path: str) -> tuple[tuple[int, ...], ...]:
     def parse(text: str) -> tuple[tuple[int, ...], ...]:
         if path.endswith(".csv"):
+            import csv
             return as_int_matrix([[int(cell) for cell in row]
                                   for row in csv.reader(text.splitlines()) if row])
         return as_int_matrix(json.loads(text))
@@ -293,9 +318,12 @@ def cmd_theorem1(args: argparse.Namespace) -> tuple[int, dict[str, Any]]:
         hypotheses = [check_hypotheses_coeffs(sx.f_coeffs[r], sy.f_coeffs[r],
                                               r, len(mx))
                       for r in r_values]
-        x, y = RationalVector(sx.eigenvalues()), RationalVector(sy.eigenvalues())
+        x, y = rational_vector(sx.eigenvalues()), rational_vector(sy.eigenvalues())
 
-    rep = full_report(hypotheses, x, y, args.grid_points, args.tol)
+    # an option left out takes full_report's own default
+    options = {"grid_points": args.grid_points, "tol": args.tol}
+    rep = full_report(hypotheses, x, y,
+                      **{k: v for k, v in options.items() if v is not None})
     report = {
         "command": "theorem1",
         "mode": "vectors" if vector_mode else "matrices",
@@ -408,8 +436,8 @@ def cmd_mellin_validate(args: argparse.Namespace) -> tuple[int, dict[str, Any]]:
 
 def cmd_catalyst(args: argparse.Namespace) -> tuple[int, dict[str, Any]]:
     x, c = load_vector(args.x), load_vector(args.c)
-    tx = series.tensor(x, c)
-    cx = series.product_over_vector(tx, args.r, args.degree)
+    tx = tensor(x, c)
+    cx = product_over_vector(tx, args.r, args.degree)
     report: dict[str, Any] = {
         "command": "catalyst",
         "r": args.r,
@@ -422,8 +450,7 @@ def cmd_catalyst(args: argparse.Namespace) -> tuple[int, dict[str, Any]]:
         y = load_vector(args.y)
         if len(y) != len(x):
             raise ValueError("vectors must have equal length")
-        cy = series.product_over_vector(series.tensor(y, c), args.r,
-                                        cx.degree_bound)
+        cy = product_over_vector(tensor(y, c), args.r, cx.degree_bound)
         rows = [{"k": k, "cx": str(a), "cy": str(b), "pass": a <= b}
                 for k, (a, b) in enumerate(zip(cx.coeffs, cy.coeffs))]
         report["y_coeffs"] = list(map(str, cy.coeffs))
@@ -474,8 +501,8 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--r", type=int, help="single template order")
     group.add_argument("--r-max", type=int, help="scan orders 1..r_max")
-    p.add_argument("--grid-points", type=int, default=DEFAULT_GRID_POINTS)
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p.add_argument("--grid-points", type=int)
+    p.add_argument("--tol", type=float)
     p.set_defaults(func=cmd_theorem1)
 
     p = sub.add_parser("majorize", help="exact majorization verdict")

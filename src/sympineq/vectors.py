@@ -68,7 +68,7 @@ class RationalVector:
         if not ent:
             raise ValueError("a vector needs at least one entry")
         for e in ent:
-            if e < 0:
+            if e.numerator < 0:  # what e < 0 tests, without Fraction.__lt__
                 raise ValueError(f"vector entries must be nonnegative, got {e}")
         self._entries = ent
 
@@ -143,10 +143,13 @@ def lp_mean(x: RationalVector, p: Union[int, float, Fraction]) -> float:
       dominates (the largest for p > 0, the smallest for p < 0), it takes
       the mean of (e / m)^p - 1 as ``expm1(p log(e / m))`` of the exact
       ratios and returns ``m exp(log1p(mean) / p)``, with the powers of two
-      of m and of that factor put back by one ``ldexp``.  So it keeps its
-      digits as p nears 0, where the powers of the floats round toward 1,
-      and for an m outside the float range.  For |p| < 2^-512 the mean
-      equals the geometric mean to double precision, and that is returned.
+      of m and of that factor put back by one ``ldexp``.  Where that mean
+      is below -1/2, m's power dominates, and ``log1p(mean)`` is taken as
+      the log of the mean of the powers ``exp(p log(e / m))`` themselves.
+      So it keeps its digits as p nears 0, where the powers of the floats
+      round toward 1, and for an m outside the float range.  For
+      |p| < 2^-512 the mean equals the geometric mean to double precision,
+      and that is returned.
 
     A mean beyond the float range raises ValueError, which names p.
     """
@@ -171,10 +174,17 @@ def lp_mean(x: RationalVector, p: Union[int, float, Fraction]) -> float:
         m = max(entries) if pf > 0 else min(entries)
         if m == 0:
             return 0.0
-        # the mean of (e / m)^p - 1, each term in [-1, 0]
-        mean = math.fsum([math.expm1(pf * log_of_fraction(e / m)) if e else -1.0
-                          for e in entries]) / len(entries)
-        t = math.log1p(mean) / (pf * math.log(2))  # log2 of the lp mean over m
+        # p log(e / m) per entry, each <= 0, and the mean of (e / m)^p - 1
+        logs = [pf * log_of_fraction(e / m) if e else -math.inf
+                for e in entries]
+        mean = math.fsum(map(math.expm1, logs)) / len(entries)
+        if mean < -0.5:
+            # log1p would scale the rounding of the mean, and expm1 near -1
+            # keeps (e / m)^p to an absolute 2^-53 only: sum the powers
+            log_ratio = math.log(math.fsum(map(math.exp, logs)) / len(entries))
+        else:
+            log_ratio = math.log1p(mean)
+        t = log_ratio / (pf * math.log(2))  # log2 of the lp mean over m
         b = m.numerator.bit_length() - m.denominator.bit_length()
         # 2^t alone may leave the float range: ldexp takes its integer part
         return math.ldexp(float(m * Fraction(2) ** -b) * 2.0 ** (t % 1),

@@ -726,13 +726,6 @@ class TestErrorsAndDeterminism:
 
 
 class TestWithoutNumpy:
-    def test_cli_import_loads_neither_numpy_nor_the_oracles(self):
-        done = run_python("import sys, sympineq.cli\n"
-                          "sympineq.cli.build_parser()\n"
-                          "print([m for m in ('numpy', 'sympineq.oracles')"
-                          " if m in sys.modules])\n")
-        assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
-
     # every command but mellin-validate, in a process that cannot import
     # numpy; the matrix commands include the singular pair
     SCRIPT = ("import contextlib, io, json, sys\n"
@@ -773,6 +766,119 @@ class TestWithoutNumpy:
         assert json.loads(done.stdout) == [[
             2, "", "error: mellin-validate needs numpy, the 'mellin' extra: "
                    "pip install 'sympineq[mellin]'\n"]]
+
+
+LIBRARY = ("vectors", "series", "families", "majorize", "theorem1", "spectral",
+           "roots", "oracles", "mellin")
+
+
+class TestRoutes:
+    """Each command in a fresh interpreter where every library module off
+    its route is blocked (numpy too, but for mellin-validate): it must print
+    what it prints unblocked."""
+
+    SCRIPT = ("import contextlib, io, json, sys\n"
+              "blocked, argv = json.loads(sys.argv[1])\n"
+              "for name in blocked:\n"
+              "    sys.modules[name] = None\n"
+              "from sympineq.cli import main\n"
+              "out, err = io.StringIO(), io.StringIO()\n"
+              "with contextlib.redirect_stdout(out), "
+              "contextlib.redirect_stderr(err):\n"
+              "    code = main(argv)\n"
+              "print(json.dumps([code, out.getvalue(), err.getvalue()]))\n")
+
+    # (argv, the library modules its route may load, its exit code)
+    VECTORS, SERIES = ("vectors",), ("vectors", "series")
+    FAMILIES = ("vectors", "series", "families")
+    ROUTES = [
+        (("norms", "--x", "x.json"), VECTORS, 0),
+        (("norms", "--x", "bad.json"), VECTORS, 2),
+        (("spectral", "--q", "q.json", "--r", "1", "--r", "2"),
+         ("spectral", "roots"), 0),
+        (("mellin-validate", "--which", "id1", "--r", "2", "--p", "0.5",
+          "--a", "2"), ("mellin",), 0),
+        (("fkr", "--x", "x.json", "--r", "2"), FAMILIES, 0),
+        (("catalyst", "--x", "x.json", "--c", "c.json", "--y", "y.json"),
+         SERIES, 0),
+        (("theorem1", "--x", "x.json", "--y", "y.json", "--r", "3"),
+         FAMILIES + ("theorem1",), 0),
+        (("majorize", "--x", "x.json", "--y", "y.json", "--psi-grid", "0.5"),
+         FAMILIES + ("majorize",), 1),
+        (("theorem2", "--x", "a.json", "--y", "b.json", "--k-max", "5"),
+         FAMILIES + ("majorize",), 0),
+        (("theorem2", "--x", "b.json", "--y", "a.json", "--k-max", "5"),
+         FAMILIES + ("majorize",), 1),
+    ]
+
+    @pytest.mark.parametrize("argv, route, want", ROUTES,
+                             ids=[" ".join(argv) for argv, _, _ in ROUTES])
+    def test_same_output_with_the_other_modules_blocked(self, capsys, files,
+                                                        argv, route, want):
+        argv = [files.get(a, a) for a in argv]
+        blocked = [f"sympineq.{m}" for m in LIBRARY if m not in route]
+        if "mellin" not in route:
+            blocked.append("numpy")
+        done = run_python(self.SCRIPT, json.dumps([blocked, argv]))
+        assert (done.returncode, done.stderr) == (0, "")
+        result = json.loads(done.stdout)
+        assert result[0] == want
+        assert result == list(run(capsys, *argv))
+
+
+class TestTracedGlobals:
+    """The benchmark's tracer wraps or counts these globals of sympineq.cli,
+    so each must be there from import on, keep its name, and be what its
+    command calls."""
+
+    COMMANDS = {
+        "load_vector": ("norms", "--x", "x.json"),
+        "load_matrix": ("spectral", "--q", "q.json"),
+        "build_parser": ("norms", "--x", "x.json"),
+        "f_kr_all": ("fkr", "--x", "x.json", "--r", "2"),
+        "theorem2_scan": ("theorem2", "--x", "a.json", "--y", "b.json"),
+        "check_hypotheses": ("theorem1", "--x", "x.json", "--y", "y.json",
+                             "--r", "3"),
+        "check_hypotheses_coeffs": ("theorem1", "--qx", "q.json", "--qy",
+                                    "r.json", "--r", "2"),
+        "gram": ("spectral", "--q", "q.json"),
+        "identity_lhs": ("mellin-validate", "--which", "id1", "--r", "2",
+                         "--p", "0.5", "--a", "2"),
+        "identity_check": ("mellin-validate", "--which", "id1", "--r", "2",
+                           "--p", "0.5", "--a", "2"),
+        "integral_I": ("mellin-validate", "--which", "id1", "--r", "2",
+                       "--p", "0.5", "--a", "2"),
+        "integral_J": ("mellin-validate", "--which", "id2", "--r", "2",
+                       "--p", "2.5", "--a", "2"),
+        "lp_mean": ("norms", "--x", "x.json"),
+    }
+
+    def test_each_is_there_after_import_under_its_name(self):
+        names = sorted(self.COMMANDS)
+        done = run_python("import json, sys, sympineq.cli\n"
+                          "print(json.dumps([getattr(sympineq.cli, name).__name__"
+                          " for name in json.loads(sys.argv[1])]))\n",
+                          json.dumps(names))
+        assert (done.returncode, done.stderr) == (0, "")
+        assert json.loads(done.stdout) == names
+
+    @pytest.mark.parametrize("name", sorted(COMMANDS))
+    def test_its_command_calls_it(self, capsys, files, monkeypatch, name):
+        original = getattr(cli, name)
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, counting)
+        cli._parser.cache_clear()  # so main builds its parser again
+        try:
+            code, _, _ = run(capsys, *[files.get(a, a)
+                                       for a in self.COMMANDS[name]])
+        finally:
+            cli._parser.cache_clear()
+        assert code == 0 and calls
 
 
 def emitted(obj):

@@ -40,13 +40,46 @@ def test_every_import_is_used(name):
     assert sorted(imported - used - set(getattr(module, "__all__", ()))) == []
 
 
-def test_import_loads_neither_mellin_nor_oracles():
+# the modules a fresh interpreter has loaded of the package, numpy and
+# dataclasses, which the exact modules' report classes need
+LOADED = ("def loaded():\n"
+          "    return sorted(m for m in sys.modules if m == 'dataclasses'\n"
+          "                  or m.partition('.')[0] in ('sympineq', 'numpy'))\n")
+
+
+def test_import_and_parser_load_no_library_module():
     # a fresh interpreter: in this one an earlier test may have loaded them
-    script = ("import sys, sympineq\n"
-              "heavy = ('numpy', 'sympineq.mellin', 'sympineq.oracles')\n"
-              "print([m for m in heavy if m in sys.modules])\n"
-              "import sympineq.cli\n"
-              "sympineq.cli.build_parser()\n"
-              "print([m for m in heavy if m in sys.modules])\n")
+    script = ("import sys, sympineq\n" + LOADED
+              + "print(loaded())\n"
+                "import sympineq.cli\n"
+                "sympineq.cli.build_parser()\n"
+                "print(loaded())\n")
     done = run_python(script)
-    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n[]\n", "")
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == "['sympineq']\n['sympineq', 'sympineq.cli']\n"
+
+
+def test_a_public_name_loads_only_its_module():
+    script = ("import sys, sympineq\n" + LOADED
+              + "from sympineq import gram\n"
+                "print(loaded())\n"
+                "print(sympineq.gram is gram is sys.modules['sympineq.spectral'].gram)\n")
+    done = run_python(script)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == ("['dataclasses', 'sympineq', 'sympineq.roots', "
+                           "'sympineq.spectral']\nTrue\n")
+
+
+def test_star_import_binds_every_public_name():
+    namespace = {}
+    exec("from sympineq import *", namespace)
+    assert {n: namespace[n] for n in sympineq.__all__} == {
+        n: getattr(sympineq, n) for n in sympineq.__all__}
+    assert set(sympineq.__all__) <= set(dir(sympineq))
+
+
+def test_an_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="^module 'sympineq' has no "
+                                             "attribute 'nope'$"):
+        sympineq.nope
+    assert not hasattr(sympineq, "cache_clear")

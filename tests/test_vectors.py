@@ -193,6 +193,20 @@ class TestLogSpaceReference:
             assert lp_mean(x, p) == pytest.approx(want, rel=1e-12, abs=0)
 
 
+# one entry's power dominates the rest, so 1 + mean is near 1/n: log1p of
+# the rounded mean would lose about n 2^-53 / |p| relative
+DOMINATED_VECTORS = [["1e400"] + ["1e-498"] * 99,
+                     ["1e400"] + [f"{100 + k}e-500" for k in range(99)]]
+
+
+@pytest.mark.parametrize("values", DOMINATED_VECTORS, ids=["equal", "spread"])
+@pytest.mark.parametrize("p", [0.005, 0.004])
+def test_a_dominant_power_keeps_the_log_space_reference(values, p):
+    x = RationalVector(values)
+    want = mp_log_space_mean(x.entries, p)
+    assert lp_mean(x, p) == pytest.approx(want, rel=1e-12, abs=0)
+
+
 def uncached_lp_mean(x, p):
     """lp_mean with every entry converted to float at every call."""
     entries = x.entries
