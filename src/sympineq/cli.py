@@ -23,7 +23,7 @@ import math
 import operator
 import re
 import sys
-from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional, Sequence
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -131,24 +131,30 @@ def emit(report: dict[str, Any], fmt: str) -> None:
     """Print ``report`` to stdout as text, or as the JSON that
     ``json.dumps(report, indent=2, sort_keys=True)`` gives, byte for byte.
 
+    A report holds each list of same-shaped rows (theorem1 grids and
+    ledgers, F tables, ``norms`` means, ``majorize`` psi rows, ``catalyst``
+    comparisons) as a ``_Rows``: its keys once, in sorted order, and a tuple
+    of values per row.  ``--format text`` prints every row as
+    ``- key=value, ...``, and a ``_Rows`` inside a row as the repr of its
+    rows as dicts.
+
     ``json.dumps`` with an indent runs the stdlib's pure-Python encoder, so
-    the JSON writer (``_json_text``) hands the bulk to the C encoder instead:
-    an encoder whose item separator is ``",\\n"`` plus the indent writes
-    every scalar exactly as the indented encoder does.
+    the JSON writer (``_json_text``) hands the scalars to the C encoder
+    instead: an encoder whose item separator is ``",\\n"`` plus the indent
+    writes every scalar exactly as the indented encoder does, and no encoded
+    scalar holds a raw newline, so its output splits exactly at the
+    separators.
     - A container of scalars is one ``encode``; its outer brackets then
       become the indented ones.
-    - A list of non-empty scalar-only dicts (grid rows, checks, F values)
-      is one ``encode`` at the depth of the row keys; one ``str.replace`` of
-      ``"},\\n" + pad + "{"`` then re-indents the seams between rows.  That
-      pattern occurs nowhere else: an encoded string never holds a raw
-      newline, and within a row every separator is followed by a quoted
-      key.  An empty row would encode as ``{}`` and match it, so such a
-      list takes the generic path.
+    - A ``_Rows`` is one ``encode`` of all its values, split into one text
+      per value, and one ``%`` of its row template, repeated once per row.
+      The template, one per shape and depth, holds the indented keys and a
+      ``%s`` for each value.
     - Everything else (the few containers that hold containers) is one
       ``encode`` with each inner container replaced by a ``0``, which
-      writes every key and loose scalar in order; the output splits
-      exactly at its separators, again because only separators hold a
-      newline, and each ``0`` gives way to the inner container's own text.
+      writes every key and loose scalar in order; the output splits at its
+      separators, and each ``0`` gives way to the inner container's own
+      text.
     """
     if fmt == "json":
         print(_json_text(report))
@@ -156,7 +162,37 @@ def emit(report: dict[str, Any], fmt: str) -> None:
         _print_text(report)
 
 
-_CONTAINERS = (dict, list, tuple)
+class _Rows:
+    """Report rows of one shape: ``fields``, the keys in sorted order, and
+    ``rows``, one tuple of values per row in that order.  ``order`` is the
+    key order of its repr, the rows as dicts (default: sorted)."""
+
+    __slots__ = ("fields", "rows", "order")
+
+    def __init__(self, fields: tuple[str, ...], rows: list[tuple],
+                 order: Optional[tuple[str, ...]] = None) -> None:
+        if not fields or list(fields) != sorted(fields):
+            raise ValueError(f"rows need sorted fields, not {fields}")
+        self.fields, self.rows, self.order = fields, rows, order or fields
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __repr__(self) -> str:
+        index = [self.fields.index(key) for key in self.order]
+        return repr([{key: row[i] for key, i in zip(self.order, index)}
+                     for row in self.rows])
+
+
+# the row shapes of the reports, keys sorted
+_GRID = ("margin", "nx", "ny", "p", "pass")
+_LEDGER = ("fx", "fy", "k", "kfact_fx", "kfact_fy", "pass")
+_F_TABLE = ("k", "kfact_value", "value")
+_MEANS = ("mean", "p")
+_PSI = ("holds", "lambda", "lhs", "rhs")
+_COMPARISON = ("cx", "cy", "k", "pass")
+
+_CONTAINERS = (dict, list, tuple, _Rows)
 
 
 @functools.lru_cache(maxsize=None)
@@ -167,6 +203,27 @@ def _encoder(depth: int) -> Callable[[Any], str]:
                             sort_keys=True).encode
 
 
+@functools.lru_cache(maxsize=None)
+def _row_template(fields: tuple[str, ...], depth: int) -> str:
+    # one row of a _Rows at depth: the keys indented, a %s per value
+    inner, deep = "  " * (depth + 1), "  " * (depth + 2)
+    keys = [deep + _encoder(0)(key).replace("%", "%%") + ": %s" for key in fields]
+    return inner + "{\n" + ",\n".join(keys) + "\n" + inner + "}"
+
+
+# a list of scalars as their JSON texts, one a line
+_values_text = json.JSONEncoder(separators=("\n", ": ")).encode
+
+
+def _rows_text(rows: _Rows, depth: int) -> str:
+    if not rows:
+        return "[]"
+    values = _values_text(list(itertools.chain.from_iterable(rows.rows)))
+    values = tuple(values[1:-1].split("\n"))
+    template = ",\n".join([_row_template(rows.fields, depth)] * len(rows))
+    return "[\n" + template % values + "\n" + "  " * depth + "]"
+
+
 def _flat(items) -> bool:
     return not any(map(isinstance, items, itertools.repeat(_CONTAINERS)))
 
@@ -174,6 +231,8 @@ def _flat(items) -> bool:
 def _json_text(obj: Any, depth: int = 0) -> str:
     if not isinstance(obj, _CONTAINERS):
         return _encoder(0)(obj)
+    if isinstance(obj, _Rows):
+        return _rows_text(obj, depth)
     is_dict = isinstance(obj, dict)
     if not obj:
         return "{}" if is_dict else "[]"
@@ -181,14 +240,6 @@ def _json_text(obj: Any, depth: int = 0) -> str:
     values = obj.values() if is_dict else obj
     if _flat(values):
         body = _encoder(depth + 1)(obj)[1:-1]
-    elif (not is_dict and all(map(isinstance, obj, itertools.repeat(dict)))
-          and all(obj) and _flat(itertools.chain.from_iterable(map(dict.values, obj)))):
-        deep = "  " * (depth + 2)
-        rows = _encoder(depth + 2)(obj)[2:-2]
-        body = ("{\n" + deep
-                + rows.replace("},\n" + deep + "{",
-                               "\n" + inner + "},\n" + inner + "{\n" + deep)
-                + "\n" + inner + "}")
     else:
         placeholders = ({key: 0 if isinstance(v, _CONTAINERS) else v
                          for key, v in obj.items()} if is_dict
@@ -210,11 +261,14 @@ def _print_text(report: dict[str, Any], indent: int = 0) -> None:
         if isinstance(value, dict):
             print(f"{pad}{key}:")
             _print_text(value, indent + 1)
-        elif isinstance(value, list) and value and isinstance(value[0], dict):
+        elif value and (isinstance(value, _Rows) or (
+                isinstance(value, list) and isinstance(value[0], dict))):
             print(f"{pad}{key}:")
-            for row in value:
-                cells = ", ".join(f"{k}={row[k]}" for k in sorted(row))
-                print(f"{pad}  - {cells}")
+            rows = (map(zip, itertools.repeat(value.fields), value.rows)
+                    if isinstance(value, _Rows)
+                    else (sorted(row.items()) for row in value))
+            for cells in rows:
+                print(f"{pad}  - " + ", ".join(f"{k}={v}" for k, v in cells))
         else:
             print(f"{pad}{key}: {value}")
 
@@ -231,45 +285,46 @@ def _hypothesis_json(rep: HypothesisReport) -> dict[str, Any]:
     checks = []
     kfact = math.factorial(rep.r)  # the checks run over k = r, r + 1, ...
     for c in rep.checks:
-        checks.append({"k": c.k, "fx": str(c.fx), "fy": str(c.fy),
-                       "kfact_fx": _times_text(c.fx, kfact),
-                       "kfact_fy": _times_text(c.fy, kfact), "pass": c.ok})
+        checks.append((str(c.fx), str(c.fy), c.k, _times_text(c.fx, kfact),
+                       _times_text(c.fy, kfact), c.ok))
         kfact *= c.k + 1
     return {
         "r": rep.r,
         "all_pass": rep.all_pass,
         "sums_equal": rep.sums_equal,
-        "checks": checks,
+        # text reports print the ledger in the order of its fields' meaning
+        "checks": _Rows(_LEDGER, checks,
+                        order=("k", "fx", "fy", "kfact_fx", "kfact_fy", "pass")),
     }
 
 
-def _conclusion_json(rep: ConclusionReport) -> dict[str, Any]:
-    def grid(points):
-        return [{"p": pt.p, "nx": pt.x_mean, "ny": pt.y_mean,
-                 "margin": pt.margin, "pass": pt.ok} for pt in points]
+# a GridPoint's values in _GRID order
+_grid_row = operator.attrgetter("margin", "x_mean", "y_mean", "p", "ok")
 
+
+def _conclusion_json(rep: ConclusionReport) -> dict[str, Any]:
     return {
         "r": rep.r,
         "tol": rep.tol,
         "sums_equal": rep.sums_equal,
-        "low_grid": grid(rep.low_grid),
-        "high_grid": grid(rep.high_grid),
+        "low_grid": _Rows(_GRID, list(map(_grid_row, rep.low_grid))),
+        "high_grid": _Rows(_GRID, list(map(_grid_row, rep.high_grid))),
         "low_all_pass": rep.low_all_pass,
         "high_all_pass": rep.high_all_pass,
     }
 
 
-def _f_row(k: int, value: Fraction) -> dict[str, Any]:
-    # one row of an F table: F_k and k! F_k
-    return {"k": k, "value": str(value),
-            "kfact_value": _times_text(value, math.factorial(k))}
+def _f_rows(table: Sequence[Fraction], ks: Iterable[int]) -> _Rows:
+    # the rows of an F table: k, k! F_k and F_k
+    return _Rows(_F_TABLE, [(k, _times_text(table[k], math.factorial(k)),
+                             str(table[k])) for k in ks])
 
 
 def cmd_norms(args: argparse.Namespace) -> tuple[int, dict[str, Any]]:
     x = load_vector(args.x)
     exponents = ([parse_exponent(p) for p in args.p]
                  if args.p else [-math.inf, -2.0, -1.0, 0.0, 0.5, 1.0, 2.0, math.inf])
-    rows = [{"p": p, "mean": lp_mean(x, p)} for p in exponents]
+    rows = _Rows(_MEANS, [(lp_mean(x, p), p) for p in exponents])
     report = {
         "command": "norms",
         "n": len(x),
@@ -290,7 +345,7 @@ def cmd_fkr(args: argparse.Namespace) -> tuple[int, dict[str, Any]]:
         "command": "fkr",
         "n": len(x),
         "r": args.r,
-        "values": [_f_row(k, table[k]) for k in ks],
+        "values": _f_rows(table, ks),
     }
     return 0, report
 
@@ -357,8 +412,8 @@ def cmd_majorize(args: argparse.Namespace) -> tuple[int, dict[str, Any]]:
     }
     if args.psi_grid:
         rows = psi_compare(x, y, [parse_exponent(v) for v in args.psi_grid])
-        report["psi"] = [{"lambda": r.lam, "lhs": r.lhs, "rhs": r.rhs,
-                          "holds": r.holds} for r in rows]
+        report["psi"] = _Rows(_PSI, [(r.holds, r.lam, r.lhs, r.rhs)
+                                     for r in rows])
     return (0 if verdict.holds else 1), report
 
 
@@ -400,7 +455,7 @@ def cmd_spectral(args: argparse.Namespace) -> tuple[int, dict[str, Any]]:
         "n": len(matrix),
         "matrix": [list(row) for row in matrix],
         "e_coeffs": list(map(str, summary.e_coeffs)),
-        "f_tables": {str(r): list(itertools.starmap(_f_row, enumerate(table)))
+        "f_tables": {str(r): _f_rows(table, range(len(table)))
                      for r, table in summary.f_coeffs.items()},
     }
     return 0, report
@@ -451,11 +506,11 @@ def cmd_catalyst(args: argparse.Namespace) -> tuple[int, dict[str, Any]]:
         if len(y) != len(x):
             raise ValueError("vectors must have equal length")
         cy = product_over_vector(tensor(y, c), args.r, cx.degree_bound)
-        rows = [{"k": k, "cx": str(a), "cy": str(b), "pass": a <= b}
-                for k, (a, b) in enumerate(zip(cx.coeffs, cy.coeffs))]
+        passes = [a <= b for a, b in zip(cx.coeffs, cy.coeffs)]
         report["y_coeffs"] = list(map(str, cy.coeffs))
-        report["comparison"] = rows
-        report["pass"] = all(row["pass"] for row in rows)
+        report["comparison"] = _Rows(_COMPARISON, list(zip(
+            map(str, cx.coeffs), map(str, cy.coeffs), itertools.count(), passes)))
+        report["pass"] = all(passes)
         code = 0 if report["pass"] else 1
     return code, report
 

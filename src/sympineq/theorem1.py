@@ -18,6 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, cycle, repeat
+from operator import add, ge, mul, sub, truediv
 from typing import NamedTuple, Optional, Sequence
 
 from .families import f_kr_all
@@ -154,17 +156,26 @@ def verify_conclusions(x: RationalVector, y: RationalVector, r: int,
     if sums_equal is None:
         sums_equal = x.total() == y.total()
 
-    low, high = [], []
-    for grid, start, width, asserted in ((low, 0.0, 1, True),
-                                         (high, 1.0, r, sums_equal)):
-        for i in range(grid_points):
-            p = start + i * width / (grid_points - 1)
-            nx, ny = lp_mean(x, p), lp_mean(y, p)
-            margin = ny - nx if grid is low else nx - ny
-            grid.append(GridPoint(p, nx, ny, margin,
-                                  (margin >= -tol) if asserted else None))
+    grids = []
+    # each grid's columns through map, so the only Python run per point is
+    # its two lp means
+    for start, width, asserted in ((0.0, 1, True), (1.0, r, sums_equal)):
+        # p = start + i * width / (grid_points - 1), rounded step by step
+        ps = list(map(add, repeat(start),
+                      map(truediv, map(mul, range(grid_points), repeat(width)),
+                          repeat(grid_points - 1))))
+        # x's mean, then y's, point by point, so the first mean beyond the
+        # float range is the one whose error comes out
+        means = list(map(lp_mean, cycle((x, y)),
+                         chain.from_iterable(zip(ps, ps))))
+        nx, ny = means[::2], means[1::2]
+        margins = list(map(sub, ny, nx) if not grids else map(sub, nx, ny))
+        oks = map(ge, margins, repeat(-tol)) if asserted else repeat(None)
+        # GridPoint._make without a Python frame per point
+        grids.append(tuple(map(tuple.__new__, repeat(GridPoint),
+                               zip(ps, nx, ny, margins, oks))))
     return ConclusionReport(r=r, tol=tol, sums_equal=sums_equal,
-                            low_grid=tuple(low), high_grid=tuple(high))
+                            low_grid=grids[0], high_grid=grids[1])
 
 
 @dataclass(frozen=True)

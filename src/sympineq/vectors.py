@@ -153,7 +153,6 @@ def lp_mean(x: RationalVector, p: Union[int, float, Fraction]) -> float:
 
     A mean beyond the float range raises ValueError, which names p.
     """
-    entries = x.entries
     try:
         pf = float(p)
         # finite |p| > 2^-10; p > 2^-10, the common case, stops at the first test
@@ -166,11 +165,12 @@ def lp_mean(x: RationalVector, p: Union[int, float, Fraction]) -> float:
             except (OverflowError, ZeroDivisionError):
                 pass  # out of the float range, or a zero entry at p < 0
         elif math.isinf(pf):
-            return float(max(entries) if pf > 0 else min(entries))
-        elif pf < 2.0 ** -512 and 0 in entries:
+            return float(max(x.entries) if pf > 0 else min(x.entries))
+        elif pf < 2.0 ** -512 and 0 in x.entries:
             return 0.0
         elif abs(pf) < 2.0 ** -512:
-            return math.exp(math.fsum(map(log_of_fraction, entries)) / len(entries))
+            return math.exp(math.fsum(map(log_of_fraction, x.entries)) / len(x))
+        entries = x.entries  # the fast path reads only the cached floats
         m = max(entries) if pf > 0 else min(entries)
         if m == 0:
             return 0.0

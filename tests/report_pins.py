@@ -9,7 +9,9 @@ n = 1..12, with the orders asked varied from request to request.  The vector
 requests come from a second one, appended after them: ``majorize`` with a
 psi grid and ``theorem2`` for n = 1..8 in both orientations, with equal and
 unequal sums; ``norms``, ``fkr``, ``catalyst`` with and without ``--y``, and
-``theorem1 --x/--y``, some of them as ``--format text``.
+``theorem1 --x/--y``, some of them as ``--format text``.  A third one
+draws the rest: every row shape of the reports as ``--format text``, and the
+JSON of the two request shapes that cost most to write.
 ``tests/test_report_pins.py`` replays the list under pytest; this script
 serves it without pytest:
 
@@ -65,7 +67,7 @@ def _square(kind: str, n: int, rnd: random.Random) -> list:
 
 def requests() -> list[tuple[str, dict[str, list], list[str]]]:
     """(name, input files by name, argv) for every pinned request."""
-    return matrix_requests() + vector_requests()
+    return matrix_requests() + vector_requests() + shape_requests()
 
 
 def matrix_requests() -> list[tuple[str, dict[str, list], list[str]]]:
@@ -200,6 +202,60 @@ def vector_requests() -> list[tuple[str, dict[str, list], list[str]]]:
     pair("text-theorem2", x, y, ["--format", "text", "theorem2"], "--k-max", "5")
     pair("text-theorem2-reverse", y, x,
          ["--format", "text", "theorem2"], "--k-max", "5")
+    return out
+
+
+def _sixths_pair(rnd: random.Random, n: int) -> tuple[list[Fraction], list[Fraction]]:
+    """x over 1/6 and y, x after three transfers of whole sixths, each less
+    than the gap, from a larger entry to a smaller one."""
+    x = [rnd.randint(1, 60) for _ in range(n)]
+    y = list(x)
+    done = 0
+    while done < 3:
+        i, j = rnd.sample(range(n), 2)
+        if y[i] < y[j]:
+            i, j = j, i
+        if y[i] - y[j] >= 2:
+            delta = rnd.randint(1, y[i] - y[j] - 1)
+            y[i] -= delta
+            y[j] += delta
+            done += 1
+    return [Fraction(v, 6) for v in x], [Fraction(v, 6) for v in y]
+
+
+def shape_requests() -> list[tuple[str, dict[str, list], list[str]]]:
+    """Every row shape of the reports as ``--format text``, and the two
+    largest report shapes as JSON: a ``theorem1 --r-max 3`` scan of a pair
+    over 1/6 at n = 20 and ``fkr --r 3`` at n = 24."""
+    rnd = random.Random(20261022)
+    out = []
+    x = _vector(rnd, 5)
+    y = _robin_hood(rnd, x)
+    c = [1, *_vector(rnd, 2)]
+    files = {"x.json": _text(x), "y.json": _text(y), "c.json": _text(c)}
+    text = ["--format", "text"]
+    out.append(("text-norms", files, [*text, "norms", "--x", "x.json"]))
+    out.append(("text-fkr", files, [*text, "fkr", "--x", "x.json", "--r", "2"]))
+    out.append(("text-catalyst-y", files,
+                [*text, "catalyst", "--x", "x.json", "--c", "c.json",
+                 "--y", "y.json", "--r", "2"]))
+    out.append(("text-majorize-psi", files,
+                [*text, "majorize", "--x", "x.json", "--y", "y.json",
+                 *PSI_GRID]))
+    q = _entries(rnd, 4, 5, 2)
+    out.append(("text-spectral", {"q.json": q},
+                [*text, "spectral", "--q", "q.json", "--r", "1", "--r", "2"]))
+    qy = [list(row) for row in q]
+    qy[3][2] = -qy[3][2]
+    out.append(("text-theorem1-matrices", {"qx.json": q, "qy.json": qy},
+                [*text, "theorem1", "--qx", "qx.json", "--qy", "qy.json",
+                 "--r-max", "3"]))
+    x, y = _sixths_pair(rnd, 20)
+    out.append(("theorem1-r-max-n20", {"x.json": _text(x), "y.json": _text(y)},
+                ["theorem1", "--x", "x.json", "--y", "y.json", "--r-max", "3"]))
+    x = [Fraction(rnd.randint(1, 60), 6) for _ in range(24)]
+    out.append(("fkr-r3-n24", {"x.json": _text(x)},
+                ["fkr", "--x", "x.json", "--r", "3"]))
     return out
 
 

@@ -881,16 +881,16 @@ class TestTracedGlobals:
         assert code == 0 and calls
 
 
-def emitted(obj):
+def emitted(obj, fmt="json"):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        emit(obj, "json")
+        emit(obj, fmt)
     return out.getvalue()
 
 
 SCALARS = (st.none() | st.booleans() | st.integers() | st.floats()
            | st.text())
-# the rows, checks and value tables of the reports are lists of flat dicts
+# trees of scalars, lists, tuples and dicts, lists of flat dicts among them
 TREES = st.recursive(
     SCALARS,
     lambda kids: (st.lists(kids, max_size=4)
@@ -901,8 +901,62 @@ TREES = st.recursive(
     max_leaves=24)
 SEAM = "},\n      {"
 
+# every row shape the commands emit, and the values their fields take
+ROW_SHAPES = (cli._GRID, cli._LEDGER, cli._F_TABLE, cli._MEANS, cli._PSI,
+              cli._COMPARISON)
+ROW_VALUES = (st.floats() | st.sampled_from(
+                  [-0.0, 5e-324, 1e16, math.inf, -math.inf, math.nan])
+              | st.booleans() | st.none()
+              | st.integers() | st.sampled_from([10 ** 4400, -(10 ** 4400)])
+              | st.fractions().map(str))
+
+
+@st.composite
+def row_objects(draw):
+    fields = draw(st.sampled_from(ROW_SHAPES))
+    rows = draw(st.lists(st.tuples(*[ROW_VALUES] * len(fields)), max_size=4))
+    order = draw(st.permutations(fields))
+    return cli._Rows(fields, rows, order=tuple(order))
+
+
+@st.composite
+def nested_rows(draw):
+    """A rows object at depth 0 to 3, each level a dict or a list that may
+    hold scalars and other rows objects beside it."""
+    tree = draw(row_objects())
+    for _ in range(draw(st.integers(0, 3))):
+        kin = draw(st.lists(SCALARS | row_objects(), max_size=2))
+        kin.insert(draw(st.integers(0, len(kin))), tree)
+        if draw(st.booleans()):
+            keys = draw(st.lists(st.text(max_size=3), min_size=len(kin),
+                                 max_size=len(kin), unique=True))
+            tree = dict(zip(keys, kin))
+        else:
+            tree = kin
+    return tree
+
+
+def as_dicts(tree):
+    """``tree`` with each rows object replaced by its rows as dicts, keys in
+    the rows object's own order."""
+    if isinstance(tree, cli._Rows):
+        index = [tree.fields.index(key) for key in tree.order]
+        return [{key: row[i] for key, i in zip(tree.order, index)}
+                for row in tree.rows]
+    if isinstance(tree, dict):
+        return {key: as_dicts(v) for key, v in tree.items()}
+    if isinstance(tree, (list, tuple)):
+        return [as_dicts(v) for v in tree]
+    return tree
+
 
 class TestJsonWriter:
+    @pytest.fixture(autouse=True, scope="class")
+    def no_digit_limit(self):
+        # hypothesis takes the repr of an example, rows of 10^4400 included
+        with int_max_str_digits(0):
+            yield
+
     @given(TREES)
     @example({"rows": [{"a": SEAM, SEAM: "},\n", "{[": "]}"},
                        {"q": '"\\', "c": "\x00\x1f\n\t", "u": "\u00e9\u2713",
@@ -926,15 +980,50 @@ class TestJsonWriter:
         finally:
             sys.set_int_max_str_digits(old)
 
+    @given(nested_rows())
+    @example(cli._Rows(cli._GRID, [(-0.0, 5e-324, 1e16, math.inf, None),
+                                   (math.nan, 1.0, -1.0, 0.5, True)]))
+    @example({"checks": cli._Rows(cli._LEDGER, [
+        ("1/3", str(10 ** 400), 10 ** 4400, "-2/7", "0", False)])})
+    @example([[{"values": cli._Rows(cli._F_TABLE, [(10 ** 4400, "1", "1/2")]),
+                "n": 3}]])
+    @example({"a": [{"means": cli._Rows(cli._MEANS, [(0.0, -math.inf)])},
+                    cli._Rows(cli._PSI, [])]})
+    def test_rows_match_json_dumps_of_their_dicts(self, tree):
+        assert emitted(tree) == \
+            json.dumps(as_dicts(tree), indent=2, sort_keys=True) + "\n"
+
+    @given(st.dictionaries(st.text(max_size=3),
+                           row_objects() | SCALARS | st.lists(
+                               st.fixed_dictionaries({"checks": row_objects(),
+                                                      "r": st.integers()}),
+                               max_size=3),
+                           max_size=3))
+    def test_text_rows_print_as_their_dicts(self, report):
+        # nested in a row, a rows object prints as the repr of its dicts
+        assert emitted(report, "text") == emitted(as_dicts(report), "text")
+
+    @pytest.mark.parametrize("fields", [("p", "margin"), ()])
+    def test_rows_take_their_fields_sorted(self, fields):
+        with pytest.raises(ValueError, match="sorted fields"):
+            cli._Rows(fields, [])
+
     def test_same_bytes_without_the_c_accelerator(self, capsys, files):
-        argv = ["theorem1", "--x", files["x.json"], "--y", files["y.json"],
-                "--r", "3"]
-        code, out, _ = run(capsys, *argv)
+        commands = [
+            ("theorem1", "--x", "x.json", "--y", "y.json", "--r", "3"),
+            ("norms", "--x", "x.json"),
+            ("fkr", "--x", "x.json", "--r", "2"),
+            ("catalyst", "--x", "x.json", "--c", "c.json", "--y", "y.json"),
+            ("majorize", "--x", "a.json", "--y", "b.json",
+             "--psi-grid", "0.5", "--psi-grid", "inf"),
+            ("spectral", "--q", "q.json", "--r", "1", "--r", "2")]
+        commands = [[files.get(a, a) for a in argv] for argv in commands]
         script = ("import sys\n"
                   "sys.modules['_json'] = None\n"
                   "import json.encoder\n"
                   "assert json.encoder.c_make_encoder is None\n"
-                  "from sympineq.cli import main\n"
-                  "sys.exit(main(sys.argv[1:]))\n")
-        done = run_python(script, *argv)
-        assert (done.returncode, done.stdout, done.stderr) == (code, out, "")
+                  + TestWithoutNumpy.SCRIPT)
+        done = run_python(script, json.dumps(commands))
+        assert (done.returncode, done.stderr) == (0, "")
+        assert json.loads(done.stdout) == [list(run(capsys, *argv))
+                                           for argv in commands]

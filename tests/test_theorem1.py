@@ -158,6 +158,21 @@ class TestConclusions:
         assert [pt.ok for pt in rep.low_grid] == [ok] * 3
         assert rep.high_all_pass
 
+    def test_means_point_by_point_low_grid_first(self, monkeypatch):
+        x, y = vec(1), vec(2)
+        calls = []
+        monkeypatch.setattr(theorem1, "lp_mean",
+                            lambda v, p: calls.append((v, p)) or 1.0)
+        verify_conclusions(x, y, 2, grid_points=3)
+        assert calls == [(v, p) for p in (0.0, 0.5, 1.0, 1.0, 2.0, 3.0)
+                         for v in (x, y)]
+
+    def test_the_first_mean_beyond_the_float_range_names_its_p(self):
+        # y's geometric mean at p = 0 is 1e400; x's mean leaves the float
+        # range only from p = 0.01 on
+        with pytest.raises(ValueError, match=r"at p=0\.0 is beyond"):
+            verify_conclusions(vec("1e400", "1"), vec("1e400", "1e400"), 1)
+
     def test_small_soundness_sweep(self, rng):
         # pairs that pass the hypotheses with equal sums may not violate the
         # measured grids beyond tolerance; this is the implication itself
