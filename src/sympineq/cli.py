@@ -493,12 +493,13 @@ def cmd_catalyst(args: argparse.Namespace) -> tuple[int, dict[str, Any]]:
     x, c = load_vector(args.x), load_vector(args.c)
     tx = tensor(x, c)
     cx = product_over_vector(tx, args.r, args.degree)
+    x_text = list(map(str, cx.coeffs))
     report: dict[str, Any] = {
         "command": "catalyst",
         "r": args.r,
         "degree_bound": cx.degree_bound,
         "tensor_x": list(map(str, tx.entries)),
-        "x_coeffs": list(map(str, cx.coeffs)),
+        "x_coeffs": x_text,
     }
     code = 0
     if args.y:
@@ -506,10 +507,11 @@ def cmd_catalyst(args: argparse.Namespace) -> tuple[int, dict[str, Any]]:
         if len(y) != len(x):
             raise ValueError("vectors must have equal length")
         cy = product_over_vector(tensor(y, c), args.r, cx.degree_bound)
-        passes = [a <= b for a, b in zip(cx.coeffs, cy.coeffs)]
-        report["y_coeffs"] = list(map(str, cy.coeffs))
+        passes = [a.numerator * b.denominator <= b.numerator * a.denominator
+                  for a, b in zip(cx.coeffs, cy.coeffs)]
+        report["y_coeffs"] = y_text = list(map(str, cy.coeffs))
         report["comparison"] = _Rows(_COMPARISON, list(zip(
-            map(str, cx.coeffs), map(str, cy.coeffs), itertools.count(), passes)))
+            x_text, y_text, itertools.count(), passes)))
         report["pass"] = all(passes)
         code = 0 if report["pass"] else 1
     return code, report

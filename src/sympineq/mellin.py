@@ -256,7 +256,7 @@ def _window(kind: str, r: int, p: float, a: float, eps: float) -> tuple[float, f
         hi += 5.0
         # lower: log P_r(s) <= s
         lo = min(math.log(eps * (1.0 - p) / a) / (1.0 - p), -1.0) - 5.0
-    elif kind == "J":
+    else:  # "J"
         # upper: the gap is at most s
         hi = max(math.log(a / (eps * (p - 1.0))) / (p - 1.0), 1.0) + 5.0
         # lower: the gap is at most 3 s^{r+1} / (r+1)! once s <= 1/2
@@ -264,8 +264,6 @@ def _window(kind: str, r: int, p: float, a: float, eps: float) -> tuple[float, f
         lo = (math.log(eps * rho * math.factorial(r + 1) / 3.0)
               - (r + 1) * log_a) / rho
         lo = min(lo, -math.log(2.0 * a)) - 5.0
-    else:
-        raise ValueError(f"unknown kind {kind!r}")
     return lo, hi
 
 

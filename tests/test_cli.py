@@ -410,6 +410,15 @@ class TestMajorize:
                                    "--y", files["b.json"])
         assert code == 0 and report["holds"]
 
+    def test_partial_sums_and_the_swapped_pair(self, capsys, files):
+        # [3, 1] majorizes [2, 2], and not the other way round
+        code, report, _ = run_json(capsys, "majorize", "--x", files["a.json"],
+                                   "--y", files["b.json"])
+        assert code == 0 and report["x_partial_sums"] == ["3", "4"]
+        code, report, _ = run_json(capsys, "majorize", "--x", files["b.json"],
+                                   "--y", files["a.json"])
+        assert code == 1 and not report["holds"]
+
     def test_fails_with_witness(self, capsys, files):
         code, report, _ = run_json(capsys, "majorize", "--x", files["x.json"],
                                    "--y", files["y.json"])
@@ -441,6 +450,14 @@ class TestTheorem2:
         code, report, _ = run_json(capsys, "theorem2", "--x", files["a.json"],
                                    "--y", files["b.json"], "--k-max", "6")
         assert code == 0 and report["pass"]
+
+    def test_default_k_max_and_the_swapped_pair(self, capsys, files):
+        code, report, _ = run_json(capsys, "theorem2", "--x", files["a.json"],
+                                   "--y", files["b.json"])
+        assert code == 0 and report["pass"]
+        code, report, _ = run_json(capsys, "theorem2", "--x", files["b.json"],
+                                   "--y", files["a.json"])
+        assert code == 1 and not report["pass"]
 
     def test_probe_pair_reports_violations(self, capsys, files):
         code, report, _ = run_json(capsys, "theorem2", "--x", files["x.json"],

@@ -14,6 +14,15 @@ from sympineq.mellin import (delta_r, identity_check, identity_lhs, integral_I,
                              integral_J)
 
 
+@pytest.fixture(autouse=True)
+def empty_memo():
+    """Each test starts and ends with an empty memo of finished quadratures,
+    so no result crosses from one test to the next."""
+    mellin._memo.cache_clear()
+    yield
+    mellin._memo.cache_clear()
+
+
 def closed_form_I1(p: float) -> float:
     # integrate log(1+s) s^{-p-1} by parts: (1/p) * pi / sin(pi p)
     return math.pi / (p * math.sin(math.pi * p))
@@ -426,7 +435,6 @@ class TestLockstep:
     @pytest.mark.parametrize("row", GOLDEN, ids=lambda row: "-".join(map(str, row[:4])))
     def test_reproduces_the_golden_bits(self, row):
         which, r, p, a = row[:4]
-        mellin._memo.cache_clear()
         lhs = identity_lhs(which, a, p, r)
         norm = (integral_I if which == "id1" else integral_J)(r, p)
         # the bits pinned are within their error bar
@@ -450,7 +458,6 @@ class TestLockstep:
         # one pass, settled at round 1: rounds 0 and 1 of both scales in
         # one call
         sizes = counted_integrands(monkeypatch)
-        mellin._memo.cache_clear()
         code = cli_main(["mellin-validate", "--which", which, "--r", "2",
                          "--p", p, "--a", "3.1"])
         assert code == 0 and len(sizes) == 1
@@ -459,7 +466,6 @@ class TestLockstep:
     def test_no_call_exceeds_one_block(self, monkeypatch):
         # this far end of J runs rounds of up to 12076 panels
         sizes = counted_integrands(monkeypatch)
-        mellin._memo.cache_clear()
         integral_J(1, 1.999)
         assert max(sizes) == mellin._BLOCK_PANELS * 16
 
@@ -472,7 +478,6 @@ class TestLockstep:
             return inner(integrand, p, r, windows, *args)
 
         monkeypatch.setattr(mellin, "_doubling", counted)
-        mellin._memo.cache_clear()
         cli_main(["mellin-validate", "--which", "id1", "--r", "3",
                   "--p", "0.61", "--a", "0.4"])
         # one pass over scales 1 and 0.4
@@ -489,18 +494,14 @@ class TestLockstep:
 
         monkeypatch.setattr(mellin, "_lockstep", counted)
         monkeypatch.setattr(mellin, "_MEMO_SIZE", 2)
-        mellin._memo.cache_clear()
-        try:
-            for p in (0.3, 0.4, 0.5):
-                integral_I(1, p)
-            assert list(mellin._memo()) == [("I", 1, 0.4, 1.0), ("I", 1, 0.5, 1.0)]
-            integral_I(1, 0.5)  # the newest: held
-            assert calls == [0.3, 0.4, 0.5]
-            integral_I(1, 0.3)  # evicted: run again, once
-            assert calls == [0.3, 0.4, 0.5, 0.3]
-            assert list(mellin._memo()) == [("I", 1, 0.5, 1.0), ("I", 1, 0.3, 1.0)]
-        finally:
-            mellin._memo.cache_clear()
+        for p in (0.3, 0.4, 0.5):
+            integral_I(1, p)
+        assert list(mellin._memo()) == [("I", 1, 0.4, 1.0), ("I", 1, 0.5, 1.0)]
+        integral_I(1, 0.5)  # the newest: held
+        assert calls == [0.3, 0.4, 0.5]
+        integral_I(1, 0.3)  # evicted: run again, once
+        assert calls == [0.3, 0.4, 0.5, 0.3]
+        assert list(mellin._memo()) == [("I", 1, 0.5, 1.0), ("I", 1, 0.3, 1.0)]
 
 
 def test_a_negative_error_estimate_raises():
@@ -580,6 +581,17 @@ class TestConverged:
         assert got.converged
         assert abs(got.value - root_sum_closed_form("J", r, p)) <= got.estimated_error
 
+    def test_the_cli_passes_at_the_upper_end_of_order_one(self, capsys):
+        # the request of the mellin-validate workload nearest p = 2 at r = 1:
+        # the identity converges and passes, and the normalizer lies within
+        # its error bar of J(1, p) = -pi / (p sin(pi p))
+        assert validate("--which", "id2", "--r", "1", "--p", "1.98",
+                        "--a", "2.5") == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["converged"] is True and report["pass"] is True
+        norm = report["normalizer"]
+        assert abs(norm["value"] - closed_form_J1(1.98)) <= norm["estimated_error"]
+
     def test_converged_kernels(self):
         assert integral_I(1, 0.98).converged
         assert integral_J(2, 1.5).converged
@@ -590,7 +602,6 @@ class TestConverged:
     def test_identity_ands_its_two_quadratures(self, monkeypatch):
         # one window reported unconverged, at scale 1 or at scale a, is
         # enough to leave the ratio unconverged; at a = 0 only scale 1 runs
-        mellin._memo.cache_clear()
         assert identity_lhs("id2", 2.5, 1.98, 1).converged
         for failing, a in ((1.0, 2.5), (2.5, 2.5), (1.0, 0.0)):
             with failing_window(monkeypatch, math.log(failing)):
@@ -600,7 +611,6 @@ class TestConverged:
                                                           capsys):
         argv = ["mellin-validate", "--which", "id1", "--r", "2", "--p", "0.5",
                 "--a", "2"]
-        mellin._memo.cache_clear()
         assert cli_main(argv) == 0
         passed = json.loads(capsys.readouterr().out)
         with failing_window(monkeypatch, math.log(2.0)):
@@ -739,14 +749,12 @@ class TestIdentities:
 
     def test_the_largest_transform_in_range(self):
         # a^p J(1, 1.02) = 1.76e308, below the largest float 1.80e308
-        mellin._memo.cache_clear()
         got = identity_lhs("id2", 3.5e300, 1.02, 1)
         assert got.converged and identity_check("id2", 3.5e300, 1.02, 1) < 1e-12
 
     def test_a_tiny_scale(self):
         # a^p = 1e-150: the window tolerance 1e-10 a^p _lower_bound is a
         # normal float, and the identity holds within its bar
-        mellin._memo.cache_clear()
         got = identity_lhs("id1", 1e-300, 0.5, 2)
         assert got.converged and abs(got.value - 1e-150) <= got.estimated_error
 
@@ -754,7 +762,6 @@ class TestIdentities:
         # a^p = 1e-306 and the kernel at scale a, 4.9e-305, are below the
         # 1e-300 floor of the window tolerance, so the scaled quadrature
         # resolves nothing; the quotient bar still covers the miss
-        mellin._memo.cache_clear()
         got = identity_lhs("id2", 1e-300, 1.02, 1)
         assert abs(got.value - 1e-300 ** 1.02) <= got.estimated_error
 
@@ -768,9 +775,7 @@ class TestIdentities:
                     for x, a in zip(real(kind, r, p, scales), scales)]
 
         monkeypatch.setattr(mellin, "_lockstep", swallowed)
-        mellin._memo.cache_clear()
         got = identity_lhs("id1", 2.0, 0.5, 2)
-        mellin._memo.cache_clear()
         assert not got.converged and got.estimated_error == math.inf
 
     def test_a_tiny_transform_keeps_the_least_tolerance(self):
