@@ -64,7 +64,6 @@ __all__ = [
     "g_kr",
     "gbar_kr",
     "gbar_numerators",
-    "g_cell",
     "m_kr",
     "m_cell",
 ]
@@ -89,13 +88,6 @@ def gbar_numerators(table: SubsetPowerTable, r: int) -> list[int]:
     table.entry(r - 1, 0)  # IndexError unless the rows below r were built
     coeffs = [(-1) ** (r - 1 - j) * comb(n - 1 - j, r - 1 - j) for j in range(r)]
     return [sum(map(mul, coeffs, column)) for column in zip(*table.rows[:r])]
-
-
-def g_cell(table: SubsetPowerTable, k: int, r: int) -> Fraction:
-    """G_{k,r}, the complement of Gbar_{k,r} in ``(sum x)^k / k!``, read
-    from a subset_power_table with k_max >= k and the rows below r."""
-    gbar = gbar_numerators(table, r)[k]
-    return Fraction(table.total ** k - gbar, factorial(k) * table.denominator ** k)
 
 
 def gbar_kr(x: RationalVector, k: int, r: int) -> Fraction:

@@ -94,11 +94,9 @@ def theorem2_scan(x: RationalVector, y: RationalVector, k_max: int) -> Theorem2R
     subset-power table per vector, built once; cells are walked in (r, k)
     order and the first violation per family is recorded.
     """
-    if len(x) != len(y):
-        raise ValueError("vectors must have equal length")
+    verdict = majorizes(x, y)  # ValueError for unequal lengths
     if k_max < 1:
         raise ValueError("need k_max >= 1")
-    verdict = majorizes(x, y)
     if not verdict.sum_equal:
         return Theorem2Report(sums_equal=False, k_max=k_max, majorization=None,
                               distinct_var_violation=None,
@@ -106,7 +104,8 @@ def theorem2_scan(x: RationalVector, y: RationalVector, k_max: int) -> Theorem2R
     n = len(x)
     # over one denominator L every cell of both vectors shares its
     # denominator, k! L^k for G and L^k for M, so cells compare as ints; with
-    # equal totals, G(x) > G(y) exactly when Gbar(x) < Gbar(y)
+    # equal totals, G(x) > G(y) exactly when Gbar(x) < Gbar(y), and G is
+    # (total^k - Gbar numerator) / (k! L^k)
     den = math.lcm(*(e.denominator for e in x.entries + y.entries))
     rows = min(n, k_max)  # cells need r <= k <= k_max
     tx, ty = (series.subset_power_table(v, k_max, rows, den) for v in (x, y))
@@ -118,12 +117,17 @@ def theorem2_scan(x: RationalVector, y: RationalVector, k_max: int) -> Theorem2R
         if g_violation is None:
             bx, by = families.gbar_numerators(tx, r), families.gbar_numerators(ty, r)
             k = next((k for k in ks if bx[k] < by[k]), None)
-            g_violation = None if k is None else CellViolation(
-                r, k, families.g_cell(tx, k, r), families.g_cell(ty, k, r))
+            if k is not None:
+                scale = math.factorial(k) * den ** k
+                g_violation = CellViolation(
+                    r, k, Fraction(tx.total ** k - bx[k], scale),
+                    Fraction(ty.total ** k - by[k], scale))
         if m_violation is None:
-            k = next((k for k in ks if tx.rows[r][k] < ty.rows[r][k]), None)
-            m_violation = None if k is None else CellViolation(
-                r, k, families.m_cell(tx, k, r), families.m_cell(ty, k, r))
+            mx, my = tx.rows[r], ty.rows[r]
+            k = next((k for k in ks if mx[k] < my[k]), None)
+            if k is not None:
+                m_violation = CellViolation(r, k, Fraction(mx[k], den ** k),
+                                            Fraction(my[k], den ** k))
     return Theorem2Report(sums_equal=True, k_max=k_max, majorization=verdict,
                           distinct_var_violation=g_violation,
                           subset_power_violation=m_violation,

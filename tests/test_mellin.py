@@ -13,6 +13,8 @@ from sympineq.cli import main as cli_main
 from sympineq.mellin import (delta_r, identity_check, identity_lhs, integral_I,
                              integral_J)
 
+from conftest import run_python
+
 
 @pytest.fixture(autouse=True)
 def empty_memo():
@@ -441,6 +443,26 @@ class TestLockstep:
         closed = root_sum_closed_form("I" if which == "id1" else "J", r, p)
         assert abs(norm.value - closed) <= norm.estimated_error
         assert bits(lhs) + bits(norm) == row[4:]
+
+    def test_the_golden_bits_on_one_blas_thread(self):
+        # as bench/run.py serves them: a dot that OpenBLAS splits across
+        # threads can change the bits
+        script = ("import json, os, sys\n"
+                  "os.environ['OPENBLAS_NUM_THREADS'] = '1'  # before numpy\n"
+                  "from sympineq.mellin import identity_lhs, integral_I, "
+                  "integral_J\n"
+                  "def bits(q):\n"
+                  "    return [q.value.hex(), q.estimated_error.hex(), "
+                  "q.node_count]\n"
+                  "rows = []\n"
+                  "for which, r, p, a in json.loads(sys.argv[1]):\n"
+                  "    norm = (integral_I if which == 'id1' else integral_J)(r, p)\n"
+                  "    rows.append(bits(identity_lhs(which, a, p, r)) + bits(norm))\n"
+                  "print(json.dumps(rows))\n")
+        done = run_python(script, json.dumps([row[:4] for row in GOLDEN]))
+        assert (done.returncode, done.stderr) == (0, "")
+        assert [tuple(b) for b in json.loads(done.stdout)] == [
+            row[4:] for row in GOLDEN]
 
     @settings(max_examples=30, deadline=None)
     @given(st.sampled_from(["I", "J"]), st.integers(1, 3),

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -226,6 +227,26 @@ class TestFullReport:
         assert rep.certified_r is None
         assert rep.conclusions is None
         assert not rep.passed
+
+
+def test_certified_orders_are_downward_closed():
+    # ROADMAP item 21, question 1, on a fixed sample until a proof or a
+    # witness replaces it: 200 equal-sum pairs (n = 3..5, entries i/d with
+    # i <= 12 and d <= 4, y rescaled to x's sum); the orders r = 1..n+2
+    # certified for a pair must be 1..R for some R >= 0
+    rng = random.Random(21)
+    certified = 0
+    for _ in range(200):
+        n = rng.randint(3, 5)
+        x, y = ([Fraction(rng.randint(0, 12), rng.randint(1, 4))
+                 for _ in range(n)] for _ in "xy")
+        scale = sum(x) / sum(y)  # no y of this sample sums to 0
+        x, y = vec(*x), vec(*(e * scale for e in y))
+        orders = [r for r in range(1, n + 3)
+                  if check_hypotheses(x, y, r).all_pass]
+        assert orders == list(range(1, len(orders) + 1)), (x, y, orders)
+        certified += bool(orders)
+    assert 0 < certified < 200
 
 
 class TestGridSpectrum:
