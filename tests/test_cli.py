@@ -557,6 +557,25 @@ class TestMellinValidate:
                            "--r", "2", "--p", "1.5", "--a", "2")
         assert code == 2 and "error:" in err
 
+    # the benchmark's tracer wraps these attributes of sympineq.cli, so the
+    # command must call each through the module global, loaded or not
+    @pytest.mark.parametrize("kernel, which, p", [
+        ("identity_lhs", "id1", "0.5"), ("identity_check", "id1", "0.5"),
+        ("integral_I", "id1", "0.5"), ("integral_J", "id2", "2.5")])
+    def test_kernels_are_called_through_module_globals(self, capsys, monkeypatch,
+                                                        kernel, which, p):
+        original = getattr(cli, kernel)
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(cli, kernel, counting)
+        code, _, _ = run(capsys, "mellin-validate", "--which", which, "--r", "2",
+                         "--p", p, "--a", "2")
+        assert code == 0 and len(calls) == 1
+
     @pytest.mark.parametrize("argv, message", [
         ("id1 --r 169 --p 0.5 --a 2", None),
         ("id2 --r 169 --p 1.5 --a 2", None),
