@@ -140,21 +140,13 @@ def emit(report: dict[str, Any], fmt: str) -> None:
 
     ``json.dumps`` with an indent runs the stdlib's pure-Python encoder, so
     the JSON writer (``_json_text``) hands the scalars to the C encoder
-    instead: an encoder whose item separator is ``",\\n"`` plus the indent
-    writes every scalar exactly as the indented encoder does, and no encoded
-    scalar holds a raw newline, so its output splits exactly at the
-    separators.
-    - A container of scalars is one ``encode``; its outer brackets then
-      become the indented ones.
-    - A ``_Rows`` is one ``encode`` of all its values, split into one text
-      per value, and one ``%`` of its row template, repeated once per row.
-      The template, one per shape and depth, holds the indented keys and a
-      ``%s`` for each value.
-    - Everything else (the few containers that hold containers) is one
-      ``encode`` with each inner container replaced by a ``0``, which
-      writes every key and loose scalar in order; the output splits at its
-      separators, and each ``0`` gives way to the inner container's own
-      text.
+    instead.  It first writes a skeleton: the indented brackets and commas,
+    with a ``%s`` for each dict key and each scalar, and for a ``_Rows``
+    its row template (its keys written in, cached per shape and depth)
+    once per row.  One ``encode`` of those keys and scalars in slot order,
+    with a newline as item separator, writes each exactly as the indented
+    encoder does; no encoded scalar holds a raw newline, so the output
+    splits into the slots' texts exactly.
     """
     if fmt == "json":
         print(_json_text(report))
@@ -196,18 +188,10 @@ _CONTAINERS = (dict, list, tuple, _Rows)
 
 
 @functools.lru_cache(maxsize=None)
-def _encoder(depth: int) -> Callable[[Any], str]:
-    # indent None, so encode runs the C encoder (or, without _json, the
-    # pure-Python one, which writes the same bytes)
-    return json.JSONEncoder(separators=(",\n" + "  " * depth, ": "),
-                            sort_keys=True).encode
-
-
-@functools.lru_cache(maxsize=None)
 def _row_template(fields: tuple[str, ...], depth: int) -> str:
     # one row of a _Rows at depth: the keys indented, a %s per value
     inner, deep = "  " * (depth + 1), "  " * (depth + 2)
-    keys = [deep + _encoder(0)(key).replace("%", "%%") + ": %s" for key in fields]
+    keys = [deep + json.dumps(key).replace("%", "%%") + ": %s" for key in fields]
     return inner + "{\n" + ",\n".join(keys) + "\n" + inner + "}"
 
 
@@ -215,43 +199,43 @@ def _row_template(fields: tuple[str, ...], depth: int) -> str:
 _values_text = json.JSONEncoder(separators=("\n", ": ")).encode
 
 
-def _rows_text(rows: _Rows, depth: int) -> str:
-    if not rows:
-        return "[]"
-    values = _values_text(list(itertools.chain.from_iterable(rows.rows)))
-    values = tuple(values[1:-1].split("\n"))
-    template = ",\n".join([_row_template(rows.fields, depth)] * len(rows))
-    return "[\n" + template % values + "\n" + "  " * depth + "]"
-
-
-def _flat(items) -> bool:
-    return not any(map(isinstance, items, itertools.repeat(_CONTAINERS)))
-
-
-def _json_text(obj: Any, depth: int = 0) -> str:
+def _skeleton(obj: Any, depth: int, values: list) -> str:
+    # obj's indented JSON with a %s for each key and scalar; the keys and
+    # scalars go onto values in the order of their slots
     if not isinstance(obj, _CONTAINERS):
-        return _encoder(0)(obj)
+        values.append(obj)
+        return "%s"
+    inner = "  " * (depth + 1)
     if isinstance(obj, _Rows):
-        return _rows_text(obj, depth)
-    is_dict = isinstance(obj, dict)
-    if not obj:
-        return "{}" if is_dict else "[]"
-    pad, inner = "  " * depth, "  " * (depth + 1)
-    values = obj.values() if is_dict else obj
-    if _flat(values):
-        body = _encoder(depth + 1)(obj)[1:-1]
+        values.extend(itertools.chain.from_iterable(obj.rows))
+        items = [_row_template(obj.fields, depth)] * len(obj)
+    elif isinstance(obj, dict):
+        pairs = sorted(obj.items())
+        if any(map(isinstance, obj.values(), itertools.repeat(_CONTAINERS))):
+            items = []
+            for key, value in pairs:
+                values.append(key)
+                items.append(inner + "%s: " + _skeleton(value, depth + 1, values))
+        else:
+            values.extend(itertools.chain.from_iterable(pairs))
+            items = [inner + "%s: %s"] * len(pairs)
+    elif any(map(isinstance, obj, itertools.repeat(_CONTAINERS))):
+        items = [inner + _skeleton(value, depth + 1, values) for value in obj]
     else:
-        placeholders = ({key: 0 if isinstance(v, _CONTAINERS) else v
-                         for key, v in obj.items()} if is_dict
-                        else [0 if isinstance(v, _CONTAINERS) else v for v in obj])
-        pieces = _encoder(depth + 1)(placeholders)[1:-1].split(",\n" + inner)
-        if is_dict:
-            values = [v for _, v in sorted(obj.items())]
-        body = (",\n" + inner).join(
-            piece[:-1] + _json_text(v, depth + 1) if isinstance(v, _CONTAINERS) else piece
-            for piece, v in zip(pieces, values))
-    opening, closing = ("{", "}") if is_dict else ("[", "]")
-    return opening + "\n" + inner + body + "\n" + pad + closing
+        values.extend(obj)
+        items = [inner + "%s"] * len(obj)
+    opening, closing = "{}" if isinstance(obj, dict) else "[]"
+    if not items:
+        return opening + closing
+    return opening + "\n" + ",\n".join(items) + "\n" + "  " * depth + closing
+
+
+def _json_text(obj: Any) -> str:
+    values: list = []
+    skeleton = _skeleton(obj, 0, values)
+    if not values:  # every container is empty
+        return skeleton
+    return skeleton % tuple(_values_text(values)[1:-1].split("\n"))
 
 
 def _print_text(report: dict[str, Any], indent: int = 0) -> None:
@@ -326,7 +310,6 @@ def cmd_norms(args: argparse.Namespace) -> tuple[int, dict[str, Any]]:
                  if args.p else [-math.inf, -2.0, -1.0, 0.0, 0.5, 1.0, 2.0, math.inf])
     rows = _Rows(_MEANS, [(lp_mean(x, p), p) for p in exponents])
     report = {
-        "command": "norms",
         "n": len(x),
         "entries": list(map(str, x.entries)),
         "partial_sums_desc": list(map(str, partial_sums_desc(x))),
@@ -342,7 +325,6 @@ def cmd_fkr(args: argparse.Namespace) -> tuple[int, dict[str, Any]]:
         raise ValueError(f"k={args.k} outside 0..{len(table) - 1}")
     ks = [args.k] if args.k is not None else range(len(table))
     report = {
-        "command": "fkr",
         "n": len(x),
         "r": args.r,
         "values": _f_rows(table, ks),
@@ -380,7 +362,6 @@ def cmd_theorem1(args: argparse.Namespace) -> tuple[int, dict[str, Any]]:
     rep = full_report(hypotheses, x, y,
                       **{k: v for k, v in options.items() if v is not None})
     report = {
-        "command": "theorem1",
         "mode": "vectors" if vector_mode else "matrices",
         "requested_r": r_values,
         "hypotheses": [_hypothesis_json(h) for h in rep.hypotheses],
@@ -399,7 +380,6 @@ def cmd_majorize(args: argparse.Namespace) -> tuple[int, dict[str, Any]]:
     x, y = load_vector(args.x), load_vector(args.y)
     verdict = majorizes(x, y)
     report: dict[str, Any] = {
-        "command": "majorize",
         "holds": verdict.holds,
         "sums_equal": verdict.sum_equal,
         "first_violation": (
@@ -426,7 +406,6 @@ def cmd_theorem2(args: argparse.Namespace) -> tuple[int, dict[str, Any]]:
                  "rhs": str(v.rhs)} if v else None)
 
     report = {
-        "command": "theorem2",
         "k_max": rep.k_max,
         "sums_equal": rep.sums_equal,
         "majorization_holds": rep.majorization_holds,
@@ -448,10 +427,8 @@ def cmd_spectral(args: argparse.Namespace) -> tuple[int, dict[str, Any]]:
     else:
         matrix = load_matrix(args.matrix)
         assume_psd = False
-    rs = sorted(set(args.r)) if args.r else [1]
-    summary = spectral_summary(matrix, rs=rs, assume_psd=assume_psd)
+    summary = spectral_summary(matrix, rs=args.r or [1], assume_psd=assume_psd)
     report = {
-        "command": "spectral",
         "n": len(matrix),
         "matrix": [list(row) for row in matrix],
         "e_coeffs": list(map(str, summary.e_coeffs)),
@@ -471,7 +448,6 @@ def cmd_mellin_validate(args: argparse.Namespace) -> tuple[int, dict[str, Any]]:
     # an unconverged quadrature's error bar is no bound, so it never passes
     ok = error <= args.tol and lhs.converged
     report = {
-        "command": "mellin-validate",
         "which": args.which,
         "r": args.r,
         "p": args.p,
@@ -495,7 +471,6 @@ def cmd_catalyst(args: argparse.Namespace) -> tuple[int, dict[str, Any]]:
     cx = product_over_vector(tx, args.r, args.degree)
     x_text = list(map(str, cx.coeffs))
     report: dict[str, Any] = {
-        "command": "catalyst",
         "r": args.r,
         "degree_bound": cx.degree_bound,
         "tensor_x": list(map(str, tx.entries)),
@@ -631,6 +606,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             # every input error, the CLI's own or the library's, is a ValueError
             print(f"error: {exc}", file=sys.stderr)
             return 2
+        report["command"] = args.command
         emit(report, args.format)
         return code
     finally:

@@ -198,14 +198,14 @@ def psi_compare(x: RationalVector, y: RationalVector,
     return rows
 
 
-def t_transform_pair(rng: random.Random, n: int,
-                     max_numerator: int = 40) -> tuple[RationalVector, RationalVector]:
+def t_transform_pair(rng: random.Random, n: int) -> tuple[RationalVector, RationalVector]:
     """A random exact pair with x majorizing y, built by one to three Robin
     Hood transfers: each moves part of the gap between two entries from the
-    larger to the smaller.  x has denominators at most 8; no rejection needed."""
+    larger to the smaller.  x has numerators at most 40 and denominators at
+    most 8; no rejection needed."""
     if n < 1:
         raise ValueError("need n >= 1")
-    x = RationalVector(Fraction(rng.randint(0, max_numerator), rng.randint(1, 8))
+    x = RationalVector(Fraction(rng.randint(0, 40), rng.randint(1, 8))
                        for _ in range(n))
     ys = list(x.entries)
     if n >= 2:

@@ -36,6 +36,10 @@ def matrix_y():
     return gram(SAMPLE_R)
 
 
+def vec(*entries) -> RationalVector:
+    return RationalVector(entries)
+
+
 def random_rational_vector(rng: random.Random, n: int, max_numerator: int = 40,
                            denominator_bound: int = 8) -> RationalVector:
     return RationalVector(

@@ -986,6 +986,7 @@ class TestJsonWriter:
     @example({"b": [True, 0, False, 1], "rows": [{"t": True, "o": 1},
                                                   {"t": False, "o": 0}]})
     @example({"big": [10 ** 4400, -(10 ** 4400)], "rows": [{"v": 10 ** 4400}]})
+    @example({"%s": [{"%": "%%", "%d": ["%"]}], "a%": 1})
     def test_matches_json_dumps(self, obj):
         old = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)
@@ -1003,6 +1004,8 @@ class TestJsonWriter:
                 "n": 3}]])
     @example({"a": [{"means": cli._Rows(cli._MEANS, [(0.0, -math.inf)])},
                     cli._Rows(cli._PSI, [])]})
+    @example([{"%": cli._Rows(cli._COMPARISON, [("%s", "%%", 0, "%(k)s"),
+                                                ("%", "100%", 1, True)])}])
     def test_rows_match_json_dumps_of_their_dicts(self, tree):
         assert emitted(tree) == \
             json.dumps(as_dicts(tree), indent=2, sort_keys=True) + "\n"

@@ -13,11 +13,7 @@ from sympineq.series import subset_power_table
 from sympineq.spectral import spectral_summary
 from sympineq.vectors import RationalVector, partial_sums_desc
 
-from conftest import random_rational_vector
-
-
-def vec(*entries):
-    return RationalVector(entries)
+from conftest import random_rational_vector, vec
 
 
 # the interval matrix pair's non-majorizing cousin: equal sums, equal product,

@@ -14,11 +14,7 @@ from sympineq.theorem1 import (GridPoint, HypothesisCheck, check_hypotheses,
                                verify_conclusions)
 from sympineq.vectors import RationalVector
 
-from conftest import random_rational_vector
-
-
-def vec(*entries):
-    return RationalVector(entries)
+from conftest import random_rational_vector, vec
 
 
 class TestHypotheses:

@@ -10,11 +10,7 @@ from hypothesis import example, given, strategies as st
 from sympineq.vectors import (RationalVector, log_of_fraction, lp_mean,
                               partial_sums_desc, to_fraction)
 
-from conftest import random_rational_vector
-
-
-def vec(*entries):
-    return RationalVector(entries)
+from conftest import random_rational_vector, vec
 
 
 class TestParsing:
